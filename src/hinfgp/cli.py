@@ -428,11 +428,14 @@ def _write_json(path: Path, record: Mapping) -> None:
         handle.write("\n")
 
 
-def _verify_record(kernel: ComplexKernel, n_max: int, grid_count: int, tol: float = SYMMETRY_TOL) -> dict:
-    grid = dense_spiral(grid_count, 1.1, 3.0)
+def _verify_record(
+    kernel: ComplexKernel, n_max: int, grid_count: int, r_lo=1.1, r_hi=3.0, tol=SYMMETRY_TOL
+) -> dict:
+    """Symmetry and Driscoll sections of a verification report."""
+    grid = dense_spiral(grid_count, r_lo, r_hi)
     sym = symmetry_test(kernel, grid)
     k_r, k_i = real_imag_kernels(kernel)
-    record = {
+    return {
         "symmetry": {
             **sym.to_record(),
             "tol": tol,
@@ -443,7 +446,6 @@ def _verify_record(kernel: ComplexKernel, n_max: int, grid_count: int, tol: floa
             "imag_part": driscoll_test(k_i, n_max).to_record(),
         },
     }
-    return record
 
 
 def run_identify(cfg: ExperimentConfig) -> dict:
@@ -495,13 +497,8 @@ def run_identify(cfg: ExperimentConfig) -> dict:
         means, variances = predict_sl_many(post, grid_z)
         site_means, site_vars = predict_sl_many(post, data.sites)
     else:
-        preds = [predict_wl(post, complex(z)) for z in grid_z]
-        means = np.array([p.mean for p in preds])
-        variances = np.array([p.hermitian_var for p in preds])
-        wl_fallback = any(p.used_fallback for p in preds)
-        site_preds = [predict_wl(post, complex(z)) for z in data.sites]
-        site_means = np.array([p.mean for p in site_preds])
-        site_vars = np.array([p.hermitian_var for p in site_preds])
+        means, variances, _, wl_fallback = predict_wl(post, grid_z)
+        site_means, site_vars, _, _ = predict_wl(post, data.sites)
 
     true_grid = cfg.system.freq_response(grid)
     true_sites = cfg.system.response(data.sites)
@@ -628,22 +625,12 @@ def parse_verify_config(resolved: Mapping) -> dict:
 def run_verify(cfg: Mapping) -> dict:
     """Verification pipeline: symmetry + Driscoll reports for a kernel spec."""
     kernel = kernel_from_verify_record(cfg["kernel"])
-    grid = dense_spiral(cfg["grid_count"], cfg["r_lo"], cfg["r_hi"])
-    sym = symmetry_test(kernel, grid)
-    k_r, k_i = real_imag_kernels(kernel)
-    tol = cfg["symmetry_tol"]
     report = {
         "config_sha256": cfg["sha256"],
         "seed": cfg["seed"],
-        "symmetry": {
-            **sym.to_record(),
-            "tol": tol,
-            "passed": max(sym.max_err_diag, sym.max_err_cross) < tol,
-        },
-        "driscoll": {
-            "real_part": driscoll_test(k_r, cfg["n_max"]).to_record(),
-            "imag_part": driscoll_test(k_i, cfg["n_max"]).to_record(),
-        },
+        **_verify_record(
+            kernel, cfg["n_max"], cfg["grid_count"], cfg["r_lo"], cfg["r_hi"], cfg["symmetry_tol"]
+        ),
     }
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)

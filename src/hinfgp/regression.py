@@ -23,7 +23,8 @@ noise of variance sigma_e^2, this module provides
   where v_i = kt(z, z_i) and Pbar^+ is a truncated pseudo-inverse of
   conj(P) (eigenvalues below p_floor * ||P|| are dropped — P is typically
   near-singular for conjugate-symmetric priors, which is exactly the regime in
-  which the plain inverse is numerically unstable);
+  which the plain inverse is numerically unstable).  ``predict_wl`` takes a
+  scalar or a 1-D array of query points, evaluated in blocks of 64 rows;
 
 * confidence ellipsoids (``ellipsoid``): disks |w - mean(z)| <= eta * sigma(z)
   which cover the true response with probability >= 1 - 1/eta^2 (Markov bound,
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 _SITE_TOL = 1e-12
+_WL_BLOCK = 64  # query rows per widely linear block: bounds the working set at large n
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,31 +169,21 @@ def fit(kernel: ComplexKernel, data: FrequencyDataset) -> Posterior:
     return Posterior(kernel, data, gram_yy, factorization, alpha_vec)
 
 
-def _cross_row(post: Posterior, z, part: str = "hermitian") -> np.ndarray:
-    evalfn = post.kernel.hermitian_eval if part == "hermitian" else post.kernel.complementary_eval
-    return np.asarray(evalfn(z, post.dataset.sites), dtype=complex)
-
-
-def _check_query(post: Posterior, z: complex) -> None:
-    if abs(z) < post.kernel.domain_radius - _SITE_TOL:
-        raise ValueError(f"query point {z} lies inside the kernel domain")
+def _check_queries(post: Posterior, pts: np.ndarray) -> None:
+    if np.any(np.abs(pts) < post.kernel.domain_radius - _SITE_TOL):
+        raise ValueError("query points must not lie inside the kernel domain")
 
 
 def predict_sl(post: Posterior, z: complex) -> tuple[complex, float]:
     """Strictly linear posterior mean and (clamped nonnegative) variance at z."""
-    _check_query(post, z)
-    u = _cross_row(post, z)
-    mean = complex(u @ post.alpha_vec)
-    prior = float(np.real(post.kernel.hermitian_eval(z, z)))
-    quad = float(np.real(u @ scipy.linalg.cho_solve(post.factorization, np.conj(u))))
-    return mean, max(prior - quad, 0.0)
+    means, variances = predict_sl_many(post, [z])
+    return complex(means[0]), float(variances[0])
 
 
 def predict_sl_many(post: Posterior, zs: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`predict_sl` over a grid of query points."""
+    """Strictly linear posterior means and (clamped nonnegative) variances over a grid."""
     pts = np.asarray(zs, dtype=complex)
-    if np.any(np.abs(pts) < post.kernel.domain_radius - _SITE_TOL):
-        raise ValueError("query points must lie on or outside the kernel domain")
+    _check_queries(post, pts)
     cross = np.asarray(
         post.kernel.hermitian_eval(pts[:, None], post.dataset.sites[None, :]), dtype=complex
     )
@@ -202,19 +194,26 @@ def predict_sl_many(post: Posterior, zs: Sequence[complex]) -> tuple[np.ndarray,
     return means, np.maximum(prior - quad, 0.0)
 
 
+def _schur(post: Posterior):
+    """(B, W = A^{-1} B, Hermitian part of P = A - B W*, ||A||_2), computed once per posterior."""
+    if "schur" not in post._wl_cache:
+        comp = gram(post.kernel, post.dataset.sites, "complementary")
+        w_mat = scipy.linalg.cho_solve(post.factorization, comp)
+        p_mat = post.gram_yy - comp @ np.conj(w_mat)
+        scale = float(np.linalg.norm(post.gram_yy, 2))
+        post._wl_cache["schur"] = (comp, w_mat, 0.5 * (p_mat + p_mat.conj().T), scale)
+    return post._wl_cache["schur"]
+
+
 def _wl_state(post: Posterior, p_floor: float):
-    """Cached widely linear solve state for one p_floor (None when P is numerically zero)."""
+    """Cached truncated eigendecomposition of conj(P) for one p_floor:
+    (basis, 1/eigenvalues, Pbar^+ s), or None when P is numerically zero."""
     key = float(p_floor)
     if key in post._wl_cache:
         return post._wl_cache[key]
-    comp = gram(post.kernel, post.dataset.sites, "complementary")
-    w_mat = scipy.linalg.cho_solve(post.factorization, comp)  # A^{-1} B
-    p_mat = post.gram_yy - comp @ np.conj(w_mat)
-    pbar = np.conj(p_mat)
-    pbar = 0.5 * (pbar + pbar.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(pbar)
+    comp, _, p_herm, scale = _schur(post)
+    eigvals, eigvecs = np.linalg.eigh(np.conj(p_herm))
     lam_max = float(eigvals[-1])
-    scale = float(np.linalg.norm(post.gram_yy, 2))
     if lam_max <= 1e-14 * scale:
         state = None
     else:
@@ -225,7 +224,7 @@ def _wl_state(post: Posterior, p_floor: float):
             post.dataset.responses - comp @ np.conj(post.alpha_vec)
         )  # s = y* - B* A^{-1} y
         correction = basis @ (inv_lam * (basis.conj().T @ residual))  # Pbar^+ s
-        state = (comp, basis, inv_lam, correction)
+        state = (basis, inv_lam, correction)
     post._wl_cache[key] = state
     return state
 
@@ -237,48 +236,63 @@ def schur_P(post: Posterior) -> SchurComplement:
     much the widely linear estimator can improve on the strictly linear one
     (P = 0 is the maximally improper case: y* is perfectly predictable from y).
     """
-    comp = gram(post.kernel, post.dataset.sites, "complementary")
-    w_mat = scipy.linalg.cho_solve(post.factorization, comp)
-    p_mat = post.gram_yy - comp @ np.conj(w_mat)
-    p_mat = 0.5 * (p_mat + p_mat.conj().T)
-    ratio = float(np.linalg.norm(p_mat, 2) / np.linalg.norm(post.gram_yy, 2))
-    return SchurComplement(p_mat, ratio)
+    _, _, p_herm, scale = _schur(post)
+    return SchurComplement(p_herm, float(np.linalg.norm(p_herm, 2) / scale))
 
 
-def predict_wl(post: Posterior, z: complex, p_floor: float = 1e-8) -> WidelyLinearPrediction:
+def predict_wl(post: Posterior, z, p_floor: float = 1e-8) -> WidelyLinearPrediction:
     """Widely linear posterior at z: mean, Hermitian variance, complementary variance.
 
+    ``z`` is a scalar or a 1-D array; an array gives a prediction of arrays.
     Eigenvalues of P below ``p_floor * ||P||_2`` are dropped from the inverse
     (truncated pseudo-inverse).  When P is numerically zero altogether —
     nothing survives the floor — the strictly linear prediction is returned
     with ``used_fallback=True`` and a NaN complementary variance.
     """
-    _check_query(post, z)
+    pts = np.asarray(z, dtype=complex)
+    scalar = pts.ndim == 0
+    pts = pts.reshape(-1)
+    _check_queries(post, pts)
     state = _wl_state(post, p_floor)
     if state is None:
-        mean, var = predict_sl(post, z)
-        return WidelyLinearPrediction(mean, var, complex(math.nan, math.nan), True)
-    comp_gram, basis, inv_lam, correction = state
+        mean, herm_var = predict_sl_many(post, pts)
+        comp_var = np.full(pts.size, complex(math.nan, math.nan))
+    else:
+        mean, herm_var, comp_var = (np.empty(pts.size, kind) for kind in (complex, float, complex))
+        for start in range(0, pts.size, _WL_BLOCK):
+            rows = slice(start, start + _WL_BLOCK)
+            mean[rows], herm_var[rows], comp_var[rows] = _wl_block(post, state, pts[rows])
+    if scalar:
+        mean, herm_var, comp_var = complex(mean[0]), float(herm_var[0]), complex(comp_var[0])
+    return WidelyLinearPrediction(mean, herm_var, comp_var, state is None)
 
-    u = _cross_row(post, z, "hermitian")
-    v = _cross_row(post, z, "complementary")
-    mean_sl = complex(u @ post.alpha_vec)
-    u_ainv = np.conj(scipy.linalg.cho_solve(post.factorization, np.conj(u)))  # u A^{-1}
-    prior = float(np.real(post.kernel.hermitian_eval(z, z)))
-    quad_sl = float(np.real(u_ainv @ np.conj(u)))
 
-    d = v - u_ainv @ comp_gram
+def _wl_block(post: Posterior, state, pts: np.ndarray):
+    """Widely linear mean and variances at one block of query points.
+
+    With A = L L^H, one triangular solve each for u and v gives both u A^{-1} u^H
+    and u A^{-1} v^T.  The cached W = A^{-1} B gives d = v - u W and, since B is
+    complex symmetric (B* A^{-1} = W^H), e = u - v W*.
+    """
+    basis, inv_lam, correction = state
+    _, w_mat, _, _ = _schur(post)
+    factor, sites = post.factorization[0], post.dataset.sites[None, :]
+    u = np.asarray(post.kernel.hermitian_eval(pts[:, None], sites), dtype=complex)
+    v = np.asarray(post.kernel.complementary_eval(pts[:, None], sites), dtype=complex)
+    lu = scipy.linalg.solve_triangular(factor, np.conj(u).T, lower=True)  # L^{-1} u^H
+    lv = scipy.linalg.solve_triangular(factor, v.T, lower=True)  # L^{-1} v^T
+    d = v - u @ w_mat
     d_proj = d @ basis
-    mean = mean_sl + complex(d @ correction)
-    hermitian_var = max(prior - quad_sl - float(np.sum(inv_lam * np.abs(d_proj) ** 2)), 0.0)
+    mean = u @ post.alpha_vec + d @ correction
+    prior = np.real(np.asarray(post.kernel.hermitian_eval(pts, pts)))
+    quad_sl = np.sum(np.abs(lu) ** 2, axis=0)  # u A^{-1} u^H
+    hermitian_var = np.maximum(prior - quad_sl - np.abs(d_proj) ** 2 @ inv_lam, 0.0)
 
-    # complementary error variance: kt(z,z) - u A^{-1} v^T - d Pbar^+ (u^T - B* A^{-1} v^T)
-    prior_comp = complex(np.asarray(post.kernel.complementary_eval(z, z)))
-    t_vec = scipy.linalg.cho_solve(post.factorization, v)  # A^{-1} v^T
-    e_vec = u - np.conj(comp_gram) @ t_vec
-    e_proj = basis.conj().T @ e_vec
-    complementary_var = prior_comp - complex(u @ t_vec) - complex(d_proj @ (inv_lam * e_proj))
-    return WidelyLinearPrediction(mean, hermitian_var, complementary_var, False)
+    # complementary error variance: kt(z,z) - u A^{-1} v^T - d Pbar^+ e^T
+    prior_comp = np.asarray(post.kernel.complementary_eval(pts, pts), dtype=complex)
+    e_proj = (u - v @ np.conj(w_mat)) @ np.conj(basis)
+    u_ainv_v = np.sum(np.conj(lu) * lv, axis=0)  # u A^{-1} v^T
+    return mean, hermitian_var, prior_comp - u_ainv_v - (d_proj * e_proj) @ inv_lam
 
 
 def ellipsoid(post: Posterior, z: complex, eta: float) -> EllipsoidBound:

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.signal
 
 from .regression import FrequencyDataset
+from .sampling import _philox
 
 __all__ = [
     "DiscreteTF",
@@ -32,10 +33,6 @@ __all__ = [
     "etfe",
     "estimate_noise_var",
 ]
-
-
-def _philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 @dataclass(frozen=True, eq=False)

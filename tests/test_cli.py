@@ -1,6 +1,7 @@
 """Config parsing, kernel records, artifact files, and exit codes for the
 ``hinfgp`` command-line entry point."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -471,9 +472,15 @@ class TestIdentifyPipeline:
         assert summary["config_sha256"] != base["config_sha256"]
 
     def test_wide_estimator_reports_diagnostics(self, tmp_path):
-        out = tmp_path / "wide"
-        cfg = identify_config(out, estimator="wide")
-        assert cli.main(["identify", "--config", write_config(tmp_path, cfg)]) == 0
+        digests = []
+        for name in ("wide", "wide_again"):
+            out = tmp_path / name
+            cfg = identify_config(out, estimator="wide")
+            assert cli.main(["identify", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+            digests.append(
+                {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+            )
+        assert digests[0] == digests[1]
         summary = json.loads((out / "summary.json").read_text())
         assert "wl_fallback" in summary
         assert "impropriety" in summary

@@ -144,6 +144,26 @@ class TestStrictlyLinear:
             assert abs(m - m1) < 1e-12
             assert abs(v - v1) < 1e-12
 
+        # predict_wl on an array: 130 points cross the 64-row block boundaries
+        base = geometric_kernel(0.5)
+        circ = ComplexKernel(base.hermitian_eval, lambda z, w: 0.0 * np.multiply(z, w), {}, 1.0)
+        real_sites = FrequencyDataset(np.array([2.0, 3.0, 5.0]), np.array([1.0, 0.5, 0.2]) + 0j, 0.0)
+        zs = (1.1 + np.linspace(0.0, 2.0, 130)) * np.exp(1j * np.linspace(-3.0, 3.0, 130))
+        for wl_post in (post, fit(base, real_sites), fit(circ, FrequencyDataset(sites, y, 0.05))):
+            batch = predict_wl(wl_post, zs)
+            assert batch.mean.shape == batch.hermitian_var.shape == batch.complementary_var.shape == (130,)
+            for i, z in enumerate(zs):
+                single = predict_wl(wl_post, complex(z))
+                assert single.used_fallback == batch.used_fallback
+                assert abs(batch.mean[i] - single.mean) < 1e-12
+                assert abs(batch.hermitian_var[i] - single.hermitian_var) < 1e-12
+                if batch.used_fallback:
+                    assert math.isnan(batch.complementary_var[i].real)
+                    assert math.isnan(complex(single.complementary_var).real)
+                else:
+                    assert abs(batch.complementary_var[i] - single.complementary_var) < 1e-12
+        assert predict_wl(fit(base, real_sites), zs).used_fallback
+
     def test_query_inside_domain_rejected(self):
         post = fit(geometric_kernel(0.5), FrequencyDataset(np.array([2.0]), np.array([1.0 + 0j])))
         with pytest.raises(ValueError, match="inside"):
@@ -209,6 +229,7 @@ class TestWidelyLinear:
             _, sites, y = random_instance(rng, n_max=5)
             data = FrequencyDataset(sites, y, 0.05)
             post = fit(kernel_fn, data)
+            queries = []
             for _ in range(4):
                 z = complex(rng.uniform(1.1, 4.0) * np.exp(1j * rng.uniform(-math.pi, math.pi)))
                 mean_o, var_o, comp_o = augmented_solve(kernel_fn, data, z)
@@ -216,6 +237,13 @@ class TestWidelyLinear:
                 assert abs(pred.mean - mean_o) < 1e-9
                 assert abs(pred.hermitian_var - var_o) < 1e-9
                 assert abs(complex(pred.complementary_var) - comp_o) < 1e-9
+                queries.append(z)
+            batch = predict_wl(post, np.array(queries), p_floor=1e-13)
+            for z, mean, var, comp in zip(queries, *batch[:3]):
+                mean_o, var_o, comp_o = augmented_solve(kernel_fn, data, z)
+                assert abs(mean - mean_o) < 1e-9
+                assert abs(var - var_o) < 1e-9
+                assert abs(comp - comp_o) < 1e-9
 
     def test_variance_never_exceeds_strictly_linear(self):
         rng = np.random.default_rng(47)
