@@ -163,8 +163,7 @@ def fit(kernel: ComplexKernel, data: FrequencyDataset) -> Posterior:
     if len(data) == 0:
         raise ValueError("cannot fit an empty dataset")
     gram_yy = gram(kernel, data.sites, "hermitian", data.noise_var)
-    jitter = 1e-10 * float(np.mean(np.real(np.diag(gram_yy))))
-    factorization = chol_factor_with_jitter(gram_yy, jitter)
+    factorization = chol_factor_with_jitter(gram_yy)
     alpha_vec = scipy.linalg.cho_solve(factorization, data.responses)
     return Posterior(kernel, data, gram_yy, factorization, alpha_vec)
 
@@ -408,8 +407,9 @@ def log_marginal_likelihood(
 ) -> float:
     """L(theta) = -1/2 (y^H K_yy^{-1} y + log det K_yy + n log 2 pi).
 
-    A failed factorization returns -inf, which the optimizer treats as the
-    worst possible value.
+    K_yy is factored exactly as ``fit`` factors it, with the same single
+    jitter retry; a factorization that still fails (or a non-finite Gram)
+    returns -inf, which the optimizer treats as the worst possible value.
     """
     values = theta.as_dict() if isinstance(theta, Hyperparameters) else dict(theta)
     kernel = kernel_family(values)
@@ -418,8 +418,8 @@ def log_marginal_likelihood(
         raise ValueError("cannot evaluate the likelihood of an empty dataset")
     gram_yy = gram(kernel, data.sites, "hermitian", data.noise_var)
     try:
-        factor = scipy.linalg.cho_factor(gram_yy, lower=True)
-    except (np.linalg.LinAlgError, ValueError):
+        factor = chol_factor_with_jitter(gram_yy)
+    except (ConditioningError, ValueError):
         return -math.inf
     quad = float(np.real(np.conj(data.responses) @ scipy.linalg.cho_solve(factor, data.responses)))
     logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor[0])))))

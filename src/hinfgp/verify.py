@@ -138,7 +138,11 @@ def driscoll_test(
     of a complex kernel); complex return values are projected to their real
     part.  R_n is the H2 Gram on the same points.  Each trace is computed
     through a symmetric factorization, trace(L^{-1} K_n L^{-T}) with
-    R_n = L L^T, which keeps the product congruent to a PSD matrix.
+    R_n = L L^T, which keeps the product congruent to a PSD matrix.  Both
+    Grams are built once on the first ``n_max`` points; each prefix factors
+    the leading n x n views of them.  Repeated points raise ``ValueError``;
+    near-duplicates that defeat the one jitter retry raise
+    ``ConditioningError``.
 
     A bounded trace sequence is evidence the paths lie in H2 (hence extend to
     H-infinity under the continuity condition); growth linear in n is evidence
@@ -155,15 +159,21 @@ def driscoll_test(
         pts = np.asarray(points, dtype=complex)
         if pts.size < n_max:
             raise ValueError(f"need at least n_max={n_max} points, got {pts.size}")
-    if np.any(np.abs(pts[:n_max]) <= 1.0):
+    pts = pts[:n_max]
+    if np.any(np.abs(pts) <= 1.0):
         raise ValueError("all points must lie strictly outside the unit circle")
+    if np.unique(pts).size < n_max:
+        raise ValueError("points must be distinct: duplicate points give a singular H2 Gram")
 
+    # Kernels evaluate elementwise, so the leading n x n block of each Gram on
+    # all n_max points equals the Gram on the first n points bit for bit.
+    r_full = _real_gram(h2_kernel, pts)
+    k_full = _real_gram(k_real, pts)
     n_values = list(range(10, n_max + 1, 10))
     traces = []
     for n in n_values:
-        sub = pts[:n]
-        r_gram = _real_gram(h2_kernel, sub)
-        k_gram = _real_gram(k_real, sub)
+        r_gram = r_full[:n, :n]
+        k_gram = k_full[:n, :n]
         jitter = 1e-12 * np.trace(r_gram) / n
         try:
             chol = scipy.linalg.cholesky(r_gram, lower=True)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hinfgp._linalg import ConditioningError, chol_factor_with_jitter
 from hinfgp.kernels import (
@@ -370,6 +371,23 @@ class TestLikelihood:
         zero = stationary_kernel(StationarySequence.explicit([0.0]))
         data = FrequencyDataset(np.array([2.0]), np.array([1.0 + 0j]), 0.0)
         assert log_marginal_likelihood(lambda _: zero, {}, data) == -math.inf
+
+    def test_jitter_policy_matches_fit(self):
+        """Near-duplicate sites at zero noise: fit's single jitter retry
+        succeeds, and the likelihood must use the same factor instead of -inf."""
+        base = np.exp(1j * np.linspace(0.0, math.pi, 30))
+        sites = np.concatenate([base, base[:5] * np.exp(1e-9j)])
+        data = FrequencyDataset(sites, np.cos(3.0 * np.angle(sites)) + 0j, 0.0)
+        kernel = geometric_kernel(0.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(gram(kernel, sites), lower=True)
+        post = fit(kernel, data)
+        quad = float(np.real(np.conj(data.responses) @ post.alpha_vec))
+        logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(post.factorization[0])))))
+        expected = -0.5 * (quad + logdet + len(data) * math.log(2.0 * math.pi))
+        val = log_marginal_likelihood(lambda _: kernel, {}, data)
+        assert math.isfinite(val)
+        assert val == expected
 
     def test_higher_likelihood_for_better_matched_scale(self):
         """y of unit size: the unit-variance kernel should beat a grossly

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hinfgp.kernels import (
     ComplexKernel,
@@ -15,6 +16,7 @@ from hinfgp.kernels import (
     real_imag_kernels,
 )
 from hinfgp.verify import (
+    _real_gram,
     continuity_probe,
     continuity_search,
     dense_spiral,
@@ -110,10 +112,71 @@ class TestDriscoll:
         with pytest.raises(ValueError, match="outside"):
             driscoll_test(h2_kernel, n_max=50, points=pts)
 
+    def test_duplicate_points_rejected(self):
+        pts = dense_spiral(60)
+        pts[30] = pts[5]
+        with pytest.raises(ValueError, match="duplicate"):
+            driscoll_test(h2_kernel, n_max=40, points=pts)
+        # a repeat past n_max is never used
+        assert driscoll_test(h2_kernel, n_max=30, points=pts).traces[-1] == pytest.approx(30.0)
+
     def test_report_record_roundtrip(self):
         record = driscoll_test(h2_kernel, n_max=20).to_record()
         assert record["verdict"] == "diverging"
         assert len(record["n_values"]) == len(record["traces"]) == 2
+
+
+def per_prefix_traces(k_real, pts, n_max):
+    """Reference Driscoll traces: both Grams rebuilt from scratch for every prefix."""
+    traces = []
+    for n in range(10, n_max + 1, 10):
+        r_gram = _real_gram(h2_kernel, pts[:n])
+        k_gram = _real_gram(k_real, pts[:n])
+        try:
+            chol = scipy.linalg.cholesky(r_gram, lower=True)
+        except np.linalg.LinAlgError:
+            jitter = 1e-12 * np.trace(r_gram) / n
+            chol = scipy.linalg.cholesky(r_gram + jitter * np.eye(n), lower=True)
+        half = scipy.linalg.solve_triangular(chol, k_gram, lower=True)
+        congruent = scipy.linalg.solve_triangular(chol, half.T, lower=True)
+        traces.append(float(np.trace(congruent)))
+    return tuple(traces)
+
+
+def _candidate_parts():
+    geo = geometric_kernel(0.5)
+    cozine = cozine_kernel(CozineParams(0.9, 0.2 * math.pi))
+    kernels = {
+        "geometric": geo,
+        "cozine": cozine,
+        "mixture": mixture_kernel(geo, 1.0, cozine, 1.0),
+        "circular": circular_variant(geo),
+    }
+    parts = {"h2": h2_kernel}
+    for name, kernel in kernels.items():
+        parts[f"{name}-real"], parts[f"{name}-imag"] = real_imag_kernels(kernel)
+    return parts
+
+
+CANDIDATE_PARTS = _candidate_parts()
+
+
+class TestDriscollGramViews:
+    """Prefix views of the n_max Grams must give exactly the per-prefix traces."""
+
+    @pytest.mark.parametrize("n_max", [120, 230])
+    @pytest.mark.parametrize("name", sorted(CANDIDATE_PARTS))
+    def test_traces_bit_identical(self, name, n_max):
+        k_real = CANDIDATE_PARTS[name]
+        report = driscoll_test(k_real, n_max=n_max)
+        assert report.traces == per_prefix_traces(k_real, dense_spiral(n_max), n_max)
+
+    def test_points_longer_than_n_max(self):
+        pts = dense_spiral(300, 1.1, 2.5)
+        k_real = CANDIDATE_PARTS["mixture-real"]
+        report = driscoll_test(k_real, n_max=150, points=pts)
+        assert report.n_values[-1] == 150
+        assert report.traces == per_prefix_traces(k_real, pts, 150)
 
 
 class TestSymmetry:
