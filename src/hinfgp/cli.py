@@ -46,7 +46,7 @@ from .regression import (
 )
 from .sampling import sample_cozine_batch, sample_stationary_batch
 from .sysid import DiscreteTF, FilterBankSpec, TimeTrace, estimate_noise_var, etfe, make_allpass, make_resonant_system, simulate
-from .verify import dense_spiral, driscoll_test, h2_kernel, symmetry_test
+from .verify import dense_spiral, driscoll_test, symmetry_test
 
 __all__ = ["ConfigError", "main", "run_identify", "run_verify", "run_sample"]
 
@@ -137,84 +137,36 @@ _TUNABLE_DOMAINS = {
 }
 
 
-def _walk_to_params(record: dict, path: str) -> tuple[dict, str]:
-    parts = path.split(".")
-    node = record
-    for part in parts[:-1]:
-        if part not in ("component1", "component2") or part not in node:
-            raise ConfigError(f"tunable path '{path}' does not resolve in the kernel record")
-        node = node[part]
-    params = node.setdefault("params", {})
-    return params, parts[-1]
-
-
 def kernel_family_from_record(record: Mapping, tunable: Sequence[str]):
     """Build (family, init) from a kernel record and its tunable-parameter paths.
 
-    ``family`` maps a {path: value} assignment to a ComplexKernel by
-    substituting into the record; ``init`` collects the record's current
-    values with their domains (None when nothing is tunable).
+    ``family`` is the record's :class:`~hinfgp.kernels.KernelFamily`, mapping a
+    {path: value} assignment to a ComplexKernel; ``init`` collects the
+    record's current values with their domains (None when nothing is tunable).
     """
-    base = copy.deepcopy(dict(record))
+    base = dict(record)
     base.pop("tunable", None)
-    kernels.from_config(base)  # validate the record eagerly
-    if len(set(tunable)) != len(tunable):
-        raise ConfigError(f"duplicate tunable path in {list(tunable)}")
-    init_values: dict[str, float] = {}
-    domains: dict[str, Domain] = {}
-    for path in tunable:
-        leaf = path.split(".")[-1]
-        if leaf not in _TUNABLE_DOMAINS:
-            raise ConfigError(f"parameter '{path}' is not tunable")
-        params, key = _walk_to_params(copy.deepcopy(base), path)
-        if key not in params:
-            raise ConfigError(f"tunable path '{path}' has no initial value in the kernel record")
-        init_values[path] = float(params[key])
-        domains[path] = _TUNABLE_DOMAINS[leaf]
-
-    def family(values: Mapping[str, float]) -> ComplexKernel:
-        rec = copy.deepcopy(base)
-        for path, val in values.items():
-            params, key = _walk_to_params(rec, path)
-            params[key] = float(val)
-        return kernels.from_config(rec)
-
-    init = Hyperparameters(init_values, domains) if tunable else None
+    try:
+        family = kernels.KernelFamily.from_config(base, tunable)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not tunable:
+        return family, None
+    init = Hyperparameters(
+        {path: family.record_value(path) for path in tunable},
+        {path: _TUNABLE_DOMAINS[path.split(".")[-1]] for path in tunable},
+    )
     return family, init
 
 
 def kernel_from_verify_record(record: Mapping) -> ComplexKernel:
-    """Kernel spec for the ``verify`` subcommand.
-
-    Beyond the standard families this accepts ``{"name": "h2"}`` (the Hardy
-    space kernel, a natural diverging candidate) and a boolean ``circular``
-    key on any record, which zeroes the complementary part (a deliberate
-    symmetry-breaking counterexample).
-    """
-    rec = copy.deepcopy(dict(record))
-    circular = rec.pop("circular", False)
-    if not isinstance(circular, bool):
-        raise ConfigError(f"'circular' must be a boolean, got {circular!r}")
-    if rec.get("name") == "h2":
-        _check_keys(rec, {"name"}, "h2 kernel record")
-        kernel = ComplexKernel(
-            h2_kernel,
-            lambda z, w: h2_kernel(z, np.conj(w)),
-            {},
-        )
-    else:
-        try:
-            kernel = kernels.from_config(rec)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if circular:
-        kernel = ComplexKernel(
-            kernel.hermitian_eval,
-            lambda z, w: 0.0 * np.multiply(z, w),
-            dict(kernel.hyperparams),
-            kernel.domain_radius,
-        )
-    return kernel
+    """Kernel spec for the ``verify`` subcommand: a standard family, the
+    ``{"name": "h2"}`` Hardy space kernel, or either with ``"circular": true``
+    (see :meth:`~hinfgp.kernels.KernelFamily.from_config`)."""
+    try:
+        return kernels.KernelFamily.from_config(record, verify=True)({})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

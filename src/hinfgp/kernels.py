@@ -16,8 +16,10 @@ This module provides the built-in covariance families
 * ``cozine_kernel`` — a random damped-cosine (second-order resonance) process,
 * ``mixture_kernel`` — nonnegative combinations,
 
-plus Gram-matrix assembly and the real/imaginary part decomposition used by
-the H-infinity membership checks.
+plus Gram-matrix assembly, the real/imaginary part decomposition used by
+the H-infinity membership checks, and ``KernelFamily``: a config record
+parsed once into a map from tunable hyperparameters to kernels, which binds
+to fixed sites for repeated Gram evaluation.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ __all__ = [
     "real_imag_kernels",
     "gram",
     "from_config",
+    "KernelFamily",
+    "BoundFamily",
 ]
 
 KernelFn = Callable[..., np.ndarray]
@@ -157,6 +161,67 @@ class CozineParams:
             raise ValueError(f"omega0 must lie in [0, pi], got {self.omega0}")
 
 
+# Each family's covariance is written once, as a function of the site arrays
+# that do not depend on its parameters (the products p = zw* or zw, or the
+# reciprocals 1/z and 1/w*).  ComplexKernel closures and the site-bound Grams
+# of ``KernelFamily.bind`` both call these, so the two agree bit for bit.
+
+
+def _geometric(p, alpha):
+    """sum_n alpha^n p^{-n} = p/(p - alpha)."""
+    return p / (p - alpha)
+
+
+def _h2(p):
+    """The Hardy space kernel: the geometric series at alpha = 1, singular at p = 1."""
+    if np.any(p == 1.0):
+        raise ValueError("h2 kernel is singular at zw* = 1")
+    return _geometric(p, 1.0)
+
+
+def _exponential(p):
+    """sum_n p^{-n}/n! = exp(1/p)."""
+    if np.any(p == 0):
+        raise ValueError("exponential kernel is undefined at zw* = 0 or zw = 0")
+    return np.exp(1.0 / p)
+
+
+def _power_series(coeffs: np.ndarray, p):
+    """sum_n coeffs[n] * p^{-n}, evaluated by Horner's rule in 1/p."""
+    return np.polynomial.polynomial.polyval(1.0 / np.asarray(p, dtype=complex), coeffs)
+
+
+def _cozine_quad(a, c, x):
+    return 1.0 - 2.0 * a * c * x + (a * x) ** 2
+
+
+def _cozine(a, c, zi, wi, zi_plus_wi=None):
+    """(1 - a c (zi + wi) + a^2 zi wi) / (D(zi) D(wi)) with D(x) = 1 - 2 a c x + (a x)^2.
+
+    ``zi_plus_wi`` is zi + wi when precomputed; otherwise the sum is a
+    temporary, freed as soon as it is scaled.
+    """
+    num = 1.0 - a * c * (zi + wi if zi_plus_wi is None else zi_plus_wi) + a * a * zi * wi
+    return num / (_cozine_quad(a, c, zi) * _cozine_quad(a, c, wi))
+
+
+def _mixture(w1, k1, w2, k2, *args):
+    """w1 k1(*args) + w2 k2(*args), each part released once it is scaled."""
+    return w1 * k1(*args) + w2 * k2(*args)
+
+
+def _geometric_alpha(alpha) -> float:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return float(alpha)
+
+
+def _mixture_weights(w1, w2) -> tuple[float, float]:
+    if w1 < 0.0 or w2 < 0.0:
+        raise ValueError(f"mixture weights must be nonnegative, got {w1}, {w2}")
+    return float(w1), float(w2)
+
+
 def geometric_kernel(alpha: float) -> ComplexKernel:
     """Stationary kernel with a_n^2 = alpha^n: k(z,w) = zw*/(zw* - alpha).
 
@@ -164,17 +229,13 @@ def geometric_kernel(alpha: float) -> ComplexKernel:
     kt(z,w) = zw/(zw - alpha).  Note kt(z, w) = k(z, w*), the structural
     signature of a real impulse response.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    alpha = float(alpha)
+    alpha = _geometric_alpha(alpha)
 
     def herm(z, w):
-        p = np.multiply(z, np.conj(w))
-        return p / (p - alpha)
+        return _geometric(np.multiply(z, np.conj(w)), alpha)
 
     def comp(z, w):
-        p = np.multiply(z, w)
-        return p / (p - alpha)
+        return _geometric(np.multiply(z, w), alpha)
 
     return ComplexKernel(herm, comp, {"alpha": alpha})
 
@@ -186,23 +247,28 @@ def exponential_kernel() -> ComplexKernel:
     """
 
     def herm(z, w):
-        p = np.multiply(z, np.conj(w))
-        if np.any(p == 0):
-            raise ValueError("exponential kernel is undefined at zw* = 0")
-        return np.exp(1.0 / p)
+        return _exponential(np.multiply(z, np.conj(w)))
 
     def comp(z, w):
-        p = np.multiply(z, w)
-        if np.any(p == 0):
-            raise ValueError("exponential kernel is undefined at zw = 0")
-        return np.exp(1.0 / p)
+        return _exponential(np.multiply(z, w))
 
     return ComplexKernel(herm, comp, {})
 
 
-def _power_series(coeffs: np.ndarray, p):
-    """sum_n coeffs[n] * p^{-n}, evaluated by Horner's rule in 1/p."""
-    return np.polynomial.polynomial.polyval(1.0 / np.asarray(p, dtype=complex), coeffs)
+def h2_kernel(z, w):
+    """Reproducing kernel of the Hardy space H2: r(z, w) = zw*/(zw* - 1).
+
+    Defined for |zw*| > 1; the point zw* = 1 is the kernel's singularity.
+    """
+    return _h2(np.multiply(z, np.conj(w)))
+
+
+def _h2_complementary(z, w):
+    return _h2(np.multiply(z, w))
+
+
+def _zero_complementary(z, w):
+    return 0.0 * np.multiply(z, w)
 
 
 def stationary_kernel(seq: StationarySequence) -> ComplexKernel:
@@ -246,33 +312,24 @@ def cozine_kernel(params: CozineParams) -> ComplexKernel:
     a = float(params.a)
     c = math.cos(params.omega0)
 
-    def _quad(x):
-        return 1.0 - 2.0 * a * c * x + (a * x) ** 2
-
-    def _rational(zi, wi):
-        num = 1.0 - a * c * (zi + wi) + a * a * zi * wi
-        return num / (_quad(zi) * _quad(wi))
-
     def herm(z, w):
-        return _rational(1.0 / np.asarray(z, dtype=complex), 1.0 / np.conj(w))
+        return _cozine(a, c, 1.0 / np.asarray(z, dtype=complex), 1.0 / np.conj(w))
 
     def comp(z, w):
-        return _rational(1.0 / np.asarray(z, dtype=complex), 1.0 / np.asarray(w, dtype=complex))
+        return _cozine(a, c, 1.0 / np.asarray(z, dtype=complex), 1.0 / np.asarray(w, dtype=complex))
 
     return ComplexKernel(herm, comp, {"a": a, "omega0": float(params.omega0)})
 
 
 def mixture_kernel(k1: ComplexKernel, w1: float, k2: ComplexKernel, w2: float) -> ComplexKernel:
     """Pointwise nonnegative combination w1*k1 + w2*k2 of both covariance parts."""
-    if w1 < 0.0 or w2 < 0.0:
-        raise ValueError(f"mixture weights must be nonnegative, got {w1}, {w2}")
-    w1, w2 = float(w1), float(w2)
+    w1, w2 = _mixture_weights(w1, w2)
 
     def herm(z, w):
-        return w1 * k1.hermitian_eval(z, w) + w2 * k2.hermitian_eval(z, w)
+        return _mixture(w1, k1.hermitian_eval, w2, k2.hermitian_eval, z, w)
 
     def comp(z, w):
-        return w1 * k1.complementary_eval(z, w) + w2 * k2.complementary_eval(z, w)
+        return _mixture(w1, k1.complementary_eval, w2, k2.complementary_eval, z, w)
 
     return ComplexKernel(
         herm,
@@ -299,6 +356,16 @@ def real_imag_kernels(kernel: ComplexKernel):
     return k_r, k_i
 
 
+def _check_sites(pts: np.ndarray, domain_radius: float, noise_var: float) -> None:
+    if pts.ndim != 1:
+        raise ValueError("points must be a one-dimensional sequence of complex numbers")
+    if noise_var < 0.0:
+        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
+    if np.any(np.abs(pts) < domain_radius - 1e-12):
+        bad = pts[np.abs(pts) < domain_radius - 1e-12][0]
+        raise ValueError(f"point {bad} lies inside the kernel domain (|z| >= {domain_radius})")
+
+
 def gram(
     kernel: ComplexKernel,
     points: Sequence[complex],
@@ -313,15 +380,7 @@ def gram(
     complementary part — requesting it there is an error.
     """
     pts = np.asarray(points, dtype=complex)
-    if pts.ndim != 1:
-        raise ValueError("points must be a one-dimensional sequence of complex numbers")
-    if noise_var < 0.0:
-        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
-    if np.any(np.abs(pts) < kernel.domain_radius - 1e-12):
-        bad = pts[np.abs(pts) < kernel.domain_radius - 1e-12][0]
-        raise ValueError(
-            f"point {bad} lies inside the kernel domain (|z| >= {kernel.domain_radius})"
-        )
+    _check_sites(pts, kernel.domain_radius, noise_var)
     z = pts[:, None]
     w = pts[None, :]
     if part == "hermitian":
@@ -343,6 +402,217 @@ _CONFIG_PARAMS = {
     "stationary_list": {"coefficients"},
     "mixture": {"weight1", "weight2"},
 }
+_TUNABLE_LEAVES = set().union(*_CONFIG_PARAMS.values()) - {"coefficients"}  # the scalar ones
+_COMPONENTS = ("component1", "component2")
+
+
+class KernelFamily:
+    """A kernel family parsed once from a config record, with named tunable parameters.
+
+    ``family(values)`` is the ComplexKernel at the hyperparameters ``values``,
+    a {path: value} map over the family's tunable paths: a path names a scalar
+    parameter of the record, such as ``"alpha"`` or ``"component2.omega0"``.
+    Parameters absent from ``values`` keep their record values.  Nothing is
+    copied or parsed per call, and the parameter checks are those of the
+    kernel constructors, so values outside a family's domain raise
+    ``ValueError``.  ``bind`` fixes the sites for repeated Gram evaluations.
+
+    Build one with :meth:`from_config`.  Each instance is a node of the
+    record's tree (``name``, ``params``, ``children``), and the parameter-free
+    nodes hold their kernel from construction on.
+    """
+
+    def __init__(self, name: str, params: Mapping, prefix: str, tunable: frozenset, children=()):
+        self.name = name
+        self.params = params
+        self.children = tuple(children)
+        # parameter name -> hyperparameter path, for the tunable ones
+        self.slots = {n: prefix + n for n in _CONFIG_PARAMS.get(name, ()) if prefix + n in tunable}
+        self.paths = frozenset(self.slots.values()).union(*(c.paths for c in self.children))
+        self._fixed = None
+        record_kernel = self._kernel({})  # validates the record's values
+        self.domain_radius = record_kernel.domain_radius
+        if not self.paths:
+            self._fixed = record_kernel
+
+    @classmethod
+    def from_config(
+        cls, record: Mapping, tunable: Sequence[str] = (), verify: bool = False
+    ) -> "KernelFamily":
+        """Parse a kernel config record (see :func:`from_config`) into a family.
+
+        ``tunable`` lists the paths of the parameters the family maps; each
+        must name a scalar parameter with a value in the record.  ``verify``
+        also accepts the verify-only members: ``{"name": "h2"}`` (the Hardy
+        space kernel, a natural diverging candidate) and a boolean top-level
+        ``circular`` key, which zeroes the complementary part (a deliberate
+        symmetry-breaking counterexample).
+        """
+        tunable = list(tunable)
+        family = _parse_family(record, "", frozenset(tunable), verify)
+        if len(set(tunable)) != len(tunable):
+            raise ValueError(f"duplicate tunable path in {tunable}")
+        for path in tunable:
+            family.record_value(path)
+        return family
+
+    def record_value(self, path: str) -> float:
+        """The record's value of the tunable parameter at ``path``."""
+        *parents, leaf = path.split(".")
+        if leaf not in _TUNABLE_LEAVES:
+            raise ValueError(f"parameter '{path}' is not tunable")
+        node = self
+        for part in parents:
+            if part not in _COMPONENTS or node.name != "mixture":
+                raise ValueError(f"tunable path '{path}' does not resolve in the kernel record")
+            node = node.children[_COMPONENTS.index(part)]
+        if leaf not in node.params:
+            raise ValueError(f"tunable path '{path}' has no initial value in the kernel record")
+        return float(node.params[leaf])
+
+    def __call__(self, values: Mapping[str, float]) -> ComplexKernel:
+        return self._kernel(self._checked(values))
+
+    def bind(self, sites: Sequence[complex], noise_var: float = 0.0) -> "BoundFamily":
+        """This family at fixed sites z_i with observation noise ``noise_var``.
+
+        Binding checks the sites against the kernel domain and computes what
+        does not depend on the hyperparameters once: the products z_i z_j*
+        (geometric), the reciprocals 1/z_i, 1/z_j* and their sums (cozine),
+        and the whole Gram of every parameter-free member.  The bound
+        ``gram(values)`` then equals ``gram(self(values), sites, "hermitian",
+        noise_var)`` bit for bit.
+        """
+        pts = np.asarray(sites, dtype=complex)
+        _check_sites(pts, self.domain_radius, noise_var)
+        hermitian = self._hermitian_gram(pts[:, None], pts[None, :])
+        if noise_var > 0.0:
+            noise = noise_var * np.eye(pts.size)
+            return BoundFamily(self, pts, noise_var, lambda values: hermitian(self._checked(values)) + noise)
+        return BoundFamily(self, pts, noise_var, lambda values: hermitian(self._checked(values)))
+
+    def _checked(self, values: Mapping[str, float]) -> Mapping[str, float]:
+        unknown = set(values) - self.paths
+        if unknown:
+            raise ValueError(
+                f"unknown hyperparameter path(s) {sorted(unknown)}; tunable: {sorted(self.paths)}"
+            )
+        return values
+
+    def _value(self, values: Mapping[str, float], name: str) -> float:
+        path = self.slots.get(name)
+        if path is not None and path in values:
+            return float(values[path])
+        return self.params.get(name, 1.0)  # only mixture weights are optional, defaulting to 1
+
+    def _kernel(self, values: Mapping[str, float]) -> ComplexKernel:
+        if self._fixed is not None:
+            return self._fixed
+        if self.name == "geometric":
+            return geometric_kernel(self._value(values, "alpha"))
+        if self.name == "exponential":
+            return exponential_kernel()
+        if self.name == "cozine":
+            return cozine_kernel(CozineParams(self._value(values, "a"), self._value(values, "omega0")))
+        if self.name == "stationary_list":
+            return stationary_kernel(StationarySequence.explicit(self.params["coefficients"]))
+        if self.name == "h2":
+            return ComplexKernel(h2_kernel, _h2_complementary, {})
+        parts = [child._kernel(values) for child in self.children]
+        if self.name == "circular":
+            inner = parts[0]
+            return ComplexKernel(
+                inner.hermitian_eval, _zero_complementary, dict(inner.hyperparams), inner.domain_radius
+            )
+        w1, w2 = self._value(values, "weight1"), self._value(values, "weight2")
+        return mixture_kernel(parts[0], w1, parts[1], w2)
+
+    def _hermitian_gram(self, z: np.ndarray, w: np.ndarray):
+        """values -> [k(z_i, w_j)], with the arrays that do not depend on values computed here."""
+        if self._fixed is not None:
+            mat = np.asarray(self._fixed.hermitian_eval(z, w), dtype=complex)
+            mat.flags.writeable = False
+            return lambda values: mat
+        if self.name == "geometric":
+            p = np.multiply(z, np.conj(w))
+            return lambda values: _geometric(p, _geometric_alpha(self._value(values, "alpha")))
+        if self.name == "cozine":
+            zi, wi = 1.0 / np.asarray(z, dtype=complex), 1.0 / np.conj(w)
+            zi_plus_wi = zi + wi
+
+            def cozine(values):
+                params = CozineParams(self._value(values, "a"), self._value(values, "omega0"))
+                return _cozine(float(params.a), math.cos(params.omega0), zi, wi, zi_plus_wi)
+
+            return cozine
+        parts = [child._hermitian_gram(z, w) for child in self.children]
+        if self.name == "circular":
+            return parts[0]
+
+        def mixture(values):
+            w1, w2 = _mixture_weights(self._value(values, "weight1"), self._value(values, "weight2"))
+            return _mixture(w1, parts[0], w2, parts[1], values)
+
+        return mixture
+
+
+@dataclass(frozen=True, eq=False)
+class BoundFamily:
+    """A kernel family bound to sites and a noise variance (see :meth:`KernelFamily.bind`).
+
+    ``gram(values)`` is K_yy = [k(z_i, z_j)] + noise_var I at the
+    hyperparameters ``values``.
+    """
+
+    family: Callable[[Mapping[str, float]], ComplexKernel]
+    sites: np.ndarray
+    noise_var: float
+    gram: Callable[[Mapping[str, float]], np.ndarray]
+
+
+def _parse_family(record: Mapping, prefix: str, tunable: frozenset, verify: bool) -> KernelFamily:
+    if not isinstance(record, Mapping):
+        raise ValueError(f"kernel config must be a mapping, got {type(record).__name__}")
+    if verify:
+        record = dict(record)
+        circular = record.pop("circular", False)
+        if not isinstance(circular, bool):
+            raise ValueError(f"'circular' must be a boolean, got {circular!r}")
+        if circular:
+            return KernelFamily("circular", {}, prefix, tunable, [_parse_family(record, prefix, tunable, True)])
+        if record.get("name") == "h2":
+            unknown = set(record) - {"name"}
+            if unknown:
+                raise ValueError(f"unknown key(s) {sorted(unknown)} in h2 kernel record")
+            return KernelFamily("h2", {}, prefix, tunable)
+    name = record.get("name")
+    if name not in _CONFIG_PARAMS:
+        raise ValueError(
+            f"unknown kernel name {name!r}; expected one of {sorted(_CONFIG_PARAMS)}"
+        )
+    allowed_keys = {"name", "params"} | (set(_COMPONENTS) if name == "mixture" else set())
+    unknown = set(record) - allowed_keys
+    if unknown:
+        raise ValueError(f"unknown kernel config key(s) {sorted(unknown)} for kernel {name!r}")
+    params = dict(record.get("params", {}))
+    unknown_params = set(params) - _CONFIG_PARAMS[name]
+    if unknown_params:
+        raise ValueError(f"unknown parameter(s) {sorted(unknown_params)} for kernel {name!r}")
+    if name == "geometric" and "alpha" not in params:
+        raise ValueError("geometric kernel config requires 'alpha'")
+    if name == "cozine":
+        missing = {"a", "omega0"} - set(params)
+        if missing:
+            raise ValueError(f"cozine kernel config requires {sorted(missing)}")
+    if name == "stationary_list" and "coefficients" not in params:
+        raise ValueError("stationary_list kernel config requires 'coefficients'")
+    children = []
+    if name == "mixture":
+        for key in _COMPONENTS:
+            if key not in record:
+                raise ValueError(f"mixture kernel config requires nested record {key!r}")
+        children = [_parse_family(record[key], f"{prefix}{key}.", tunable, False) for key in _COMPONENTS]
+    return KernelFamily(name, params, prefix, tunable, children)
 
 
 def from_config(record: Mapping) -> ComplexKernel:
@@ -353,44 +623,4 @@ def from_config(record: Mapping) -> ComplexKernel:
     carry nested ``component1``/``component2`` records.  Unknown keys anywhere
     are errors, so configs fail fast instead of silently ignoring typos.
     """
-    if not isinstance(record, Mapping):
-        raise ValueError(f"kernel config must be a mapping, got {type(record).__name__}")
-    name = record.get("name")
-    if name not in _CONFIG_PARAMS:
-        raise ValueError(
-            f"unknown kernel name {name!r}; expected one of {sorted(_CONFIG_PARAMS)}"
-        )
-    allowed_keys = {"name", "params"} | ({"component1", "component2"} if name == "mixture" else set())
-    unknown = set(record) - allowed_keys
-    if unknown:
-        raise ValueError(f"unknown kernel config key(s) {sorted(unknown)} for kernel {name!r}")
-    params = dict(record.get("params", {}))
-    unknown_params = set(params) - _CONFIG_PARAMS[name]
-    if unknown_params:
-        raise ValueError(f"unknown parameter(s) {sorted(unknown_params)} for kernel {name!r}")
-
-    if name == "geometric":
-        if "alpha" not in params:
-            raise ValueError("geometric kernel config requires 'alpha'")
-        return geometric_kernel(params["alpha"])
-    if name == "exponential":
-        return exponential_kernel()
-    if name == "cozine":
-        missing = {"a", "omega0"} - set(params)
-        if missing:
-            raise ValueError(f"cozine kernel config requires {sorted(missing)}")
-        return cozine_kernel(CozineParams(params["a"], params["omega0"]))
-    if name == "stationary_list":
-        if "coefficients" not in params:
-            raise ValueError("stationary_list kernel config requires 'coefficients'")
-        return stationary_kernel(StationarySequence.explicit(params["coefficients"]))
-    # mixture
-    for key in ("component1", "component2"):
-        if key not in record:
-            raise ValueError(f"mixture kernel config requires nested record {key!r}")
-    return mixture_kernel(
-        from_config(record["component1"]),
-        params.get("weight1", 1.0),
-        from_config(record["component2"]),
-        params.get("weight2", 1.0),
-    )
+    return KernelFamily.from_config(record)({})

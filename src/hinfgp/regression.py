@@ -31,7 +31,8 @@ noise of variance sigma_e^2, this module provides
   no Gaussianity needed), summarized as magnitude/phase intervals;
 
 * the log marginal likelihood and a derivative-free hyperparameter search
-  (``log_marginal_likelihood`` / ``optimize_hyperparameters``).
+  (``log_marginal_likelihood`` / ``optimize_hyperparameters``) over a kernel
+  family (``hinfgp.kernels.KernelFamily``), bound once to the data's sites.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from ._linalg import ConditioningError, chol_factor_with_jitter
-from .kernels import ComplexKernel, gram
+from ._linalg import ConditioningError, chol_factor_with_jitter, chol_solve
+from .kernels import BoundFamily, ComplexKernel, KernelFamily, gram
 
 __all__ = [
     "FrequencyDataset",
@@ -164,7 +165,7 @@ def fit(kernel: ComplexKernel, data: FrequencyDataset) -> Posterior:
         raise ValueError("cannot fit an empty dataset")
     gram_yy = gram(kernel, data.sites, "hermitian", data.noise_var)
     factorization = chol_factor_with_jitter(gram_yy)
-    alpha_vec = scipy.linalg.cho_solve(factorization, data.responses)
+    alpha_vec = chol_solve(factorization, data.responses)
     return Posterior(kernel, data, gram_yy, factorization, alpha_vec)
 
 
@@ -187,7 +188,7 @@ def predict_sl_many(post: Posterior, zs: Sequence[complex]) -> tuple[np.ndarray,
         post.kernel.hermitian_eval(pts[:, None], post.dataset.sites[None, :]), dtype=complex
     )
     means = cross @ post.alpha_vec
-    solved = scipy.linalg.cho_solve(post.factorization, np.conj(cross).T)
+    solved = chol_solve(post.factorization, np.conj(cross).T)
     quad = np.real(np.einsum("ij,ji->i", cross, solved))
     prior = np.real(np.asarray(post.kernel.hermitian_eval(pts, pts)))
     return means, np.maximum(prior - quad, 0.0)
@@ -197,7 +198,7 @@ def _schur(post: Posterior):
     """(B, W = A^{-1} B, Hermitian part of P = A - B W*, ||A||_2), computed once per posterior."""
     if "schur" not in post._wl_cache:
         comp = gram(post.kernel, post.dataset.sites, "complementary")
-        w_mat = scipy.linalg.cho_solve(post.factorization, comp)
+        w_mat = chol_solve(post.factorization, comp)
         p_mat = post.gram_yy - comp @ np.conj(w_mat)
         scale = float(np.linalg.norm(post.gram_yy, 2))
         post._wl_cache["schur"] = (comp, w_mat, 0.5 * (p_mat + p_mat.conj().T), scale)
@@ -397,37 +398,64 @@ class Hyperparameters:
         return Hyperparameters(merged, self.domains)
 
 
-KernelFamily = Callable[[Mapping[str, float]], ComplexKernel]
+FamilyFn = Callable[[Mapping[str, float]], ComplexKernel]
+
+
+def _bind(kernel_family: FamilyFn | BoundFamily, data: FrequencyDataset) -> BoundFamily:
+    """``kernel_family`` bound to the sites and noise of ``data``.
+
+    A family already bound to them is used as is, and a :class:`KernelFamily`
+    is bound once here.  Any other callable (hyperparameters -> ComplexKernel)
+    is adapted: its Gram is assembled through ``gram`` at every evaluation.
+    """
+    if isinstance(kernel_family, BoundFamily):
+        if kernel_family.sites is data.sites and kernel_family.noise_var == data.noise_var:
+            return kernel_family
+        kernel_family = kernel_family.family
+    if isinstance(kernel_family, KernelFamily):
+        return kernel_family.bind(data.sites, data.noise_var)
+    return BoundFamily(
+        kernel_family,
+        data.sites,
+        data.noise_var,
+        lambda values: gram(kernel_family(values), data.sites, "hermitian", data.noise_var),
+    )
 
 
 def log_marginal_likelihood(
-    kernel_family: KernelFamily,
+    kernel_family: FamilyFn | BoundFamily,
     theta: Hyperparameters | Mapping[str, float],
     data: FrequencyDataset,
 ) -> float:
     """L(theta) = -1/2 (y^H K_yy^{-1} y + log det K_yy + n log 2 pi).
 
-    K_yy is factored exactly as ``fit`` factors it, with the same single
-    jitter retry; a factorization that still fails (or a non-finite Gram)
-    returns -inf, which the optimizer treats as the worst possible value.
+    ``kernel_family`` maps the hyperparameters to a kernel: a
+    :class:`~hinfgp.kernels.KernelFamily`, the same family bound to the data's
+    sites (``optimize_hyperparameters`` binds once per search, so each
+    evaluation only assembles K_yy from precomputed site arrays), or any
+    callable, whose kernel's Gram is then built through ``gram``.  All three
+    give the same K_yy bit for bit.  K_yy is factored exactly as ``fit``
+    factors it, with the same single jitter retry; a factorization that still
+    fails (or a non-finite Gram) returns -inf, which the optimizer treats as
+    the worst possible value.  Hyperparameters outside a family's domain
+    raise ``ValueError``.
     """
     values = theta.as_dict() if isinstance(theta, Hyperparameters) else dict(theta)
-    kernel = kernel_family(values)
     n = len(data)
     if n == 0:
         raise ValueError("cannot evaluate the likelihood of an empty dataset")
-    gram_yy = gram(kernel, data.sites, "hermitian", data.noise_var)
+    gram_yy = _bind(kernel_family, data).gram(values)
     try:
         factor = chol_factor_with_jitter(gram_yy)
     except (ConditioningError, ValueError):
         return -math.inf
-    quad = float(np.real(np.conj(data.responses) @ scipy.linalg.cho_solve(factor, data.responses)))
+    quad = float(np.real(np.conj(data.responses) @ chol_solve(factor, data.responses)))
     logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor[0])))))
     return -0.5 * (quad + logdet + n * math.log(2.0 * math.pi))
 
 
 def optimize_hyperparameters(
-    kernel_family: KernelFamily,
+    kernel_family: FamilyFn,
     data: FrequencyDataset,
     init: Hyperparameters,
     budget: int = 2000,
@@ -439,6 +467,8 @@ def optimize_hyperparameters(
     by ``seed``, unit-scale jitter in unconstrained coordinates), splitting a
     total budget of likelihood evaluations across the starts.  ``budget=1``
     evaluates and returns ``init``.  Raises if every evaluation is -inf.
+    The family is bound to the data's sites once, and every evaluation goes
+    through ``log_marginal_likelihood`` with the bound family.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -446,6 +476,7 @@ def optimize_hyperparameters(
     domains = [init.domains[name] for name in names]
     if not names:
         raise ValueError("init must declare at least one hyperparameter")
+    kernel_family = _bind(kernel_family, data)
 
     def unpack(vec: np.ndarray) -> dict[str, float]:
         return {n: d.from_unconstrained(t) for n, d, t in zip(names, domains, vec)}

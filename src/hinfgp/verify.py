@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from ._linalg import ConditioningError
-from .kernels import ComplexKernel
+from .kernels import ComplexKernel, h2_kernel
 
 __all__ = [
     "DriscollReport",
@@ -91,17 +91,6 @@ class ContinuityReport:
     worst_pair: tuple[float, float]
     C: float
     alpha: float
-
-
-def h2_kernel(z, w):
-    """Reproducing kernel of the Hardy space H2: r(z, w) = zw*/(zw* - 1).
-
-    Defined for |zw*| > 1; the point zw* = 1 is the kernel's singularity.
-    """
-    p = np.multiply(z, np.conj(w))
-    if np.any(p == 1.0):
-        raise ValueError("h2 kernel is singular at zw* = 1")
-    return p / (p - 1.0)
 
 
 def dense_spiral(count: int, r_lo: float = 1.05, r_hi: float = 3.0) -> np.ndarray:

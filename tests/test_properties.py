@@ -1,16 +1,19 @@
 """Property tests over random inputs for the paper's invariants: PSD Grams on
 the exterior disk, conjugate symmetry of the variance, the widely linear
-variance never exceeding the strictly linear one, and batch predictions
-equal to scalar ones."""
+variance never exceeding the strictly linear one, batch predictions equal to
+scalar ones, the |z| >= 1 domain, exact interpolation at zero noise, and the
+Markov coverage bound of the confidence disks."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hinfgp.kernels import (
     CozineParams,
+    StationarySequence,
     cozine_kernel,
     exponential_kernel,
     geometric_kernel,
@@ -18,6 +21,7 @@ from hinfgp.kernels import (
     mixture_kernel,
 )
 from hinfgp.regression import FrequencyDataset, fit, predict_sl_many, predict_wl
+from hinfgp.sampling import sample_cozine_batch, sample_stationary_batch
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -95,3 +99,80 @@ def test_array_widely_linear_matches_scalar_calls(post, queries):
         assert abs(batch.hermitian_var[i] - single.hermitian_var) <= 1e-12
         if not batch.used_fallback:
             assert abs(batch.complementary_var[i] - single.complementary_var) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    post=noisy_posteriors(),
+    pts=exterior_points(max_size=6),
+    inner=st.floats(0.0, 0.999),
+    angle=st.floats(-math.pi, math.pi),
+    slot=st.integers(0, 6),
+)
+def test_interior_points_raise(post, pts, inner, angle, slot):
+    """One point with |z| < 1 among exterior ones is rejected by Gram assembly
+    and by both predictors."""
+    pts = np.insert(pts, min(slot, pts.size), inner * np.exp(1j * angle))
+    with pytest.raises(ValueError, match="inside the kernel domain"):
+        gram(post.kernel, pts)
+    with pytest.raises(ValueError, match="inside the kernel domain"):
+        predict_sl_many(post, pts)
+    with pytest.raises(ValueError, match="inside the kernel domain"):
+        predict_wl(post, pts)
+
+
+@st.composite
+def separated_points(draw, max_size=6, min_gap=0.3):
+    """Exterior points at least ``min_gap`` apart, so zero-noise Grams stay invertible."""
+    pts = draw(exterior_points(max_size=max_size))
+    gaps = np.abs(pts[:, None] - pts[None, :]) + np.eye(pts.size) * min_gap
+    assume(gaps.min() >= min_gap)
+    return pts
+
+
+@PROPERTY_SETTINGS
+@given(alpha=st.floats(0.3, 0.95), sites=separated_points(), data=st.data())
+def test_zero_noise_posterior_interpolates(alpha, sites, data):
+    """At zero noise the posterior mean reproduces every observation and the
+    variance vanishes at the sites, up to rounding amplified by cond(K):
+    100 cond(K) eps, relative to max(1, |y|) and to k(z, z)."""
+    parts = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * sites.size, max_size=2 * sites.size))
+    responses = np.asarray(parts[::2]) + 1j * np.asarray(parts[1::2])
+    kernel = geometric_kernel(alpha)
+    post = fit(kernel, FrequencyDataset(sites, responses, 0.0))
+    tol = 100.0 * np.linalg.cond(post.gram_yy) * np.finfo(float).eps
+    means, variances = predict_sl_many(post, sites)
+    assert np.max(np.abs(means - responses)) <= tol * max(1.0, np.max(np.abs(responses)))
+    assert np.all(variances <= tol * np.real(kernel.hermitian_eval(sites, sites)))
+
+
+MARKOV_PATHS = 400
+
+
+@PROPERTY_SETTINGS
+@given(
+    family=st.sampled_from(["geometric", "cozine"]),
+    a=st.floats(0.05, 0.95),
+    omega0=st.floats(0.0, math.pi),
+    z=exterior_points(max_size=1),
+    eta=st.floats(1.5, 4.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_prior_paths_obey_markov_coverage(family, a, omega0, z, eta, seed):
+    """Prior paths from the batch samplers fall in the disk |f(z)| <= eta sqrt(k(z, z))
+    at a rate of at least 1 - 1/eta^2 (Markov), less a binomial slack of four
+    standard deviations of the miss rate at that bound over MARKOV_PATHS paths."""
+    z = complex(z[0])
+    if family == "geometric":
+        kernel = geometric_kernel(a)
+        coeffs = sample_stationary_batch(StationarySequence.geometric(a), 200, seed, MARKOV_PATHS)
+    else:
+        params = CozineParams(a, omega0)
+        kernel = cozine_kernel(params)
+        coeffs = sample_cozine_batch(params, seed, MARKOV_PATHS)
+    values = coeffs @ z ** -np.arange(coeffs.shape[1])
+    sigma = math.sqrt(float(np.real(kernel.hermitian_eval(z, z))))
+    miss_bound = 1.0 / eta**2
+    slack = 4.0 * math.sqrt(miss_bound * (1.0 - miss_bound) / MARKOV_PATHS)
+    coverage = float(np.mean(np.abs(values) <= eta * sigma))
+    assert coverage >= 1.0 - miss_bound - slack
