@@ -47,15 +47,7 @@ from .regression import (
     predict_wl,
     schur_P,
 )
-from .sampling import (
-    SampledPath,
-    abs_sum,
-    eval_path,
-    sample_cozine,
-    sample_cozine_batch,
-    sample_stationary,
-    sample_stationary_batch,
-)
+from .sampling import sample_cozine_batch, sample_stationary_batch
 from .sysid import (
     DiscreteTF,
     FilterBankSpec,
@@ -96,13 +88,8 @@ __all__ = [
     "gram",
     "from_config",
     # sampling
-    "SampledPath",
-    "sample_stationary",
     "sample_stationary_batch",
-    "sample_cozine",
     "sample_cozine_batch",
-    "eval_path",
-    "abs_sum",
     # verify
     "DriscollReport",
     "SymmetryReport",

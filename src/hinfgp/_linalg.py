@@ -42,7 +42,8 @@ def chol_factor_with_jitter(mat: np.ndarray, rel_jitter: float = 1e-10):
     downstream results stay reproducible: one bump of ``rel_jitter`` times the
     mean diagonal, then :class:`ConditioningError`.  ``fit`` and
     ``log_marginal_likelihood`` both use the default, so the tuner and the fit
-    agree on every hyperparameter value.
+    agree on every hyperparameter value; ``driscoll_test`` factors its H2
+    Grams with ``rel_jitter=1e-12``.
     """
     mat = np.asarray(mat)
     factor, ok = _potrf(mat)

@@ -25,7 +25,7 @@ to fixed sites for repeated Gram evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -57,14 +57,11 @@ class ComplexKernel:
     ``complementary_eval(z, w)`` evaluates kt(z, w) = E[f(z) f(w)].  Both
     callables accept scalars or broadcastable numpy arrays and are pure
     functions, safe to call concurrently.  Evaluation is valid for
-    |z|, |w| >= ``domain_radius`` (default 1; every built-in family is finite
-    on the unit circle itself).
+    |z|, |w| >= 1 (every built-in family is finite on the unit circle itself).
     """
 
     hermitian_eval: KernelFn
     complementary_eval: KernelFn
-    hyperparams: Mapping[str, float] = field(default_factory=dict)
-    domain_radius: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -155,16 +152,14 @@ class CozineParams:
     omega0: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.a < 1.0:
-            raise ValueError(f"pole radius a must lie in (0, 1), got {self.a}")
-        if not 0.0 <= self.omega0 <= math.pi:
-            raise ValueError(f"omega0 must lie in [0, pi], got {self.omega0}")
+        _resonance(self.a, self.omega0)
 
 
 # Each family's covariance is written once, as a function of the site arrays
-# that do not depend on its parameters (the products p = zw* or zw, or the
-# reciprocals 1/z and 1/w*).  ComplexKernel closures and the site-bound Grams
-# of ``KernelFamily.bind`` both call these, so the two agree bit for bit.
+# that do not depend on its parameters (the product p = zw*, or the
+# reciprocals 1/z and 1/w*).  ``KernelFamily._hermitian`` is the one place
+# that applies them; kernels, complementary parts and site-bound Grams all
+# come from it.
 
 
 def _geometric(p, alpha):
@@ -195,13 +190,9 @@ def _cozine_quad(a, c, x):
     return 1.0 - 2.0 * a * c * x + (a * x) ** 2
 
 
-def _cozine(a, c, zi, wi, zi_plus_wi=None):
-    """(1 - a c (zi + wi) + a^2 zi wi) / (D(zi) D(wi)) with D(x) = 1 - 2 a c x + (a x)^2.
-
-    ``zi_plus_wi`` is zi + wi when precomputed; otherwise the sum is a
-    temporary, freed as soon as it is scaled.
-    """
-    num = 1.0 - a * c * (zi + wi if zi_plus_wi is None else zi_plus_wi) + a * a * zi * wi
+def _cozine(a, c, zi, wi):
+    """(1 - a c (zi + wi) + a^2 zi wi) / (D(zi) D(wi)) with D(x) = 1 - 2 a c x + (a x)^2."""
+    num = 1.0 - a * c * (zi + wi) + a * a * zi * wi
     return num / (_cozine_quad(a, c, zi) * _cozine_quad(a, c, wi))
 
 
@@ -210,16 +201,41 @@ def _mixture(w1, k1, w2, k2, *args):
     return w1 * k1(*args) + w2 * k2(*args)
 
 
-def _geometric_alpha(alpha) -> float:
+# Parameter checks: each maps a node's scalar parameters to the validated
+# numbers its formula takes.
+
+
+def _alpha(alpha) -> tuple[float]:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(alpha)
+    return (float(alpha),)
 
 
-def _mixture_weights(w1, w2) -> tuple[float, float]:
+def _resonance(a, omega0) -> tuple[float, float]:
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"pole radius a must lie in (0, 1), got {a}")
+    if not 0.0 <= omega0 <= math.pi:
+        raise ValueError(f"omega0 must lie in [0, pi], got {omega0}")
+    return float(a), math.cos(omega0)
+
+
+def _weights(w1, w2) -> tuple[float, float]:
     if w1 < 0.0 or w2 < 0.0:
         raise ValueError(f"mixture weights must be nonnegative, got {w1}, {w2}")
     return float(w1), float(w2)
+
+
+# family name -> (its scalar parameters, in order, and their check)
+_CHECKS = {
+    "geometric": (("alpha",), _alpha),
+    "cozine": (("a", "omega0"), _resonance),
+    "mixture": (("weight1", "weight2"), _weights),
+}
+
+
+def _node(name: str, **params) -> ComplexKernel:
+    """The kernel of a parameter-free family node."""
+    return KernelFamily(name, params, "", frozenset())({})
 
 
 def geometric_kernel(alpha: float) -> ComplexKernel:
@@ -229,15 +245,7 @@ def geometric_kernel(alpha: float) -> ComplexKernel:
     kt(z,w) = zw/(zw - alpha).  Note kt(z, w) = k(z, w*), the structural
     signature of a real impulse response.
     """
-    alpha = _geometric_alpha(alpha)
-
-    def herm(z, w):
-        return _geometric(np.multiply(z, np.conj(w)), alpha)
-
-    def comp(z, w):
-        return _geometric(np.multiply(z, w), alpha)
-
-    return ComplexKernel(herm, comp, {"alpha": alpha})
+    return _node("geometric", alpha=alpha)
 
 
 def exponential_kernel() -> ComplexKernel:
@@ -245,14 +253,7 @@ def exponential_kernel() -> ComplexKernel:
 
     These are the closed forms of the series sum_n (zw*)^{-n} / n!.
     """
-
-    def herm(z, w):
-        return _exponential(np.multiply(z, np.conj(w)))
-
-    def comp(z, w):
-        return _exponential(np.multiply(z, w))
-
-    return ComplexKernel(herm, comp, {})
+    return _node("exponential")
 
 
 def h2_kernel(z, w):
@@ -261,10 +262,6 @@ def h2_kernel(z, w):
     Defined for |zw*| > 1; the point zw* = 1 is the kernel's singularity.
     """
     return _h2(np.multiply(z, np.conj(w)))
-
-
-def _h2_complementary(z, w):
-    return _h2(np.multiply(z, w))
 
 
 def _zero_complementary(z, w):
@@ -281,16 +278,7 @@ def stationary_kernel(seq: StationarySequence) -> ComplexKernel:
         return geometric_kernel(seq.alpha)
     if seq.kind == "exponential":
         return exponential_kernel()
-
-    coeffs = np.asarray(seq.a_sq, dtype=float)
-
-    def herm(z, w):
-        return _power_series(coeffs, np.multiply(z, np.conj(w)))
-
-    def comp(z, w):
-        return _power_series(coeffs, np.multiply(z, w))
-
-    return ComplexKernel(herm, comp, {})
+    return _node("stationary_list", coefficients=seq.a_sq)
 
 
 def cozine_kernel(params: CozineParams) -> ComplexKernel:
@@ -309,21 +297,12 @@ def cozine_kernel(params: CozineParams) -> ComplexKernel:
     a e^{+-j w0} lie strictly inside the unit disk, so evaluation is finite for
     |z|, |w| >= 1.
     """
-    a = float(params.a)
-    c = math.cos(params.omega0)
-
-    def herm(z, w):
-        return _cozine(a, c, 1.0 / np.asarray(z, dtype=complex), 1.0 / np.conj(w))
-
-    def comp(z, w):
-        return _cozine(a, c, 1.0 / np.asarray(z, dtype=complex), 1.0 / np.asarray(w, dtype=complex))
-
-    return ComplexKernel(herm, comp, {"a": a, "omega0": float(params.omega0)})
+    return _node("cozine", a=params.a, omega0=params.omega0)
 
 
 def mixture_kernel(k1: ComplexKernel, w1: float, k2: ComplexKernel, w2: float) -> ComplexKernel:
     """Pointwise nonnegative combination w1*k1 + w2*k2 of both covariance parts."""
-    w1, w2 = _mixture_weights(w1, w2)
+    w1, w2 = _weights(w1, w2)
 
     def herm(z, w):
         return _mixture(w1, k1.hermitian_eval, w2, k2.hermitian_eval, z, w)
@@ -331,12 +310,7 @@ def mixture_kernel(k1: ComplexKernel, w1: float, k2: ComplexKernel, w2: float) -
     def comp(z, w):
         return _mixture(w1, k1.complementary_eval, w2, k2.complementary_eval, z, w)
 
-    return ComplexKernel(
-        herm,
-        comp,
-        {"weight1": w1, "weight2": w2},
-        domain_radius=max(k1.domain_radius, k2.domain_radius),
-    )
+    return ComplexKernel(herm, comp)
 
 
 def real_imag_kernels(kernel: ComplexKernel):
@@ -356,14 +330,14 @@ def real_imag_kernels(kernel: ComplexKernel):
     return k_r, k_i
 
 
-def _check_sites(pts: np.ndarray, domain_radius: float, noise_var: float) -> None:
+def _check_sites(pts: np.ndarray, noise_var: float) -> None:
     if pts.ndim != 1:
         raise ValueError("points must be a one-dimensional sequence of complex numbers")
     if noise_var < 0.0:
         raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
-    if np.any(np.abs(pts) < domain_radius - 1e-12):
-        bad = pts[np.abs(pts) < domain_radius - 1e-12][0]
-        raise ValueError(f"point {bad} lies inside the kernel domain (|z| >= {domain_radius})")
+    if np.any(np.abs(pts) < 1.0 - 1e-12):
+        bad = pts[np.abs(pts) < 1.0 - 1e-12][0]
+        raise ValueError(f"point {bad} lies inside the kernel domain (|z| >= 1)")
 
 
 def gram(
@@ -380,7 +354,7 @@ def gram(
     complementary part — requesting it there is an error.
     """
     pts = np.asarray(points, dtype=complex)
-    _check_sites(pts, kernel.domain_radius, noise_var)
+    _check_sites(pts, noise_var)
     z = pts[:, None]
     w = pts[None, :]
     if part == "hermitian":
@@ -402,7 +376,7 @@ _CONFIG_PARAMS = {
     "stationary_list": {"coefficients"},
     "mixture": {"weight1", "weight2"},
 }
-_TUNABLE_LEAVES = set().union(*_CONFIG_PARAMS.values()) - {"coefficients"}  # the scalar ones
+_TUNABLE_LEAVES = {name for names, _ in _CHECKS.values() for name in names}  # the scalar ones
 _COMPONENTS = ("component1", "component2")
 
 
@@ -413,13 +387,15 @@ class KernelFamily:
     a {path: value} map over the family's tunable paths: a path names a scalar
     parameter of the record, such as ``"alpha"`` or ``"component2.omega0"``.
     Parameters absent from ``values`` keep their record values.  Nothing is
-    copied or parsed per call, and the parameter checks are those of the
-    kernel constructors, so values outside a family's domain raise
+    copied or parsed per call, and values outside a family's domain raise
     ``ValueError``.  ``bind`` fixes the sites for repeated Gram evaluations.
 
+    Every family's prior has a real impulse response, so its complementary
+    part is kt(z, w) = k(z, w*): each node evaluates only its Hermitian
+    covariance (``_hermitian``), and the ``circular`` member zeroes kt.
+
     Build one with :meth:`from_config`.  Each instance is a node of the
-    record's tree (``name``, ``params``, ``children``), and the parameter-free
-    nodes hold their kernel from construction on.
+    record's tree (``name``, ``params``, ``children``).
     """
 
     def __init__(self, name: str, params: Mapping, prefix: str, tunable: frozenset, children=()):
@@ -429,11 +405,7 @@ class KernelFamily:
         # parameter name -> hyperparameter path, for the tunable ones
         self.slots = {n: prefix + n for n in _CONFIG_PARAMS.get(name, ()) if prefix + n in tunable}
         self.paths = frozenset(self.slots.values()).union(*(c.paths for c in self.children))
-        self._fixed = None
-        record_kernel = self._kernel({})  # validates the record's values
-        self.domain_radius = record_kernel.domain_radius
-        if not self.paths:
-            self._fixed = record_kernel
+        self._numbers({})  # validates the record's values
 
     @classmethod
     def from_config(
@@ -471,21 +443,31 @@ class KernelFamily:
         return float(node.params[leaf])
 
     def __call__(self, values: Mapping[str, float]) -> ComplexKernel:
-        return self._kernel(self._checked(values))
+        values = dict(self._checked(values))
+        self._check_tree(values)  # out-of-domain values raise here, not at evaluation
+
+        def herm(z, w):
+            return self._hermitian(z, w)(values)
+
+        def comp(z, w):
+            return herm(z, np.conj(w))
+
+        return ComplexKernel(herm, _zero_complementary if self.name == "circular" else comp)
 
     def bind(self, sites: Sequence[complex], noise_var: float = 0.0) -> "BoundFamily":
         """This family at fixed sites z_i with observation noise ``noise_var``.
 
         Binding checks the sites against the kernel domain and computes what
-        does not depend on the hyperparameters once: the products z_i z_j*
-        (geometric), the reciprocals 1/z_i, 1/z_j* and their sums (cozine),
-        and the whole Gram of every parameter-free member.  The bound
-        ``gram(values)`` then equals ``gram(self(values), sites, "hermitian",
-        noise_var)`` bit for bit.
+        does not depend on the hyperparameters once (see ``_hermitian``).  The
+        bound ``gram(values)`` then equals ``gram(self(values), sites,
+        "hermitian", noise_var)`` bit for bit.  A family without tunable
+        parameters returns one read-only Gram at every call.
         """
         pts = np.asarray(sites, dtype=complex)
-        _check_sites(pts, self.domain_radius, noise_var)
-        hermitian = self._hermitian_gram(pts[:, None], pts[None, :])
+        _check_sites(pts, noise_var)
+        hermitian = self._hermitian(pts[:, None], pts[None, :])
+        if not self.paths:
+            hermitian({}).flags.writeable = False
         if noise_var > 0.0:
             noise = noise_var * np.eye(pts.size)
             return BoundFamily(self, pts, noise_var, lambda values: hermitian(self._checked(values)) + noise)
@@ -499,61 +481,65 @@ class KernelFamily:
             )
         return values
 
+    def _check_tree(self, values: Mapping[str, float]) -> None:
+        self._numbers(values)
+        for child in self.children:
+            child._check_tree(values)
+
     def _value(self, values: Mapping[str, float], name: str) -> float:
         path = self.slots.get(name)
         if path is not None and path in values:
             return float(values[path])
         return self.params.get(name, 1.0)  # only mixture weights are optional, defaulting to 1
 
-    def _kernel(self, values: Mapping[str, float]) -> ComplexKernel:
-        if self._fixed is not None:
-            return self._fixed
-        if self.name == "geometric":
-            return geometric_kernel(self._value(values, "alpha"))
-        if self.name == "exponential":
-            return exponential_kernel()
-        if self.name == "cozine":
-            return cozine_kernel(CozineParams(self._value(values, "a"), self._value(values, "omega0")))
-        if self.name == "stationary_list":
-            return stationary_kernel(StationarySequence.explicit(self.params["coefficients"]))
-        if self.name == "h2":
-            return ComplexKernel(h2_kernel, _h2_complementary, {})
-        parts = [child._kernel(values) for child in self.children]
-        if self.name == "circular":
-            inner = parts[0]
-            return ComplexKernel(
-                inner.hermitian_eval, _zero_complementary, dict(inner.hyperparams), inner.domain_radius
-            )
-        w1, w2 = self._value(values, "weight1"), self._value(values, "weight2")
-        return mixture_kernel(parts[0], w1, parts[1], w2)
+    def _numbers(self, values: Mapping[str, float]) -> tuple:
+        """This node's validated numbers at ``values``: (alpha,), (a, cos omega0),
+        (weight1, weight2), or () for a node without scalar parameters."""
+        names, check = _CHECKS.get(self.name, ((), lambda: ()))
+        return check(*[self._value(values, n) for n in names])
 
-    def _hermitian_gram(self, z: np.ndarray, w: np.ndarray):
-        """values -> [k(z_i, w_j)], with the arrays that do not depend on values computed here."""
-        if self._fixed is not None:
-            mat = np.asarray(self._fixed.hermitian_eval(z, w), dtype=complex)
-            mat.flags.writeable = False
-            return lambda values: mat
-        if self.name == "geometric":
-            p = np.multiply(z, np.conj(w))
-            return lambda values: _geometric(p, _geometric_alpha(self._value(values, "alpha")))
+    def _hermitian(self, z, w):
+        """values -> k(z, w), this node's Hermitian covariance at the hyperparameters ``values``.
+
+        What does not depend on ``values`` is computed here, once per (z, w):
+        the product zw* (series families), the reciprocals 1/z and 1/w*
+        (cozine), the children's parts, and the whole value of a node
+        without tunable parameters.
+        """
         if self.name == "cozine":
             zi, wi = 1.0 / np.asarray(z, dtype=complex), 1.0 / np.conj(w)
-            zi_plus_wi = zi + wi
 
-            def cozine(values):
-                params = CozineParams(self._value(values, "a"), self._value(values, "omega0"))
-                return _cozine(float(params.a), math.cos(params.omega0), zi, wi, zi_plus_wi)
+            def herm(values):
+                return _cozine(*self._numbers(values), zi, wi)
 
-            return cozine
-        parts = [child._hermitian_gram(z, w) for child in self.children]
-        if self.name == "circular":
-            return parts[0]
+        elif self.children:  # mixture or circular
+            parts = [child._hermitian(z, w) for child in self.children]
+            if self.name == "circular":
+                herm = parts[0]
+            else:
 
-        def mixture(values):
-            w1, w2 = _mixture_weights(self._value(values, "weight1"), self._value(values, "weight2"))
-            return _mixture(w1, parts[0], w2, parts[1], values)
+                def herm(values):
+                    w1, w2 = self._numbers(values)
+                    return _mixture(w1, parts[0], w2, parts[1], values)
 
-        return mixture
+        else:  # a series in p = zw*
+            p = np.multiply(z, np.conj(w))
+            if self.name == "geometric":
+
+                def herm(values):
+                    return _geometric(p, *self._numbers(values))
+
+            elif self.name == "exponential":
+                herm = _constant(_exponential(p))
+            elif self.name == "h2":
+                herm = _constant(_h2(p))
+            else:
+                herm = _constant(_power_series(np.asarray(self.params["coefficients"], dtype=float), p))
+        return herm if self.paths else _constant(herm({}))
+
+
+def _constant(value):
+    return lambda values: value
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,8 +590,10 @@ def _parse_family(record: Mapping, prefix: str, tunable: frozenset, verify: bool
         missing = {"a", "omega0"} - set(params)
         if missing:
             raise ValueError(f"cozine kernel config requires {sorted(missing)}")
-    if name == "stationary_list" and "coefficients" not in params:
-        raise ValueError("stationary_list kernel config requires 'coefficients'")
+    if name == "stationary_list":
+        if "coefficients" not in params:
+            raise ValueError("stationary_list kernel config requires 'coefficients'")
+        params["coefficients"] = StationarySequence.explicit(params["coefficients"]).a_sq
     children = []
     if name == "mixture":
         for key in _COMPONENTS:

@@ -170,7 +170,7 @@ def fit(kernel: ComplexKernel, data: FrequencyDataset) -> Posterior:
 
 
 def _check_queries(post: Posterior, pts: np.ndarray) -> None:
-    if np.any(np.abs(pts) < post.kernel.domain_radius - _SITE_TOL):
+    if np.any(np.abs(pts) < 1.0 - _SITE_TOL):
         raise ValueError("query points must not lie inside the kernel domain")
 
 
@@ -479,7 +479,7 @@ def optimize_hyperparameters(
     kernel_family = _bind(kernel_family, data)
 
     def unpack(vec: np.ndarray) -> dict[str, float]:
-        return {n: d.from_unconstrained(t) for n, d, t in zip(names, domains, vec)}
+        return {n: d.from_unconstrained(t) for n, d, t in zip(names, domains, vec.tolist())}
 
     evals = 0
     best: dict = {"L": -math.inf, "values": init.as_dict()}

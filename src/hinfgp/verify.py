@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from ._linalg import ConditioningError
+from ._linalg import chol_factor_with_jitter
 from .kernels import ComplexKernel, h2_kernel
 
 __all__ = [
@@ -72,12 +72,14 @@ class SymmetryReport:
 
     max_err_diag: float  # max |k(z,z) - k(z*,z*)|
     max_err_cross: float  # max |k(z,z) - kt(z,z*)|
+    scale: float  # max |k(z,z)|, which sets the size of rounding in both errors
     grid: tuple[complex, ...]
 
     def to_record(self) -> dict:
         return {
             "max_err_diag": self.max_err_diag,
             "max_err_cross": self.max_err_cross,
+            "scale": self.scale,
             "grid_size": len(self.grid),
         }
 
@@ -129,9 +131,12 @@ def driscoll_test(
     through a symmetric factorization, trace(L^{-1} K_n L^{-T}) with
     R_n = L L^T, which keeps the product congruent to a PSD matrix.  Both
     Grams are built once on the first ``n_max`` points; each prefix factors
-    the leading n x n views of them.  Repeated points raise ``ValueError``;
-    near-duplicates that defeat the one jitter retry raise
-    ``ConditioningError``.
+    the leading n x n views of them, with the shared jitter policy of
+    :func:`~hinfgp._linalg.chol_factor_with_jitter` at ``rel_jitter=1e-12``
+    (the retry adds 1e-12 times the mean diagonal, which can differ by an ulp
+    from the trace over n).  Only the lower triangle of each factor is read.
+    Repeated points raise ``ValueError``; near-duplicates that defeat the one
+    jitter retry raise ``ConditioningError``.
 
     A bounded trace sequence is evidence the paths lie in H2 (hence extend to
     H-infinity under the continuity condition); growth linear in n is evidence
@@ -163,16 +168,7 @@ def driscoll_test(
     for n in n_values:
         r_gram = r_full[:n, :n]
         k_gram = k_full[:n, :n]
-        jitter = 1e-12 * np.trace(r_gram) / n
-        try:
-            chol = scipy.linalg.cholesky(r_gram, lower=True)
-        except np.linalg.LinAlgError:
-            try:
-                chol = scipy.linalg.cholesky(r_gram + jitter * np.eye(n), lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise ConditioningError(
-                    f"H2 Gram on {n} points is numerically singular (duplicate points?)"
-                ) from exc
+        chol, _ = chol_factor_with_jitter(r_gram, rel_jitter=1e-12)
         half = scipy.linalg.solve_triangular(chol, k_gram, lower=True)
         congruent = scipy.linalg.solve_triangular(chol, half.T, lower=True)
         traces.append(float(np.trace(congruent)))
@@ -194,7 +190,9 @@ def symmetry_test(kernel: ComplexKernel, grid: Sequence[complex]) -> SymmetryRep
     """Check the real-impulse-response identities over ``grid``.
 
     Reports max |k(z,z) - k(z*,z*)| and max |k(z,z) - kt(z,z*)|; both vanish
-    exactly when the process has conjugate-symmetric paths.
+    exactly when the process has conjugate-symmetric paths.  Rounding leaves
+    errors proportional to the kernel's size, so the report also carries
+    ``scale`` = max |k(z,z)| over the grid.
     """
     pts = np.asarray(grid, dtype=complex)
     if pts.size == 0:
@@ -205,6 +203,7 @@ def symmetry_test(kernel: ComplexKernel, grid: Sequence[complex]) -> SymmetryRep
     return SymmetryReport(
         float(np.max(np.abs(diag - diag_conj))),
         float(np.max(np.abs(diag - cross))),
+        float(np.max(np.abs(diag))),
         tuple(complex(z) for z in pts),
     )
 

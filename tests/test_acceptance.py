@@ -196,9 +196,7 @@ class TestAcceptanceCriteria:
             rep = symmetry_test(kernel, grid)
             worst = max(worst, rep.max_err_diag, rep.max_err_cross)
         base = geometric_kernel(0.5)
-        circular = ComplexKernel(
-            base.hermitian_eval, lambda z, w: 0.0 * np.multiply(z, w), {}, 1.0
-        )
+        circular = ComplexKernel(base.hermitian_eval, lambda z, w: 0.0 * np.multiply(z, w))
         circ_err = symmetry_test(circular, grid).max_err_cross
         elapsed = time.perf_counter() - start
         ok = worst < 1e-10 and circ_err > 1e-10 and elapsed < 1.0

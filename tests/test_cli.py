@@ -21,7 +21,7 @@ from hinfgp.cli import (
     parse_verify_config,
     resolve_config,
 )
-from hinfgp.kernels import CozineParams, cozine_kernel, geometric_kernel, mixture_kernel
+from hinfgp.kernels import ComplexKernel, CozineParams, cozine_kernel, geometric_kernel, mixture_kernel
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -324,6 +324,51 @@ class TestVerifyPipeline:
         assert code == 0  # a failed probe is a finding, not a crash
         assert report["symmetry"]["passed"] is False
         assert report["symmetry"]["max_err_cross"] > 1e-2
+
+
+# Tuned hyperparameters of the configs/resonant.json kernel on two simulated
+# resonant plants (config seeds 1747763072 and 307191845).  weight2 scales the
+# kernel to max |k(z,z)| of 5.5e5 and 5.1e6, so the conjugate-symmetric kernel
+# shows rounding-level symmetry errors (1.6e-10 and 7.8e-10) above 1e-10.
+SCALED_TUNES = (
+    {
+        "component1.alpha": 0.9254587212094584,
+        "component2.a": 0.9136692264739977,
+        "component2.omega0": 0.5472333059919492,
+        "weight1": 0.0025775624795714575,
+        "weight2": 34294.1517063367,
+    },
+    {
+        "component1.alpha": 0.9419574236650151,
+        "component2.a": 0.925641005460698,
+        "component2.omega0": 0.6776819095523986,
+        "weight1": 0.0035738408723226664,
+        "weight2": 290107.7346968827,
+    },
+)
+
+
+class TestScaledSymmetryCheck:
+    """The symmetry bound is relative to max |k(z,z)| on the grid."""
+
+    def _kernel(self, values):
+        record = load_config(CONFIG_DIR / "resonant.json")["kernel"]
+        family, _ = kernel_family_from_record(record, record["tunable"])
+        return family(values)
+
+    @pytest.mark.parametrize("values", SCALED_TUNES)
+    def test_scaled_kernel_passes(self, values):
+        section = cli._verify_record(self._kernel(values), 20, 200)["symmetry"]
+        assert section["scale"] > 1e5
+        assert section["max_err_diag"] > cli.SYMMETRY_TOL  # an absolute bound fails it
+        assert section["passed"] is True
+
+    @pytest.mark.parametrize("values", SCALED_TUNES)
+    def test_scaled_circular_kernel_fails(self, values):
+        kernel = self._kernel(values)
+        circular = ComplexKernel(kernel.hermitian_eval, lambda z, w: 0.0 * np.multiply(z, w))
+        assert cli._verify_record(circular, 20, 200)["symmetry"]["passed"] is False
+
 
 
 class TestSamplePipeline:

@@ -195,8 +195,12 @@ class TestMixtureKernel:
             mixture_kernel(k, -1.0, k, 1.0)
 
     def test_weights_stored(self):
-        mix = mixture_kernel(geometric_kernel(0.5), 2.0, exponential_kernel(), 3.0)
-        assert mix.hyperparams == {"weight1": 2.0, "weight2": 3.0}
+        k1, k2 = geometric_kernel(0.5), exponential_kernel()
+        mix = mixture_kernel(k1, 2.0, k2, 3.0)
+        z, w = 2.0 + 1.0j, 1.5 - 0.5j
+        for part in ("hermitian_eval", "complementary_eval"):
+            expected = 2.0 * getattr(k1, part)(z, w) + 3.0 * getattr(k2, part)(z, w)
+            assert getattr(mix, part)(z, w) == expected
 
 
 def builtin_kernels():

@@ -147,7 +147,7 @@ class TestStrictlyLinear:
 
         # predict_wl on an array: 130 points cross the 64-row block boundaries
         base = geometric_kernel(0.5)
-        circ = ComplexKernel(base.hermitian_eval, lambda z, w: 0.0 * np.multiply(z, w), {}, 1.0)
+        circ = ComplexKernel(base.hermitian_eval, lambda z, w: 0.0 * np.multiply(z, w))
         real_sites = FrequencyDataset(np.array([2.0, 3.0, 5.0]), np.array([1.0, 0.5, 0.2]) + 0j, 0.0)
         zs = (1.1 + np.linspace(0.0, 2.0, 130)) * np.exp(1j * np.linspace(-3.0, 3.0, 130))
         for wl_post in (post, fit(base, real_sites), fit(circ, FrequencyDataset(sites, y, 0.05))):
@@ -272,9 +272,7 @@ class TestWidelyLinear:
         """kt = 0 means y* carries no extra information: the corrections vanish
         exactly and the complementary error variance is zero."""
         base = geometric_kernel(0.5)
-        circ = ComplexKernel(
-            base.hermitian_eval, lambda z, w: 0.0 * np.multiply(z, w), {}, 1.0
-        )
+        circ = ComplexKernel(base.hermitian_eval, lambda z, w: 0.0 * np.multiply(z, w))
         rng = np.random.default_rng(48)
         _, sites, y = random_instance(rng)
         post = fit(circ, FrequencyDataset(sites, y, 0.05))

@@ -6,36 +6,33 @@ import numpy as np
 import pytest
 
 from hinfgp.kernels import CozineParams, StationarySequence, cozine_kernel, geometric_kernel
-from hinfgp.sampling import (
-    SampledPath,
-    abs_sum,
-    eval_path,
-    sample_cozine,
-    sample_cozine_batch,
-    sample_stationary,
-    sample_stationary_batch,
-)
+from hinfgp.sampling import sample_cozine_batch, sample_stationary_batch
+
+
+def cozine_draws(params, h):
+    """(X, Y) of each row h(n) = a^n (X cos(n w0) + Y sin(n w0)), from h(0) and h(1)."""
+    x = h[:, 0]
+    y = (h[:, 1] / params.a - x * math.cos(params.omega0)) / math.sin(params.omega0)
+    return x, y
 
 
 class TestStationarySampling:
-    def test_path_shape_and_origin(self):
-        path = sample_stationary(StationarySequence.geometric(0.5), trunc=50, seed=3)
-        assert path.impulse_coeffs.shape == (51,)  # n = 0..trunc inclusive
-        assert np.all(np.isfinite(path.impulse_coeffs))
-        assert "geometric" in path.origin
-        assert path.seed == 3
+    def test_batch_shape(self):
+        mat = sample_stationary_batch(StationarySequence.geometric(0.5), trunc=50, seed=3, count=2)
+        assert mat.shape == (2, 51)  # n = 0..trunc inclusive
+        assert np.all(np.isfinite(mat))
 
     def test_same_seed_reproduces(self):
         seq = StationarySequence.geometric(0.3)
-        a = sample_stationary(seq, trunc=30, seed=11)
-        b = sample_stationary(seq, trunc=30, seed=11)
-        np.testing.assert_array_equal(a.impulse_coeffs, b.impulse_coeffs)
+        a = sample_stationary_batch(seq, trunc=30, seed=11, count=3)
+        b = sample_stationary_batch(seq, trunc=30, seed=11, count=3)
+        np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         seq = StationarySequence.geometric(0.3)
-        a = sample_stationary(seq, trunc=30, seed=1)
-        b = sample_stationary(seq, trunc=30, seed=2)
-        assert not np.array_equal(a.impulse_coeffs, b.impulse_coeffs)
+        a = sample_stationary_batch(seq, trunc=30, seed=1, count=1)
+        b = sample_stationary_batch(seq, trunc=30, seed=2, count=1)
+        assert not np.array_equal(a, b)
 
     def test_amplitude_envelope(self):
         """Each draw is a_n w_n, so across many paths var(h(n)) = a_n^2."""
@@ -51,9 +48,9 @@ class TestStationarySampling:
 
     def test_explicit_sequence_truncates_at_list_end(self):
         seq = StationarySequence.explicit([1.0, 0.25])
-        path = sample_stationary(seq, trunc=8, seed=0)
+        mat = sample_stationary_batch(seq, trunc=8, seed=0, count=3)
         # a_n = 0 beyond the stored list, so the tail draws are exactly zero
-        np.testing.assert_array_equal(path.impulse_coeffs[2:], np.zeros(7))
+        np.testing.assert_array_equal(mat[:, 2:], np.zeros((3, 7)))
 
     def test_monte_carlo_covariance_matches_kernel(self):
         """E[f(z) f(w)*] over draws matches the geometric closed form (4 SE)."""
@@ -75,35 +72,36 @@ class TestCozineSampling:
     def test_resonance_recurrence(self):
         """h obeys the second-order recurrence h(n) = 2 a cos(w0) h(n-1) - a^2 h(n-2)."""
         params = CozineParams(0.8, 1.3)
-        path = sample_cozine(params, seed=17)
-        h = path.impulse_coeffs
-        assert h.size > 10
+        mat = sample_cozine_batch(params, seed=17, count=4)
+        assert mat.shape[1] > 10
         c = 2.0 * params.a * math.cos(params.omega0)
-        for n in range(2, h.size):
-            assert h[n] == pytest.approx(c * h[n - 1] - params.a**2 * h[n - 2], abs=1e-12)
+        for h in mat:
+            for n in range(2, h.size):
+                assert h[n] == pytest.approx(c * h[n - 1] - params.a**2 * h[n - 2], abs=1e-12)
 
     def test_damped_envelope(self):
         params = CozineParams(0.6, 0.9)
-        path = sample_cozine(params, seed=5)
-        h = path.impulse_coeffs
-        x = h[0]
-        y = (h[1] / params.a - x * math.cos(params.omega0)) / math.sin(params.omega0)
-        envelope = math.hypot(x, y) * params.a ** np.arange(h.size)
-        assert np.all(np.abs(h) <= envelope * (1.0 + 1e-9))
+        mat = sample_cozine_batch(params, seed=5, count=4)
+        x, y = cozine_draws(params, mat)
+        envelope = np.multiply.outer(np.hypot(x, y), params.a ** np.arange(mat.shape[1]))
+        assert np.all(np.abs(mat) <= envelope * (1.0 + 1e-9))
 
     def test_truncation_tail_is_negligible(self):
-        path = sample_cozine(CozineParams(0.5, 1.0), seed=9)
-        h = path.impulse_coeffs
-        x = h[0]
-        y = (h[1] / 0.5 - x * math.cos(1.0)) / math.sin(1.0)
-        assert 0.5 ** (h.size) * math.hypot(x, y) < 1e-11
+        params = CozineParams(0.5, 1.0)
+        mat = sample_cozine_batch(params, seed=9, count=4)
+        x, y = cozine_draws(params, mat)
+        assert np.all(0.5 ** mat.shape[1] * np.hypot(x, y) < 1e-11)
 
     def test_batch_common_truncation(self):
-        mat = sample_cozine_batch(CozineParams(0.7, 2.0), seed=3, count=5)
+        """All rows stop where the largest envelope a^n sqrt(X^2 + Y^2) falls below 1e-12."""
+        params = CozineParams(0.7, 2.0)
+        mat = sample_cozine_batch(params, seed=3, count=5)
         assert mat.ndim == 2 and mat.shape[0] == 5
-        single_cols = {sample_cozine(CozineParams(0.7, 2.0), seed=s).impulse_coeffs.size for s in range(3)}
-        # batch pads all rows to one shared truncation length
-        assert mat.shape[1] >= min(single_cols)
+        x, y = cozine_draws(params, mat)
+        largest = float(np.max(np.hypot(x, y)))
+        last = mat.shape[1] - 1
+        assert largest * params.a**last <= 1e-12 * (1.0 + 1e-9)
+        assert largest * params.a ** (last - 1) > 1e-12 * (1.0 - 1e-9)
 
     def test_batch_count_zero(self):
         mat = sample_cozine_batch(CozineParams(0.5, 1.0), seed=0, count=0)
@@ -124,46 +122,6 @@ class TestCozineSampling:
             for part, want in ((prods.real, target.real), (prods.imag, target.imag)):
                 se = np.std(part, ddof=1) / math.sqrt(part.size)
                 assert abs(np.mean(part) - want) <= 4.0 * se
-
-
-class TestPathEvaluation:
-    def _path(self, coeffs):
-        return SampledPath(np.asarray(coeffs, dtype=float), "explicit-test", 0)
-
-    def test_polynomial_value(self):
-        path = self._path([1.0, 0.5, 0.25])
-        z = 2.0
-        expected = 1.0 + 0.5 / z + 0.25 / z**2
-        assert complex(eval_path(path, z)) == pytest.approx(expected, abs=1e-15)
-
-    def test_rejects_interior_point(self):
-        with pytest.raises(ValueError, match=r"\|z\| >= 1"):
-            eval_path(self._path([1.0, 0.5]), 0.5)
-
-    def test_warns_on_circle_with_fat_tail(self):
-        # undecayed coefficients make the boundary value untrustworthy
-        path = self._path(np.ones(20))
-        with pytest.warns(RuntimeWarning, match="tail"):
-            eval_path(path, np.exp(0.3j))
-
-    def test_no_warning_well_inside_domain(self):
-        import warnings
-
-        path = self._path(np.ones(20))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            eval_path(path, 3.0)
-
-    def test_abs_sum(self):
-        assert abs_sum(self._path([1.0, -2.0, 0.5])) == pytest.approx(3.5, abs=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SampledPath(np.array([1.0, np.nan]), "bad", 0)
-        with pytest.raises(ValueError):
-            SampledPath(np.array([]), "empty", 0)
-        with pytest.raises(ValueError):
-            SampledPath(np.ones((2, 2)), "matrix", 0)
 
 
 class TestSummabilityOracle:
