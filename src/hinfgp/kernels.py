@@ -429,11 +429,14 @@ class KernelFamily:
         return family
 
     def record_value(self, path: str) -> float:
-        """The record's value of the tunable parameter at ``path``."""
+        """The record's value of the tunable parameter at ``path``.
+
+        Paths of a ``circular`` family name the parameters of the kernel it wraps.
+        """
         *parents, leaf = path.split(".")
         if leaf not in _TUNABLE_LEAVES:
             raise ValueError(f"parameter '{path}' is not tunable")
-        node = self
+        node = self.children[0] if self.name == "circular" else self
         for part in parents:
             if part not in _COMPONENTS or node.name != "mixture":
                 raise ValueError(f"tunable path '{path}' does not resolve in the kernel record")

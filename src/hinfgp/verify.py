@@ -128,15 +128,23 @@ def driscoll_test(
     ``k_real`` is the real candidate covariance (typically ``k_r`` or ``k_i``
     of a complex kernel); complex return values are projected to their real
     part.  R_n is the H2 Gram on the same points.  Each trace is computed
-    through a symmetric factorization, trace(L^{-1} K_n L^{-T}) with
-    R_n = L L^T, which keeps the product congruent to a PSD matrix.  Both
-    Grams are built once on the first ``n_max`` points; each prefix factors
-    the leading n x n views of them, with the shared jitter policy of
-    :func:`~hinfgp._linalg.chol_factor_with_jitter` at ``rel_jitter=1e-12``
-    (the retry adds 1e-12 times the mean diagonal, which can differ by an ulp
-    from the trace over n).  Only the lower triangle of each factor is read.
-    Repeated points raise ``ValueError``; near-duplicates that defeat the one
-    jitter retry raise ``ConditioningError``.
+    through a symmetric factorization, trace(L_n^{-1} K_n L_n^{-T}) with
+    R_n = L_n L_n^T, which keeps the product congruent to a PSD matrix.
+
+    Both Grams are built once on the first ``n_max`` points, and
+    R_{n_max} = L L^T is factored once (only the lower triangle of the factor
+    is read).  The leading n x n block of L is L_n, so the leading block of
+    L^{-1} K L^{-T} is L_n^{-1} K_n L_n^{-T}, and the traces are cumulative
+    sums of its diagonal.  They match factoring each prefix separately up to
+    rounding: within 1e-9 relative up to ``n_max`` 230, and about 3e-5 at 400,
+    where cond(R) nears 1e16 and both routes miss the exact limit by more.
+    The factor comes from :func:`~hinfgp._linalg.chol_factor_with_jitter` at
+    ``rel_jitter=1e-12``.  If R_{n_max} needs its single retry, the jitter
+    (1e-12 times the mean diagonal of R_{n_max}) enters every prefix,
+    including those whose own factorization would succeed without it.
+    Repeated points raise ``ValueError``; near-duplicates that defeat the
+    retry raise ``ConditioningError``.  ``n_max`` must be at least 20, so
+    that the tail fit below has two points.
 
     A bounded trace sequence is evidence the paths lie in H2 (hence extend to
     H-infinity under the continuity condition); growth linear in n is evidence
@@ -145,8 +153,8 @@ def driscoll_test(
     per point, ``converging`` when that tail is Cauchy within ``trace_tol``
     (relative), else ``inconclusive``.
     """
-    if n_max < 10:
-        raise ValueError(f"n_max must be >= 10, got {n_max}")
+    if n_max < 20:
+        raise ValueError(f"n_max must be >= 20, got {n_max}")
     if points is None:
         pts = dense_spiral(n_max)
     else:
@@ -159,19 +167,14 @@ def driscoll_test(
     if np.unique(pts).size < n_max:
         raise ValueError("points must be distinct: duplicate points give a singular H2 Gram")
 
-    # Kernels evaluate elementwise, so the leading n x n block of each Gram on
-    # all n_max points equals the Gram on the first n points bit for bit.
     r_full = _real_gram(h2_kernel, pts)
     k_full = _real_gram(k_real, pts)
+    chol, _ = chol_factor_with_jitter(r_full, rel_jitter=1e-12)
+    half = scipy.linalg.solve_triangular(chol, k_full, lower=True)
+    congruent = scipy.linalg.solve_triangular(chol, half.T, lower=True)
+    cumulative = np.cumsum(np.diag(congruent))
     n_values = list(range(10, n_max + 1, 10))
-    traces = []
-    for n in n_values:
-        r_gram = r_full[:n, :n]
-        k_gram = k_full[:n, :n]
-        chol, _ = chol_factor_with_jitter(r_gram, rel_jitter=1e-12)
-        half = scipy.linalg.solve_triangular(chol, k_gram, lower=True)
-        congruent = scipy.linalg.solve_triangular(chol, half.T, lower=True)
-        traces.append(float(np.trace(congruent)))
+    traces = [float(cumulative[n - 1]) for n in n_values]
 
     tail = max(2, math.ceil(len(n_values) / 3))
     tail_n = np.asarray(n_values[-tail:], dtype=float)

@@ -219,6 +219,20 @@ def test_verify_members_match_their_definitions():
         KernelFamily.from_config({"name": "h2"})
 
 
+def test_circular_family_tunes_the_wrapped_parameters():
+    raw = json.loads((REPO / "configs" / "resonant.json").read_text(encoding="utf-8"))["kernel"]
+    tunable = raw.pop("tunable")
+    plain = KernelFamily.from_config(raw, tunable, verify=True)
+    circular = KernelFamily.from_config({**raw, "circular": True}, tunable, verify=True)
+    assert [circular.record_value(p) for p in tunable] == [plain.record_value(p) for p in tunable]
+    values = dict(zip(tunable, (0.7, 0.4, 2.0, 0.8, 1.1)))
+    pts = 1.3 * np.exp(1j * np.linspace(-3.0, 3.0, 9))
+    z, w = pts[:, None], pts[None, :]
+    kernel = circular(values)
+    np.testing.assert_array_equal(kernel.hermitian_eval(z, w), plain(values).hermitian_eval(z, w))
+    np.testing.assert_array_equal(kernel.complementary_eval(z, w), np.zeros((9, 9)))
+
+
 def test_one_tune_parses_the_record_once(monkeypatch, tmp_path):
     """Every evaluation goes through log_marginal_likelihood, and none of them
     parses the record or assembles the Gram through ``gram``."""
