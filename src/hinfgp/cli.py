@@ -46,7 +46,7 @@ from .regression import (
 )
 from .sampling import sample_cozine_batch, sample_stationary_batch
 from .sysid import DiscreteTF, FilterBankSpec, TimeTrace, estimate_noise_var, etfe, make_allpass, make_resonant_system, simulate
-from .verify import dense_spiral, driscoll_test, symmetry_test
+from .verify import MIN_N_MAX, dense_spiral, driscoll_test, symmetry_test
 
 __all__ = ["ConfigError", "main", "run_identify", "run_verify", "run_sample"]
 
@@ -119,6 +119,14 @@ def _get_int(section: Mapping, key: str, where: str, default=None):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"'{key}' in {where} must be an integer, got {val!r}")
     return val
+
+
+def _get_n_max(section: Mapping, where: str) -> int:
+    """The Driscoll probe size, checked here so a run fails before it writes anything."""
+    n_max = _get_int(section, "n_max", where, 200)
+    if n_max < MIN_N_MAX:
+        raise ConfigError(f"'n_max' in {where} must be >= {MIN_N_MAX}, got {n_max}")
+    return n_max
 
 
 def _get_out_dir(cfg: Mapping) -> str:
@@ -334,7 +342,7 @@ def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
     if not isinstance(verify_section, Mapping):
         raise ConfigError("'verify' must be a mapping")
     _check_keys(verify_section, {"n_max", "grid_count"}, "verify")
-    verify_n_max = _get_int(verify_section, "n_max", "verify", 200)
+    verify_n_max = _get_n_max(verify_section, "verify")
     verify_grid_count = _get_int(verify_section, "grid_count", "verify", 200)
 
     return ExperimentConfig(
@@ -563,7 +571,7 @@ def parse_verify_config(resolved: Mapping) -> dict:
     kernel_section = resolved.get("kernel")
     if not isinstance(kernel_section, Mapping):
         raise ConfigError("missing required section 'kernel'")
-    n_max = _get_int(resolved, "n_max", "config", 200)
+    n_max = _get_n_max(resolved, "config")
     grid = resolved.get("grid", {})
     if not isinstance(grid, Mapping):
         raise ConfigError("'grid' must be a mapping")

@@ -43,7 +43,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from ._linalg import ConditioningError, chol_factor_with_jitter, chol_solve
 from .kernels import BoundFamily, ComplexKernel, KernelFamily, gram
@@ -470,6 +469,8 @@ def optimize_hyperparameters(
     The family is bound to the data's sites once, and every evaluation goes
     through ``log_marginal_likelihood`` with the bound family.
     """
+    import scipy.optimize  # here, not at module level: verify and sample never tune
+
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     names = list(init.values)

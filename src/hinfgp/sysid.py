@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.signal
+import scipy.linalg
 
 from .regression import FrequencyDataset
 from .sampling import _philox
@@ -161,9 +161,13 @@ class FilterBankSpec:
 def make_resonant_system(omega0: float, xi: float, fs: float) -> DiscreteTF:
     """Zero-order-hold discretization of g(s) = w0^2 / (s^2 + 2 xi w0 s + w0^2).
 
-    The continuous system has unit DC gain and resonance near w0 rad/s; ZOH at
-    sample rate fs maps its poles s_i to exp(s_i/fs) exactly (matrix
-    exponential of the state-space form).
+    The continuous system has unit DC gain and resonance near w0 rad/s.  With
+    the state-space form (A, B, C, 0), ZOH at sample rate fs takes
+    [[Ad, Bd], [0, 1]] = expm([[A, B], [0, 0]] / fs), which maps the poles
+    s_i to exp(s_i/fs) exactly.  The transfer function follows as
+    den = det(zI - Ad) and num = det(zI - Ad + Bd C) - den.  These are the
+    operations SciPy's ``cont2discrete(..., "zoh")`` and ``ss2tf`` perform,
+    and the coefficients equal theirs bit for bit.
     """
     if omega0 <= 0.0:
         raise ValueError(f"omega0 must be positive, got {omega0}")
@@ -176,12 +180,10 @@ def make_resonant_system(omega0: float, xi: float, fs: float) -> DiscreteTF:
     a_mat = np.array([[0.0, 1.0], [-omega0**2, -2.0 * xi * omega0]])
     b_mat = np.array([[0.0], [1.0]])
     c_mat = np.array([[omega0**2, 0.0]])
-    d_mat = np.array([[0.0]])
-    ad, bd, cd, dd, _ = scipy.signal.cont2discrete(
-        (a_mat, b_mat, c_mat, d_mat), dt=1.0 / fs, method="zoh"
-    )
-    num, den = scipy.signal.ss2tf(ad, bd, cd, dd)
-    return DiscreteTF(num[0], den, fs)
+    transition = scipy.linalg.expm((1.0 / fs) * np.block([[a_mat, b_mat], [np.zeros((1, 3))]]))
+    ad, bd = transition[:2, :2], transition[:2, 2:]
+    den = np.poly(ad)
+    return DiscreteTF(np.poly(ad - bd @ c_mat) - den, den, fs)
 
 
 def make_allpass(pole: complex, fs: float) -> DiscreteTF:
@@ -202,9 +204,11 @@ def make_allpass(pole: complex, fs: float) -> DiscreteTF:
 def simulate(tf: DiscreteTF, input_trace: TimeTrace, seed: int = 0, noise_var: float = 0.0) -> TimeTrace:
     """Drive ``tf`` with ``input_trace`` from zero initial state, plus output noise.
 
-    Direct-form difference-equation filtering; i.i.d. Gaussian noise of
-    variance ``noise_var`` is added to the output (no draws are consumed when
-    the variance is zero).
+    The filter is the direct-form II transposed recursion in SciPy
+    ``lfilter``'s operation order (see :func:`_lfilter`), so the output
+    equals lfilter's bit for bit.  I.i.d. Gaussian noise of variance
+    ``noise_var`` is added to the output (no draws are consumed when the
+    variance is zero).
     """
     if input_trace.sample_rate != tf.sample_rate:
         raise ValueError(
@@ -212,10 +216,37 @@ def simulate(tf: DiscreteTF, input_trace: TimeTrace, seed: int = 0, noise_var: f
         )
     if noise_var < 0.0:
         raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
-    out = scipy.signal.lfilter(tf.num_coeffs, tf.den_coeffs, input_trace.samples)
+    out = _lfilter(tf.num_coeffs, tf.den_coeffs, input_trace.samples)
     if noise_var > 0.0:
         out = out + math.sqrt(noise_var) * _philox(seed).standard_normal(out.size)
     return TimeTrace(out, tf.sample_rate)
+
+
+def _lfilter(num: np.ndarray, den: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y = (num/den) x from zero state, as SciPy's ``lfilter(num, den, x)``.
+
+    Both coefficient lists are divided by den[0] and zero-padded to one
+    order.  Each step is y = z_0 + b_0 x, z_{n-1} = z_n + x b_n - y a_n,
+    z_{order-1} = x b_order - y a_order, in Python floats (IEEE doubles, the
+    same roundings as lfilter's C loop).  A one-term denominator is a
+    convolution, as in lfilter.
+    """
+    a0 = float(den[0])
+    if den.size == 1:
+        return np.convolve(num / a0, x)[: x.size]
+    order = max(num.size, den.size) - 1
+    b = [c / a0 for c in num.tolist()] + [0.0] * (order + 1 - num.size)
+    a = [c / a0 for c in den.tolist()] + [0.0] * (order + 1 - den.size)
+    b0, b_last, a_last = b[0], b[order], a[order]
+    z = [0.0] * order
+    out = []
+    for xk in x.tolist():
+        yk = z[0] + b0 * xk
+        for n in range(1, order):
+            z[n - 1] = z[n] + xk * b[n] - yk * a[n]
+        z[order - 1] = xk * b_last - yk * a_last
+        out.append(yk)
+    return np.array(out)
 
 
 def gaussian_window(taps: int, sigma_w: float) -> np.ndarray:

@@ -47,6 +47,10 @@ __all__ = [
     "continuity_search",
 ]
 
+# The smallest n_max whose trace sequence (n = 10, 20, ...) gives the tail
+# fit in ``driscoll_test`` two points.
+MIN_N_MAX = 20
+
 
 @dataclass(frozen=True)
 class DriscollReport:
@@ -143,8 +147,8 @@ def driscoll_test(
     (1e-12 times the mean diagonal of R_{n_max}) enters every prefix,
     including those whose own factorization would succeed without it.
     Repeated points raise ``ValueError``; near-duplicates that defeat the
-    retry raise ``ConditioningError``.  ``n_max`` must be at least 20, so
-    that the tail fit below has two points.
+    retry raise ``ConditioningError``.  ``n_max`` must be at least
+    ``MIN_N_MAX`` (20), so that the tail fit below has two points.
 
     A bounded trace sequence is evidence the paths lie in H2 (hence extend to
     H-infinity under the continuity condition); growth linear in n is evidence
@@ -153,8 +157,8 @@ def driscoll_test(
     per point, ``converging`` when that tail is Cauchy within ``trace_tol``
     (relative), else ``inconclusive``.
     """
-    if n_max < 20:
-        raise ValueError(f"n_max must be >= 20, got {n_max}")
+    if n_max < MIN_N_MAX:
+        raise ValueError(f"n_max must be >= {MIN_N_MAX}, got {n_max}")
     if points is None:
         pts = dense_spiral(n_max)
     else:

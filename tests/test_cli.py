@@ -209,6 +209,7 @@ class TestParseIdentifyConfig:
             (lambda c: c.update(budget=0), "budget"),
             (lambda c: c.update(diagnostics={"impropriety": "yes"}), "boolean"),
             (lambda c: c.update(verify={"points": 10}), "unknown key"),
+            (lambda c: c.update(verify={"n_max": 15}), "n_max"),
             (lambda c: c["kernel"].update(tunable="alpha"), "list"),
             (lambda c: c.pop("out_dir"), "output directory"),
         ],
@@ -230,6 +231,7 @@ class TestParseIdentifyConfig:
             "zero_budget",
             "non_bool_diag",
             "bad_verify_key",
+            "small_verify_n_max",
             "tunable_not_list",
             "no_out_dir",
         ],
@@ -264,6 +266,11 @@ class TestParseIdentifyConfig:
             cfg = parse_identify_config(resolved)
             assert cfg.out_dir
 
+    def test_verify_config_rejects_small_n_max(self, tmp_path):
+        cfg = {"kernel": {"name": "h2"}, "n_max": 19, "out_dir": str(tmp_path)}
+        with pytest.raises(ConfigError, match="n_max"):
+            parse_verify_config(cfg)
+
     def test_shipped_aux_configs_parse(self):
         parse_verify_config(load_config(CONFIG_DIR / "verify_geometric.json"))
         parse_verify_config(load_config(CONFIG_DIR / "verify_h2.json"))
@@ -285,6 +292,13 @@ class TestMainExitCodes:
         cfg = identify_config(tmp_path, banana=1)
         assert cli.main(["identify", "--config", write_config(tmp_path, cfg)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_small_verify_n_max_fails_before_writing(self, tmp_path, capsys):
+        cfg = {**load_config(CONFIG_DIR / "resonant.json"), "verify": {"n_max": 15}}
+        out = tmp_path / "out"
+        assert cli.main(["identify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert "n_max" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_missing_out_dir(self, tmp_path, capsys):
         cfg = {"seed": 0, "kernel": {"name": "geometric", "params": {"alpha": 0.5}}, "count": 10}

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hinfgp.sysid import (
     DiscreteTF,
@@ -155,6 +158,88 @@ class TestSimulate:
     def test_negative_noise_var(self):
         with pytest.raises(ValueError, match="noise_var"):
             simulate(DiscreteTF([1.0], [1.0], 1.0), TimeTrace(np.ones(5), 1.0), noise_var=-1.0)
+
+
+def assert_bitwise_equal(got, want):
+    """Equal values and equal signs of zero: what a text artifact of them would show."""
+    assert np.array_equal(got, want), f"max |diff| = {np.max(np.abs(got - want)):.3e}"
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_simulate_matches_lfilter(tf, x):
+    got = simulate(tf, TimeTrace(x, tf.sample_rate)).samples
+    assert_bitwise_equal(got, scipy.signal.lfilter(tf.num_coeffs, tf.den_coeffs, x))
+
+
+def input_samples(seed, size, lead_zeros):
+    """Gaussian input whose first ``lead_zeros`` samples are exact zeros."""
+    x = np.random.default_rng(seed).standard_normal(size)
+    x[:lead_zeros] = 0.0
+    return x
+
+
+REFERENCE_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+input_draws = {"seed": st.integers(0, 2**32 - 1), "lead_zeros": st.integers(0, 30)}
+
+
+class TestScipySignalReference:
+    """The in-package ZOH, ss2tf and filter against scipy.signal, which the
+    package itself does not import: equal bit for bit."""
+
+    @REFERENCE_SETTINGS
+    @given(
+        omega0=st.floats(1e-2, 1e3),
+        xi=st.floats(1e-3, 0.999),
+        oversampling=st.floats(1.01, 1e3),
+    )
+    def test_resonant_system_matches_cont2discrete_ss2tf(self, omega0, xi, oversampling):
+        fs = omega0 / math.pi * oversampling
+        a_mat = np.array([[0.0, 1.0], [-omega0**2, -2.0 * xi * omega0]])
+        system = (a_mat, np.array([[0.0], [1.0]]), np.array([[omega0**2, 0.0]]), np.array([[0.0]]))
+        ad, bd, cd, dd, _ = scipy.signal.cont2discrete(system, dt=1.0 / fs, method="zoh")
+        num, den = scipy.signal.ss2tf(ad, bd, cd, dd)
+        tf = make_resonant_system(omega0, xi, fs)
+        assert_bitwise_equal(tf.num_coeffs, num[0])
+        assert_bitwise_equal(tf.den_coeffs, den)
+
+    @REFERENCE_SETTINGS
+    @given(omega=st.floats(0.05, 3.0), xi=st.floats(0.01, 0.9), **input_draws)
+    def test_simulate_resonant_matches_lfilter(self, omega, xi, seed, lead_zeros):
+        tf = make_resonant_system(omega, xi, 1.0)
+        assert_simulate_matches_lfilter(tf, input_samples(seed, 2000, lead_zeros))
+
+    @REFERENCE_SETTINGS
+    @given(radius=st.floats(0.0, 0.99), angle=st.floats(0.0, math.pi), **input_draws)
+    def test_simulate_allpass_matches_lfilter(self, radius, angle, seed, lead_zeros):
+        tf = make_allpass(radius * complex(math.cos(angle), math.sin(angle)), 1.0)
+        assert_simulate_matches_lfilter(tf, input_samples(seed, 2000, lead_zeros))
+
+    @REFERENCE_SETTINGS
+    @given(
+        real_poles=st.lists(st.floats(-0.95, 0.95), max_size=4),
+        pole_pairs=st.lists(st.tuples(st.floats(0.0, 0.95), st.floats(0.0, math.pi)), max_size=2),
+        num=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
+        **input_draws,
+    )
+    @example(real_poles=[], pole_pairs=[], num=[2.0], seed=0, lead_zeros=0)  # pure gain
+    @example(real_poles=[0.5], pole_pairs=[], num=[1.0, -0.4, 0.3, 0.2, -0.1], seed=1, lead_zeros=3)
+    @example(real_poles=[0.9, -0.5], pole_pairs=[(0.8, 1.0)], num=[1.0, 0.5], seed=2, lead_zeros=0)
+    @example(real_poles=[], pole_pairs=[], num=[0.5, -1.0, 0.25], seed=3, lead_zeros=5)  # FIR
+    def test_simulate_external_matches_lfilter(self, real_poles, pole_pairs, num, seed, lead_zeros):
+        """Monic stable denominators of order 0-4, numerators longer, shorter
+        or as long, and a pure gain."""
+        assume(len(real_poles) + 2 * len(pole_pairs) <= 4)
+        pairs = [r * complex(math.cos(t), math.sin(t)) for r, t in pole_pairs]
+        poles = real_poles + pairs + [p.conjugate() for p in pairs]
+        tf = DiscreteTF(num, np.real(np.poly(poles)) if poles else [1.0], 1.0)
+        assert_simulate_matches_lfilter(tf, input_samples(seed, 500, lead_zeros))
+
+    @pytest.mark.parametrize("den", [[1.0 + 1e-13], [1.0 + 1e-13, -0.5, 0.25]])
+    def test_simulate_divides_by_leading_coefficient(self, den):
+        """DiscreteTF accepts a leading coefficient within 1e-12 of 1; lfilter
+        divides every coefficient by it, and so does simulate."""
+        tf = DiscreteTF([0.3, 0.7], den, 1.0)
+        assert_simulate_matches_lfilter(tf, input_samples(4, 300, 0))
 
 
 class TestTimeTrace:
