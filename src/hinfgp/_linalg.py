@@ -35,8 +35,8 @@ def _potrf(mat: np.ndarray):
 def chol_factor_with_jitter(mat: np.ndarray, rel_jitter: float = 1e-10):
     """Cholesky-factor a (near-)PSD matrix, retrying once with jitter on the diagonal.
 
-    Returns a ``(factor, lower)`` pair as :func:`scipy.linalg.cho_factor` does
-    (the upper triangle of ``factor`` holds leftover input), for
+    Returns the lower factor as :func:`scipy.linalg.cho_factor` does with
+    ``lower=True`` (the upper triangle holds leftover input), for
     :func:`chol_solve`.  A matrix with a NaN or infinite entry raises
     ``ValueError``.  The retry policy is deliberately simple and documented so
     downstream results stay reproducible: one bump of ``rel_jitter`` times the
@@ -48,7 +48,7 @@ def chol_factor_with_jitter(mat: np.ndarray, rel_jitter: float = 1e-10):
     mat = np.asarray(mat)
     factor, ok = _potrf(mat)
     if ok:
-        return factor, True
+        return factor
     jitter = rel_jitter * float(np.mean(np.real(np.diag(mat))))
     factor, ok = _potrf(mat + jitter * np.eye(mat.shape[0], dtype=mat.dtype))
     if not ok:
@@ -56,18 +56,17 @@ def chol_factor_with_jitter(mat: np.ndarray, rel_jitter: float = 1e-10):
             f"matrix of order {mat.shape[0]} is not positive definite, "
             f"even after adding diagonal jitter {jitter:.3e}"
         )
-    return factor, True
+    return factor
 
 
-def chol_solve(factorization, rhs) -> np.ndarray:
-    """Solve A x = rhs given the ``(factor, lower)`` pair of :func:`chol_factor_with_jitter`.
+def chol_solve(factor: np.ndarray, rhs) -> np.ndarray:
+    """Solve A x = rhs given the lower factor of A from :func:`chol_factor_with_jitter`.
 
     A right-hand side with a NaN or infinite entry raises ``ValueError``.
     """
-    factor, lower = factorization
     rhs = _finite(np.asarray(rhs))
     potrs, = get_lapack_funcs(("potrs",), (factor, rhs))
-    solution, info = potrs(factor, rhs, lower=lower, overwrite_b=False)
+    solution, info = potrs(factor, rhs, lower=True, overwrite_b=False)
     if info != 0:
         raise ValueError(f"LAPACK potrs reported an illegal value in argument {-info}")
     return solution

@@ -34,8 +34,6 @@ from . import kernels
 from ._linalg import ConditioningError
 from .kernels import ComplexKernel, CozineParams, StationarySequence, real_imag_kernels
 from .regression import (
-    Domain,
-    Hyperparameters,
     _disk_bounds,
     fit,
     log_marginal_likelihood,
@@ -139,21 +137,13 @@ def _get_out_dir(cfg: Mapping) -> str:
 # ---------------------------------------------------------------------------
 # kernel specs: families with tunable parameters, plus verify-only extensions
 
-_TUNABLE_DOMAINS = {
-    "alpha": Domain.interval(0.0, 1.0),
-    "a": Domain.interval(0.0, 1.0),
-    "omega0": Domain.interval(0.0, math.pi),
-    "weight1": Domain.positive(),
-    "weight2": Domain.positive(),
-}
+def kernel_family_from_record(record: Mapping, tunable: Sequence[str]) -> kernels.KernelFamily:
+    """The :class:`~hinfgp.kernels.KernelFamily` of an ``identify`` kernel record.
 
-
-def kernel_family_from_record(record: Mapping, tunable: Sequence[str]):
-    """Build (family, init) from a kernel record and its tunable-parameter paths.
-
-    ``family`` is the record's :class:`~hinfgp.kernels.KernelFamily`, mapping a
-    {path: value} assignment to a ComplexKernel; ``init`` collects the
-    record's current values with their domains (None when nothing is tunable).
+    The family maps a {path: value} assignment of the ``tunable`` paths to a
+    ComplexKernel and declares each path's range.  A starting value that the
+    tuner cannot transform, such as a weight of 0 or an angle of 0, is a
+    ConfigError naming its path.
     """
     base = dict(record)
     base.pop("tunable", None)
@@ -161,13 +151,12 @@ def kernel_family_from_record(record: Mapping, tunable: Sequence[str]):
         family = kernels.KernelFamily.from_config(base, tunable)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not tunable:
-        return family, None
-    init = Hyperparameters(
-        {path: family.record_value(path) for path in tunable},
-        {path: _TUNABLE_DOMAINS[path.split(".")[-1]] for path in tunable},
-    )
-    return family, init
+    for path in family.tunable:
+        try:
+            family.domains[path].to_unconstrained(family.record_value(path))
+        except ValueError as exc:
+            raise ConfigError(f"tunable parameter '{path}' cannot start the search: {exc}") from exc
+    return family
 
 
 def kernel_from_verify_record(record: Mapping) -> ComplexKernel:
@@ -195,8 +184,7 @@ class ExperimentConfig:
     output_var: float
     trace_len: int
     bank: FilterBankSpec
-    kernel_record: dict
-    tunable: tuple[str, ...]
+    kernel: kernels.KernelFamily
     estimator: str
     eta: float
     noise_var: float | str
@@ -309,7 +297,7 @@ def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
     if not isinstance(tunable, list) or not all(isinstance(t, str) for t in tunable):
         raise ConfigError("'kernel.tunable' must be a list of parameter paths")
     try:
-        kernel_family_from_record(kernel_section, tunable)
+        kernel = kernel_family_from_record(kernel_section, tunable)
     except ValueError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
 
@@ -353,8 +341,7 @@ def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
         output_var=output_var,
         trace_len=trace_len,
         bank=bank,
-        kernel_record=copy.deepcopy(dict(kernel_section)),
-        tunable=tuple(tunable),
+        kernel=kernel,
         estimator=estimator,
         eta=eta,
         noise_var=noise_var,
@@ -445,16 +432,11 @@ def run_identify(cfg: ExperimentConfig) -> dict:
     data = etfe(u_obs, y_trace, cfg.bank, noise_var)
     site_freqs = np.angle(data.sites)
 
-    family, init = kernel_family_from_record(cfg.kernel_record, list(cfg.tunable))
-    if init is None:
-        values: dict[str, float] = {}
-        likelihood = log_marginal_likelihood(family, values, data)
+    if cfg.kernel.tunable:
+        values, likelihood = optimize_hyperparameters(cfg.kernel, data, cfg.budget, tuner_seed)
     else:
-        theta, likelihood = optimize_hyperparameters(
-            family, data, init, budget=cfg.budget, seed=tuner_seed
-        )
-        values = theta.as_dict()
-    kernel = family(values)
+        values, likelihood = {}, log_marginal_likelihood(cfg.kernel, {}, data)
+    kernel = cfg.kernel(values)
     post = fit(kernel, data)
 
     grid = math.pi * (np.arange(PREDICTION_GRID_SIZE) + 1.0) / (PREDICTION_GRID_SIZE + 1.0)
@@ -525,7 +507,7 @@ def run_identify(cfg: ExperimentConfig) -> dict:
         {
             "config_sha256": cfg.sha256,
             "seed": cfg.seed,
-            "tunable": list(cfg.tunable),
+            "tunable": list(cfg.kernel.tunable),
             "values": values,
             "log_marginal_likelihood": likelihood,
             "budget": cfg.budget,

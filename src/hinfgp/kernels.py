@@ -42,6 +42,7 @@ __all__ = [
     "real_imag_kernels",
     "gram",
     "from_config",
+    "Domain",
     "KernelFamily",
     "BoundFamily",
 ]
@@ -233,9 +234,70 @@ _CHECKS = {
 }
 
 
+@dataclass(frozen=True)
+class Domain:
+    """Allowed range of one hyperparameter: the positive half-line or an interval.
+
+    Values are validated against the closed hull; the optimizer works in
+    unconstrained coordinates (log for positive parameters, logit for
+    intervals), so search never leaves the open interior.
+    """
+
+    kind: str  # "positive" | "interval"
+    lo: float = 0.0
+    hi: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("positive", "interval"):
+            raise ValueError(f"unknown domain kind {self.kind!r}")
+        if self.kind == "interval" and not self.lo < self.hi:
+            raise ValueError(f"empty interval domain [{self.lo}, {self.hi}]")
+
+    @classmethod
+    def positive(cls) -> "Domain":
+        return cls("positive")
+
+    @classmethod
+    def interval(cls, lo: float, hi: float) -> "Domain":
+        return cls("interval", float(lo), float(hi))
+
+    def contains(self, x: float) -> bool:
+        if self.kind == "positive":
+            return x >= 0.0
+        return self.lo <= x <= self.hi
+
+    def to_unconstrained(self, x: float) -> float:
+        if self.kind == "positive":
+            if x <= 0.0:
+                raise ValueError(f"positive-domain value must be > 0 to transform, got {x}")
+            return math.log(x)
+        frac = (x - self.lo) / (self.hi - self.lo)
+        if not 0.0 < frac < 1.0:
+            raise ValueError(f"interval-domain value must be strictly interior, got {x}")
+        return math.log(frac / (1.0 - frac))
+
+    def from_unconstrained(self, t: float) -> float:
+        if self.kind == "positive":
+            return math.exp(min(max(t, -690.0), 690.0))
+        frac = 1.0 / (1.0 + math.exp(-min(max(t, -36.0), 36.0)))
+        return self.lo + (self.hi - self.lo) * frac
+
+
+# tunable parameter name -> the range the tuner searches: the closed hull of
+# what its check above accepts (alpha^n summable, cozine poles inside the
+# disk, nonnegative mixture weights)
+_DOMAINS = {
+    "alpha": Domain.interval(0.0, 1.0),
+    "a": Domain.interval(0.0, 1.0),
+    "omega0": Domain.interval(0.0, math.pi),
+    "weight1": Domain.positive(),
+    "weight2": Domain.positive(),
+}
+
+
 def _node(name: str, **params) -> ComplexKernel:
     """The kernel of a parameter-free family node."""
-    return KernelFamily(name, params, "", frozenset())({})
+    return KernelFamily(name, params, "", ())({})
 
 
 def geometric_kernel(alpha: float) -> ComplexKernel:
@@ -376,7 +438,6 @@ _CONFIG_PARAMS = {
     "stationary_list": {"coefficients"},
     "mixture": {"weight1", "weight2"},
 }
-_TUNABLE_LEAVES = {name for names, _ in _CHECKS.values() for name in names}  # the scalar ones
 _COMPONENTS = ("component1", "component2")
 
 
@@ -390,6 +451,10 @@ class KernelFamily:
     copied or parsed per call, and values outside a family's domain raise
     ``ValueError``.  ``bind`` fixes the sites for repeated Gram evaluations.
 
+    The family declares what a tuner needs: ``tunable``, its paths in the
+    order given, ``domains``, each path's :class:`Domain`, and
+    ``record_value(path)``, each path's starting value.
+
     Every family's prior has a real impulse response, so its complementary
     part is kt(z, w) = k(z, w*): each node evaluates only its Hermitian
     covariance (``_hermitian``), and the ``circular`` member zeroes kt.
@@ -398,13 +463,15 @@ class KernelFamily:
     record's tree (``name``, ``params``, ``children``).
     """
 
-    def __init__(self, name: str, params: Mapping, prefix: str, tunable: frozenset, children=()):
+    def __init__(self, name: str, params: Mapping, prefix: str, tunable: tuple, children=()):
         self.name = name
         self.params = params
         self.children = tuple(children)
         # parameter name -> hyperparameter path, for the tunable ones
         self.slots = {n: prefix + n for n in _CONFIG_PARAMS.get(name, ()) if prefix + n in tunable}
-        self.paths = frozenset(self.slots.values()).union(*(c.paths for c in self.children))
+        mapped = set(self.slots.values()).union(*(c.tunable for c in self.children))
+        self.tunable = tuple(path for path in tunable if path in mapped)
+        self.domains = {path: _DOMAINS[path.rsplit(".", 1)[-1]] for path in self.tunable}
         self._numbers({})  # validates the record's values
 
     @classmethod
@@ -420,8 +487,8 @@ class KernelFamily:
         ``circular`` key, which zeroes the complementary part (a deliberate
         symmetry-breaking counterexample).
         """
-        tunable = list(tunable)
-        family = _parse_family(record, "", frozenset(tunable), verify)
+        tunable = tuple(tunable)
+        family = _parse_family(record, "", tunable, verify)
         if len(set(tunable)) != len(tunable):
             raise ValueError(f"duplicate tunable path in {tunable}")
         for path in tunable:
@@ -434,7 +501,7 @@ class KernelFamily:
         Paths of a ``circular`` family name the parameters of the kernel it wraps.
         """
         *parents, leaf = path.split(".")
-        if leaf not in _TUNABLE_LEAVES:
+        if leaf not in _DOMAINS:
             raise ValueError(f"parameter '{path}' is not tunable")
         node = self.children[0] if self.name == "circular" else self
         for part in parents:
@@ -469,7 +536,7 @@ class KernelFamily:
         pts = np.asarray(sites, dtype=complex)
         _check_sites(pts, noise_var)
         hermitian = self._hermitian(pts[:, None], pts[None, :])
-        if not self.paths:
+        if not self.tunable:
             hermitian({}).flags.writeable = False
         if noise_var > 0.0:
             noise = noise_var * np.eye(pts.size)
@@ -477,10 +544,10 @@ class KernelFamily:
         return BoundFamily(self, pts, noise_var, lambda values: hermitian(self._checked(values)))
 
     def _checked(self, values: Mapping[str, float]) -> Mapping[str, float]:
-        unknown = set(values) - self.paths
+        unknown = set(values).difference(self.tunable)
         if unknown:
             raise ValueError(
-                f"unknown hyperparameter path(s) {sorted(unknown)}; tunable: {sorted(self.paths)}"
+                f"unknown hyperparameter path(s) {sorted(unknown)}; tunable: {sorted(self.tunable)}"
             )
         return values
 
@@ -538,7 +605,7 @@ class KernelFamily:
                 herm = _constant(_h2(p))
             else:
                 herm = _constant(_power_series(np.asarray(self.params["coefficients"], dtype=float), p))
-        return herm if self.paths else _constant(herm({}))
+        return herm if self.tunable else _constant(herm({}))
 
 
 def _constant(value):
@@ -559,7 +626,7 @@ class BoundFamily:
     gram: Callable[[Mapping[str, float]], np.ndarray]
 
 
-def _parse_family(record: Mapping, prefix: str, tunable: frozenset, verify: bool) -> KernelFamily:
+def _parse_family(record: Mapping, prefix: str, tunable: tuple, verify: bool) -> KernelFamily:
     if not isinstance(record, Mapping):
         raise ValueError(f"kernel config must be a mapping, got {type(record).__name__}")
     if verify:

@@ -51,8 +51,6 @@ __all__ = [
     "FrequencyDataset",
     "Posterior",
     "EllipsoidBound",
-    "Domain",
-    "Hyperparameters",
     "SchurComplement",
     "WidelyLinearPrediction",
     "ConditioningError",
@@ -105,12 +103,12 @@ class FrequencyDataset:
 
 @dataclass(eq=False)
 class Posterior:
-    """Fitted regression state: kernel, data, cached K_yy factorization and K_yy^{-1} y."""
+    """Fitted regression state: kernel, data, K_yy, its lower Cholesky factor and K_yy^{-1} y."""
 
     kernel: ComplexKernel
     dataset: FrequencyDataset
     gram_yy: np.ndarray
-    factorization: tuple
+    factorization: np.ndarray
     alpha_vec: np.ndarray
     _wl_cache: dict = field(default_factory=dict, repr=False)
 
@@ -275,7 +273,7 @@ def _wl_block(post: Posterior, state, pts: np.ndarray):
     """
     basis, inv_lam, correction = state
     _, w_mat, _, _ = _schur(post)
-    factor, sites = post.factorization[0], post.dataset.sites[None, :]
+    factor, sites = post.factorization, post.dataset.sites[None, :]
     u = np.asarray(post.kernel.hermitian_eval(pts[:, None], sites), dtype=complex)
     v = np.asarray(post.kernel.complementary_eval(pts[:, None], sites), dtype=complex)
     lu = scipy.linalg.solve_triangular(factor, np.conj(u).T, lower=True)  # L^{-1} u^H
@@ -320,83 +318,6 @@ def _disk_bounds(center: complex, radius: float, eta: float) -> EllipsoidBound:
     return EllipsoidBound(center, radius, eta, mag_interval, phase_interval)
 
 
-@dataclass(frozen=True)
-class Domain:
-    """Allowed range of one hyperparameter: the positive half-line or an interval.
-
-    Values are validated against the closed hull; the optimizer works in
-    unconstrained coordinates (log for positive parameters, logit for
-    intervals), so search never leaves the open interior.
-    """
-
-    kind: str  # "positive" | "interval"
-    lo: float = 0.0
-    hi: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("positive", "interval"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "interval" and not self.lo < self.hi:
-            raise ValueError(f"empty interval domain [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def positive(cls) -> "Domain":
-        return cls("positive")
-
-    @classmethod
-    def interval(cls, lo: float, hi: float) -> "Domain":
-        return cls("interval", float(lo), float(hi))
-
-    def contains(self, x: float) -> bool:
-        if self.kind == "positive":
-            return x >= 0.0
-        return self.lo <= x <= self.hi
-
-    def to_unconstrained(self, x: float) -> float:
-        if self.kind == "positive":
-            if x <= 0.0:
-                raise ValueError(f"positive-domain value must be > 0 to transform, got {x}")
-            return math.log(x)
-        frac = (x - self.lo) / (self.hi - self.lo)
-        if not 0.0 < frac < 1.0:
-            raise ValueError(f"interval-domain value must be strictly interior, got {x}")
-        return math.log(frac / (1.0 - frac))
-
-    def from_unconstrained(self, t: float) -> float:
-        if self.kind == "positive":
-            return math.exp(min(max(t, -690.0), 690.0))
-        frac = 1.0 / (1.0 + math.exp(-min(max(t, -36.0), 36.0)))
-        return self.lo + (self.hi - self.lo) * frac
-
-
-@dataclass(frozen=True, eq=False)
-class Hyperparameters:
-    """Named real parameters, each constrained to its declared domain."""
-
-    values: Mapping[str, float]
-    domains: Mapping[str, Domain]
-
-    def __post_init__(self) -> None:
-        values = dict(self.values)
-        domains = dict(self.domains)
-        if set(values) != set(domains):
-            raise ValueError(
-                f"hyperparameter names {sorted(values)} do not match domains {sorted(domains)}"
-            )
-        for name, val in values.items():
-            if not domains[name].contains(val):
-                raise ValueError(f"hyperparameter {name}={val} outside its domain")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "domains", domains)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.values)
-
-    def replace(self, **updates: float) -> "Hyperparameters":
-        merged = {**self.values, **updates}
-        return Hyperparameters(merged, self.domains)
-
-
 FamilyFn = Callable[[Mapping[str, float]], ComplexKernel]
 
 
@@ -423,7 +344,7 @@ def _bind(kernel_family: FamilyFn | BoundFamily, data: FrequencyDataset) -> Boun
 
 def log_marginal_likelihood(
     kernel_family: FamilyFn | BoundFamily,
-    theta: Hyperparameters | Mapping[str, float],
+    theta: Mapping[str, float],
     data: FrequencyDataset,
 ) -> float:
     """L(theta) = -1/2 (y^H K_yy^{-1} y + log det K_yy + n log 2 pi).
@@ -436,54 +357,56 @@ def log_marginal_likelihood(
     give the same K_yy bit for bit.  K_yy is factored exactly as ``fit``
     factors it, with the same single jitter retry; a factorization that still
     fails (or a non-finite Gram) returns -inf, which the optimizer treats as
-    the worst possible value.  Hyperparameters outside a family's domain
-    raise ``ValueError``.
+    the worst possible value.  Values outside a family's domain raise
+    ``ValueError``.
     """
-    values = theta.as_dict() if isinstance(theta, Hyperparameters) else dict(theta)
     n = len(data)
     if n == 0:
         raise ValueError("cannot evaluate the likelihood of an empty dataset")
-    gram_yy = _bind(kernel_family, data).gram(values)
+    gram_yy = _bind(kernel_family, data).gram(dict(theta))
     try:
         factor = chol_factor_with_jitter(gram_yy)
     except (ConditioningError, ValueError):
         return -math.inf
     quad = float(np.real(np.conj(data.responses) @ chol_solve(factor, data.responses)))
-    logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor[0])))))
+    logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor)))))
     return -0.5 * (quad + logdet + n * math.log(2.0 * math.pi))
 
 
 def optimize_hyperparameters(
-    kernel_family: FamilyFn,
+    family: KernelFamily,
     data: FrequencyDataset,
-    init: Hyperparameters,
     budget: int = 2000,
     seed: int = 0,
-) -> tuple[Hyperparameters, float]:
+) -> tuple[dict[str, float], float]:
     """Maximize the marginal likelihood with Nelder-Mead in transformed coordinates.
 
-    The search runs from ``init`` plus 4 jittered restarts (Philox stream keyed
-    by ``seed``, unit-scale jitter in unconstrained coordinates), splitting a
-    total budget of likelihood evaluations across the starts.  ``budget=1``
-    evaluates and returns ``init``.  Raises if every evaluation is -inf.
-    The family is bound to the data's sites once, and every evaluation goes
-    through ``log_marginal_likelihood`` with the bound family.
+    The family declares the search: its tunable paths (``family.tunable``),
+    each path's range (``family.domains``) and starting value
+    (``family.record_value``).  The search runs from the starting values plus
+    4 jittered restarts (Philox stream keyed by ``seed``, unit-scale jitter in
+    unconstrained coordinates), splitting a total budget of likelihood
+    evaluations across the starts.  ``budget=1`` evaluates and returns the
+    starting values.  Returns the best {path: value} map and its likelihood;
+    raises if every evaluation is -inf.  The family is bound to the data's
+    sites once, and every evaluation goes through ``log_marginal_likelihood``
+    with the bound family.
     """
     import scipy.optimize  # here, not at module level: verify and sample never tune
 
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    names = list(init.values)
-    domains = [init.domains[name] for name in names]
+    names = family.tunable
     if not names:
-        raise ValueError("init must declare at least one hyperparameter")
-    kernel_family = _bind(kernel_family, data)
+        raise ValueError("the kernel family declares no tunable hyperparameter")
+    domains = [family.domains[name] for name in names]
+    bound = _bind(family, data)
 
     def unpack(vec: np.ndarray) -> dict[str, float]:
         return {n: d.from_unconstrained(t) for n, d, t in zip(names, domains, vec.tolist())}
 
     evals = 0
-    best: dict = {"L": -math.inf, "values": init.as_dict()}
+    best: dict = {"L": -math.inf}
 
     def objective(vec: np.ndarray) -> float:
         nonlocal evals
@@ -491,7 +414,7 @@ def optimize_hyperparameters(
             return math.inf
         values = unpack(vec)
         try:
-            score = log_marginal_likelihood(kernel_family, values, data)
+            score = log_marginal_likelihood(bound, values, data)
         except ValueError:
             score = -math.inf
         evals += 1
@@ -500,10 +423,8 @@ def optimize_hyperparameters(
             best["values"] = values
         return -score if math.isfinite(score) else math.inf
 
-    start = np.array([d.to_unconstrained(init.values[n]) for n, d in zip(names, domains)])
-    objective(start)  # budget=1 stops here, with init recorded as the incumbent
-    if best["L"] == -math.inf:
-        best["values"] = init.as_dict()
+    start = np.array([d.to_unconstrained(family.record_value(n)) for n, d in zip(names, domains)])
+    objective(start)  # budget=1 stops here, with the starting values as the incumbent
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     starts = [start] + [start + rng.standard_normal(start.size) for _ in range(4)]
@@ -520,4 +441,4 @@ def optimize_hyperparameters(
         )
     if best["L"] == -math.inf:
         raise RuntimeError("hyperparameter optimization failed: every evaluation was -inf")
-    return Hyperparameters(best["values"], init.domains), float(best["L"])
+    return best["values"], float(best["L"])

@@ -173,7 +173,7 @@ def driscoll_test(
 
     r_full = _real_gram(h2_kernel, pts)
     k_full = _real_gram(k_real, pts)
-    chol, _ = chol_factor_with_jitter(r_full, rel_jitter=1e-12)
+    chol = chol_factor_with_jitter(r_full, rel_jitter=1e-12)
     half = scipy.linalg.solve_triangular(chol, k_full, lower=True)
     congruent = scipy.linalg.solve_triangular(chol, half.T, lower=True)
     cumulative = np.cumsum(np.diag(congruent))

@@ -100,8 +100,7 @@ def rebuild_posterior(cfg, values):
     else:
         noise_var = float(cfg.noise_var)
     data = etfe(u_obs, y_trace, cfg.bank, noise_var)
-    family, _ = cli.kernel_family_from_record(cfg.kernel_record, list(cfg.tunable))
-    return fit(family(values), data), data
+    return fit(cfg.kernel(values), data), data
 
 
 @pytest.fixture(scope="module")

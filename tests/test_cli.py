@@ -85,8 +85,9 @@ class TestConfigPlumbing:
 class TestKernelFamilyFromRecord:
     def test_flat_substitution(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}}
-        family, init = kernel_family_from_record(record, ["alpha"])
-        assert init.values == {"alpha": 0.5}
+        family = kernel_family_from_record(record, ["alpha"])
+        assert family.tunable == ("alpha",)
+        assert family.record_value("alpha") == 0.5
         z, w = 2.0 + 0.0j, 2.0 * np.exp(1j * math.pi / 3.0)
         got = family({"alpha": 0.7}).hermitian_eval(z, w)
         want = geometric_kernel(0.7).hermitian_eval(z, w)
@@ -99,10 +100,11 @@ class TestKernelFamilyFromRecord:
             "component1": {"name": "geometric", "params": {"alpha": 0.5}},
             "component2": {"name": "cozine", "params": {"a": 0.6, "omega0": 1.1}},
         }
-        family, init = kernel_family_from_record(
+        family = kernel_family_from_record(
             record, ["component1.alpha", "component2.a", "weight1"]
         )
-        assert init.values == {"component1.alpha": 0.5, "component2.a": 0.6, "weight1": 0.3}
+        assert family.tunable == ("component1.alpha", "component2.a", "weight1")
+        assert [family.record_value(p) for p in family.tunable] == [0.5, 0.6, 0.3]
         built = family({"component1.alpha": 0.9, "component2.a": 0.4, "weight1": 1.5})
         direct = mixture_kernel(
             geometric_kernel(0.9), 1.5, cozine_kernel(CozineParams(0.4, 1.1)), 0.7
@@ -112,13 +114,14 @@ class TestKernelFamilyFromRecord:
 
     def test_base_record_unchanged_by_family_calls(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}}
-        family, _ = kernel_family_from_record(record, ["alpha"])
+        family = kernel_family_from_record(record, ["alpha"])
         family({"alpha": 0.9})
         assert record["params"]["alpha"] == 0.5
 
-    def test_no_tunable_gives_none_init(self):
-        _, init = kernel_family_from_record({"name": "exponential"}, [])
-        assert init is None
+    def test_no_tunable_gives_no_domains(self):
+        family = kernel_family_from_record({"name": "exponential"}, [])
+        assert family.tunable == ()
+        assert family.domains == {}
 
     def test_non_tunable_leaf(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}}
@@ -184,7 +187,7 @@ class TestParseIdentifyConfig:
         assert cfg.seed == 9
         assert cfg.system_type == "external"
         assert cfg.estimator == "strict"
-        assert cfg.tunable == ()
+        assert cfg.kernel.tunable == ()
         assert cfg.noise_var == 0.0001
         assert cfg.verify_n_max == 40
         assert len(cfg.sha256) == 64
@@ -300,6 +303,21 @@ class TestMainExitCodes:
         assert "n_max" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("path", ["weight1", "component2.omega0"], ids=["zero_weight", "zero_omega0"])
+    def test_untransformable_start_fails_before_writing(self, tmp_path, capsys, path):
+        """A tunable value on its domain's boundary is a valid kernel but no
+        starting point for the log/logit search: parsing names the path."""
+        cfg = load_config(CONFIG_DIR / "resonant.json")
+        *parents, leaf = path.split(".")
+        node = cfg["kernel"]
+        for part in parents:
+            node = node[part]
+        node["params"][leaf] = 0.0
+        out = tmp_path / "out"
+        assert cli.main(["identify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert f"'{path}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out_dir(self, tmp_path, capsys):
         cfg = {"seed": 0, "kernel": {"name": "geometric", "params": {"alpha": 0.5}}, "count": 10}
         assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 1
@@ -367,8 +385,7 @@ class TestScaledSymmetryCheck:
 
     def _kernel(self, values):
         record = load_config(CONFIG_DIR / "resonant.json")["kernel"]
-        family, _ = kernel_family_from_record(record, record["tunable"])
-        return family(values)
+        return kernel_family_from_record(record, record["tunable"])(values)
 
     @pytest.mark.parametrize("values", SCALED_TUNES)
     def test_scaled_kernel_passes(self, values):

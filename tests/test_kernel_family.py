@@ -261,5 +261,5 @@ def test_one_tune_parses_the_record_once(monkeypatch, tmp_path):
     raw["budget"] = 300
     cli.run_identify(cli.parse_identify_config(cli.resolve_config(raw, None, str(tmp_path))))
     assert 250 < counts["lml"] <= 300  # Nelder-Mead may stop a start before its share
-    assert counts["from_config"] <= 2  # parse_identify_config and run_identify
+    assert counts["from_config"] == 1  # parse_identify_config; run_identify reuses its family
     assert counts["gram"] <= 2  # fit and the impropriety diagnostic

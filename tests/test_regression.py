@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hinfgp import regression
 from hinfgp._linalg import ConditioningError, chol_factor_with_jitter
 from hinfgp.kernels import (
     ComplexKernel,
     CozineParams,
+    Domain,
+    KernelFamily,
     cozine_kernel,
     geometric_kernel,
     gram,
@@ -18,10 +21,8 @@ from hinfgp.kernels import (
     StationarySequence,
 )
 from hinfgp.regression import (
-    Domain,
     EllipsoidBound,
     FrequencyDataset,
-    Hyperparameters,
     ellipsoid,
     fit,
     log_marginal_likelihood,
@@ -100,7 +101,7 @@ class TestCholeskyJitter:
 
     def test_spd_matrix_factors(self):
         factor = chol_factor_with_jitter(np.eye(3) * 2.0, 1e-10)
-        assert factor is not None
+        np.testing.assert_allclose(np.tril(factor), math.sqrt(2.0) * np.eye(3))
 
 
 class TestStrictlyLinear:
@@ -381,7 +382,7 @@ class TestLikelihood:
             scipy.linalg.cho_factor(gram(kernel, sites), lower=True)
         post = fit(kernel, data)
         quad = float(np.real(np.conj(data.responses) @ post.alpha_vec))
-        logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(post.factorization[0])))))
+        logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(post.factorization)))))
         expected = -0.5 * (quad + logdet + len(data) * math.log(2.0 * math.pi))
         val = log_marginal_likelihood(lambda _: kernel, {}, data)
         assert math.isfinite(val)
@@ -437,80 +438,114 @@ class TestDomain:
             Domain.interval(2.0, 1.0)
 
 
-class TestHyperparameters:
-    def test_name_mismatch(self):
-        with pytest.raises(ValueError, match="match"):
-            Hyperparameters({"a": 0.5}, {"b": Domain.positive()})
+GEOMETRIC = {"name": "geometric", "params": {"alpha": 0.37}}
+COZINE = {"name": "cozine", "params": {"a": 0.6, "omega0": 1.1}}
+MIXTURE = {
+    "name": "mixture",
+    "params": {"weight1": 0.3, "weight2": 0.7},
+    "component1": GEOMETRIC,
+    "component2": COZINE,
+}
 
-    def test_out_of_domain(self):
-        with pytest.raises(ValueError, match="outside"):
-            Hyperparameters({"a": -1.0}, {"a": Domain.positive()})
 
-    def test_replace(self):
-        theta = Hyperparameters({"a": 0.5}, {"a": Domain.interval(0.0, 1.0)})
-        assert theta.replace(a=0.7).values["a"] == 0.7
-        assert theta.values["a"] == 0.5  # original untouched
+def geometric_data():
+    """Responses drawn from geometric(0.6) at 12 circle sites."""
+    rng = np.random.default_rng(52)
+    sites = np.exp(1j * np.linspace(0.2, 3.0, 12))
+    k = geometric_kernel(0.6)
+    chol = np.linalg.cholesky(gram(k, sites) + 1e-10 * np.eye(12))
+    y = chol @ (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / math.sqrt(2.0)
+    return FrequencyDataset(sites, y, 1e-4)
 
 
 class TestOptimizer:
-    def _family(self):
-        def family(values):
-            return geometric_kernel(values["alpha"])
-
-        return family
-
-    def _data(self):
-        # responses drawn from geometric(0.6) at 12 circle sites
-        rng = np.random.default_rng(52)
-        sites = np.exp(1j * np.linspace(0.2, 3.0, 12))
-        k = geometric_kernel(0.6)
-        chol = np.linalg.cholesky(gram(k, sites) + 1e-10 * np.eye(12))
-        y = chol @ (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / math.sqrt(2.0)
-        return FrequencyDataset(sites, y, 1e-4)
+    def _family(self, alpha):
+        return KernelFamily.from_config({"name": "geometric", "params": {"alpha": alpha}}, ["alpha"])
 
     def test_budget_one_returns_init(self):
-        init = Hyperparameters({"alpha": 0.37}, {"alpha": Domain.interval(0.0, 1.0)})
-        theta, score = optimize_hyperparameters(self._family(), self._data(), init, budget=1, seed=0)
-        assert theta.values["alpha"] == pytest.approx(0.37, abs=1e-12)
-        assert score == pytest.approx(
-            log_marginal_likelihood(self._family(), init, self._data()), abs=1e-12
-        )
+        family, data = self._family(0.37), geometric_data()
+        values, score = optimize_hyperparameters(family, data, budget=1, seed=0)
+        assert values["alpha"] == pytest.approx(0.37, abs=1e-12)
+        assert score == pytest.approx(log_marginal_likelihood(family, {"alpha": 0.37}, data), abs=1e-12)
 
     def test_never_worse_than_init(self):
-        init = Hyperparameters({"alpha": 0.1}, {"alpha": Domain.interval(0.0, 1.0)})
-        data = self._data()
-        theta, score = optimize_hyperparameters(self._family(), data, init, budget=300, seed=3)
-        assert score >= log_marginal_likelihood(self._family(), init, data) - 1e-12
-        assert 0.0 < theta.values["alpha"] < 1.0
+        family, data = self._family(0.1), geometric_data()
+        values, score = optimize_hyperparameters(family, data, budget=300, seed=3)
+        assert score >= log_marginal_likelihood(family, {}, data) - 1e-12
+        assert 0.0 < values["alpha"] < 1.0
 
-    def test_respects_budget(self):
-        calls = {"n": 0}
+    def test_respects_budget(self, monkeypatch):
+        calls = []
+        evaluate = regression.log_marginal_likelihood
 
-        def counting_family(values):
-            calls["n"] += 1
-            return geometric_kernel(values["alpha"])
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
 
-        init = Hyperparameters({"alpha": 0.3}, {"alpha": Domain.interval(0.0, 1.0)})
-        optimize_hyperparameters(counting_family, self._data(), init, budget=50, seed=1)
-        assert calls["n"] <= 50
+        monkeypatch.setattr(regression, "log_marginal_likelihood", counting)
+        optimize_hyperparameters(self._family(0.3), geometric_data(), budget=50, seed=1)
+        assert 0 < len(calls) <= 50
 
     def test_deterministic_given_seed(self):
-        init = Hyperparameters({"alpha": 0.25}, {"alpha": Domain.interval(0.0, 1.0)})
-        out1 = optimize_hyperparameters(self._family(), self._data(), init, budget=120, seed=9)
-        out2 = optimize_hyperparameters(self._family(), self._data(), init, budget=120, seed=9)
-        assert out1[0].values == out2[0].values
-        assert out1[1] == out2[1]
+        out1 = optimize_hyperparameters(self._family(0.25), geometric_data(), budget=120, seed=9)
+        out2 = optimize_hyperparameters(self._family(0.25), geometric_data(), budget=120, seed=9)
+        assert out1 == out2
 
     def test_all_minus_inf_raises(self):
-        def degenerate(values):
-            return stationary_kernel(StationarySequence.explicit([0.0]))
-
+        zero = {"name": "stationary_list", "params": {"coefficients": [0.0]}}
+        record = {"name": "mixture", "params": {"weight1": 0.5}, "component1": zero, "component2": zero}
+        family = KernelFamily.from_config(record, ["weight1"])
         data = FrequencyDataset(np.array([2.0]), np.array([1.0 + 0j]), 0.0)
-        init = Hyperparameters({"alpha": 0.5}, {"alpha": Domain.interval(0.0, 1.0)})
         with pytest.raises(RuntimeError, match="-inf"):
-            optimize_hyperparameters(degenerate, data, init, budget=30, seed=0)
+            optimize_hyperparameters(family, data, budget=30, seed=0)
 
     def test_budget_validation(self):
-        init = Hyperparameters({"alpha": 0.5}, {"alpha": Domain.interval(0.0, 1.0)})
         with pytest.raises(ValueError, match="budget"):
-            optimize_hyperparameters(self._family(), self._data(), init, budget=0)
+            optimize_hyperparameters(self._family(0.5), geometric_data(), budget=0)
+
+    def test_family_without_tunable_rejected(self):
+        family = KernelFamily.from_config({"name": "exponential"})
+        with pytest.raises(ValueError, match="tunable"):
+            optimize_hyperparameters(family, geometric_data(), budget=10)
+
+
+# Every tunable leaf, on each record where it lives, alone; and the
+# mixture's five together.
+TUNED_PATHS = [
+    (GEOMETRIC, ("alpha",)),
+    (COZINE, ("a",)),
+    (COZINE, ("omega0",)),
+    (MIXTURE, ("weight1",)),
+    (MIXTURE, ("weight2",)),
+    (MIXTURE, ("component1.alpha",)),
+    (MIXTURE, ("component2.a",)),
+    (MIXTURE, ("component2.omega0",)),
+    (MIXTURE, ("weight1", "weight2", "component1.alpha", "component2.a", "component2.omega0")),
+]
+
+
+@pytest.mark.parametrize("record, tunable", TUNED_PATHS, ids=lambda v: v["name"] if isinstance(v, dict) else "+".join(v))
+class TestDomainTable:
+    """The optimizer reads each path's range and start from the family."""
+
+    def test_budget_one_evaluates_the_record(self, record, tunable):
+        family, data = KernelFamily.from_config(record, tunable), geometric_data()
+        values, score = optimize_hyperparameters(family, data, budget=1)
+        assert list(values) == list(tunable)
+        for path in tunable:
+            assert values[path] == pytest.approx(family.record_value(path), rel=1e-12)
+        assert score == log_marginal_likelihood(family, values, data)
+
+    def test_tuned_values_stay_in_their_domains(self, record, tunable):
+        family = KernelFamily.from_config(record, tunable)
+        values, _ = optimize_hyperparameters(family, geometric_data(), budget=50, seed=5)
+        for path in tunable:
+            assert family.domains[path].contains(values[path]), path
+
+    @pytest.mark.parametrize("t", [-1e3, 0.0, 1e3])  # +-1e3: the transforms' clamps
+    def test_search_space_passes_the_kernel_checks(self, record, tunable, t):
+        """Every point the transforms reach is a valid kernel, so the table
+        and the family's parameter checks agree."""
+        family = KernelFamily.from_config(record, tunable)
+        values = {path: family.domains[path].from_unconstrained(t) for path in tunable}
+        family(values)
