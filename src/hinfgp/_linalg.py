@@ -42,7 +42,7 @@ def chol_factor_with_jitter(mat: np.ndarray, rel_jitter: float = 1e-10):
     downstream results stay reproducible: one bump of ``rel_jitter`` times the
     mean diagonal, then :class:`ConditioningError`.  ``fit`` and
     ``log_marginal_likelihood`` both use the default, so the tuner and the fit
-    agree on every hyperparameter value; ``driscoll_test`` factors its H2
+    agree on every hyperparameter value; the Driscoll probe factors its H2
     Gram R_{n_max} with ``rel_jitter=1e-12``.
     """
     mat = np.asarray(mat)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from ._linalg import ConditioningError
-from .kernels import ComplexKernel, CozineParams, StationarySequence, real_imag_kernels
+from .kernels import ComplexKernel, CozineParams, StationarySequence
 from .regression import (
     _disk_bounds,
     fit,
@@ -44,7 +44,7 @@ from .regression import (
 )
 from .sampling import sample_cozine_batch, sample_stationary_batch
 from .sysid import DiscreteTF, FilterBankSpec, TimeTrace, estimate_noise_var, etfe, make_allpass, make_resonant_system, simulate
-from .verify import MIN_N_MAX, dense_spiral, driscoll_test, symmetry_test
+from .verify import MIN_N_MAX, dense_spiral, driscoll_parts, symmetry_test
 
 __all__ = ["ConfigError", "main", "run_identify", "run_verify", "run_sample"]
 
@@ -143,19 +143,16 @@ def kernel_family_from_record(record: Mapping, tunable: Sequence[str]) -> kernel
     The family maps a {path: value} assignment of the ``tunable`` paths to a
     ComplexKernel and declares each path's range.  A starting value that the
     tuner cannot transform, such as a weight of 0 or an angle of 0, is a
-    ConfigError naming its path.
+    ConfigError naming its path (see
+    :meth:`~hinfgp.kernels.KernelFamily.unconstrained_start`).
     """
     base = dict(record)
     base.pop("tunable", None)
     try:
         family = kernels.KernelFamily.from_config(base, tunable)
+        family.unconstrained_start()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for path in family.tunable:
-        try:
-            family.domains[path].to_unconstrained(family.record_value(path))
-        except ValueError as exc:
-            raise ConfigError(f"tunable parameter '{path}' cannot start the search: {exc}") from exc
     return family
 
 
@@ -388,7 +385,7 @@ def _verify_record(
     """
     grid = dense_spiral(grid_count, r_lo, r_hi)
     sym = symmetry_test(kernel, grid)
-    k_r, k_i = real_imag_kernels(kernel)
+    real_part, imag_part = driscoll_parts(kernel, n_max)
     return {
         "symmetry": {
             **sym.to_record(),
@@ -396,8 +393,8 @@ def _verify_record(
             "passed": max(sym.max_err_diag, sym.max_err_cross) < tol * max(1.0, sym.scale),
         },
         "driscoll": {
-            "real_part": driscoll_test(k_r, n_max).to_record(),
-            "imag_part": driscoll_test(k_i, n_max).to_record(),
+            "real_part": real_part.to_record(),
+            "imag_part": imag_part.to_record(),
         },
     }
 

@@ -384,12 +384,18 @@ def real_imag_kernels(kernel: ComplexKernel):
     """
 
     def k_r(z, w):
-        return 0.5 * np.real(kernel.hermitian_eval(z, w) + kernel.complementary_eval(z, w))
+        return _part_values(kernel.hermitian_eval(z, w), kernel.complementary_eval(z, w), imag=False)
 
     def k_i(z, w):
-        return 0.5 * np.real(kernel.hermitian_eval(z, w) - kernel.complementary_eval(z, w))
+        return _part_values(kernel.hermitian_eval(z, w), kernel.complementary_eval(z, w), imag=True)
 
     return k_r, k_i
+
+
+def _part_values(herm, comp, imag: bool):
+    """Re{k + kt}/2 (the covariance of Re f) or, with ``imag``, Re{k - kt}/2
+    (that of Im f), from values ``herm`` of k and ``comp`` of kt."""
+    return 0.5 * np.real(herm - comp if imag else herm + comp)
 
 
 def _check_sites(pts: np.ndarray, noise_var: float) -> None:
@@ -452,8 +458,9 @@ class KernelFamily:
     ``ValueError``.  ``bind`` fixes the sites for repeated Gram evaluations.
 
     The family declares what a tuner needs: ``tunable``, its paths in the
-    order given, ``domains``, each path's :class:`Domain`, and
-    ``record_value(path)``, each path's starting value.
+    order given, ``domains``, each path's :class:`Domain`,
+    ``record_value(path)``, each path's starting value, and
+    ``unconstrained_start()``, those values in the search's coordinates.
 
     Every family's prior has a real impulse response, so its complementary
     part is kt(z, w) = k(z, w*): each node evaluates only its Hermitian
@@ -511,6 +518,21 @@ class KernelFamily:
         if leaf not in node.params:
             raise ValueError(f"tunable path '{path}' has no initial value in the kernel record")
         return float(node.params[leaf])
+
+    def unconstrained_start(self) -> np.ndarray:
+        """The tuner's starting point: each tunable path's record value mapped
+        through its domain's ``to_unconstrained``, in ``tunable`` order.
+
+        A value on its range's boundary, such as a weight of 0 or an angle of
+        0, cannot be transformed and raises ``ValueError`` naming its path.
+        """
+        start = []
+        for path in self.tunable:
+            try:
+                start.append(self.domains[path].to_unconstrained(self.record_value(path)))
+            except ValueError as exc:
+                raise ValueError(f"tunable parameter '{path}' cannot start the search: {exc}") from exc
+        return np.array(start)
 
     def __call__(self, values: Mapping[str, float]) -> ComplexKernel:
         values = dict(self._checked(values))

@@ -356,8 +356,9 @@ def log_marginal_likelihood(
     callable, whose kernel's Gram is then built through ``gram``.  All three
     give the same K_yy bit for bit.  K_yy is factored exactly as ``fit``
     factors it, with the same single jitter retry; a factorization that still
-    fails (or a non-finite Gram) returns -inf, which the optimizer treats as
-    the worst possible value.  Values outside a family's domain raise
+    fails, a non-finite Gram, or a solve K_yy^{-1} y that overflows (a Gram
+    that factors but is nearly zero) returns -inf, which the optimizer treats
+    as the worst possible value.  Values outside a family's domain raise
     ``ValueError``.
     """
     n = len(data)
@@ -368,7 +369,10 @@ def log_marginal_likelihood(
         factor = chol_factor_with_jitter(gram_yy)
     except (ConditioningError, ValueError):
         return -math.inf
-    quad = float(np.real(np.conj(data.responses) @ chol_solve(factor, data.responses)))
+    solution = chol_solve(factor, data.responses)
+    if not np.isfinite(solution).all():
+        return -math.inf
+    quad = float(np.real(np.conj(data.responses) @ solution))
     logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor)))))
     return -0.5 * (quad + logdet + n * math.log(2.0 * math.pi))
 
@@ -382,9 +386,10 @@ def optimize_hyperparameters(
     """Maximize the marginal likelihood with Nelder-Mead in transformed coordinates.
 
     The family declares the search: its tunable paths (``family.tunable``),
-    each path's range (``family.domains``) and starting value
-    (``family.record_value``).  The search runs from the starting values plus
-    4 jittered restarts (Philox stream keyed by ``seed``, unit-scale jitter in
+    each path's range (``family.domains``) and the starting point
+    (``family.unconstrained_start()``, whose ``ValueError`` names a path
+    that starts on its range's boundary).  The search runs from that point
+    plus 4 jittered restarts (Philox stream keyed by ``seed``, unit-scale jitter in
     unconstrained coordinates), splitting a total budget of likelihood
     evaluations across the starts.  ``budget=1`` evaluates and returns the
     starting values.  Returns the best {path: value} map and its likelihood;
@@ -423,7 +428,7 @@ def optimize_hyperparameters(
             best["values"] = values
         return -score if math.isfinite(score) else math.inf
 
-    start = np.array([d.to_unconstrained(family.record_value(n)) for n, d in zip(names, domains)])
+    start = family.unconstrained_start()
     objective(start)  # budget=1 stops here, with the starting values as the incumbent
 
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -18,7 +18,8 @@ responses.
 
 Candidate kernels fed to ``driscoll_test``/``continuity_probe`` are the *real*
 covariances of the real or imaginary part of the process (see
-:func:`hinfgp.kernels.real_imag_kernels`); Gram matrices are assembled from the
+:func:`hinfgp.kernels.real_imag_kernels`); ``driscoll_parts`` probes both parts
+of a complex kernel with one H2 factorization.  Gram matrices are assembled from the
 real part of the kernel values, matching the realified-space construction in
 which both K_n and R_n are real symmetric matrices.
 """
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from ._linalg import chol_factor_with_jitter
-from .kernels import ComplexKernel, h2_kernel
+from .kernels import ComplexKernel, _part_values, h2_kernel
 
 __all__ = [
     "DriscollReport",
@@ -42,9 +43,9 @@ __all__ = [
     "h2_kernel",
     "dense_spiral",
     "driscoll_test",
+    "driscoll_parts",
     "symmetry_test",
     "continuity_probe",
-    "continuity_search",
 ]
 
 # The smallest n_max whose trace sequence (n = 10, 20, ...) gives the tail
@@ -120,6 +121,45 @@ def _real_gram(k_real: Callable, points: np.ndarray) -> np.ndarray:
     return np.real(np.asarray(k_real(z, w)))
 
 
+def _h2_probe(n_max: int, points: Sequence[complex] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``n_max`` probe points and the lower factor of their H2 Gram R_{n_max}."""
+    if n_max < MIN_N_MAX:
+        raise ValueError(f"n_max must be >= {MIN_N_MAX}, got {n_max}")
+    if points is None:
+        pts = dense_spiral(n_max)
+    else:
+        pts = np.asarray(points, dtype=complex)
+        if pts.size < n_max:
+            raise ValueError(f"need at least n_max={n_max} points, got {pts.size}")
+    pts = pts[:n_max]
+    if np.any(np.abs(pts) <= 1.0):
+        raise ValueError("all points must lie strictly outside the unit circle")
+    if np.unique(pts).size < n_max:
+        raise ValueError("points must be distinct: duplicate points give a singular H2 Gram")
+    return pts, chol_factor_with_jitter(_real_gram(h2_kernel, pts), rel_jitter=1e-12)
+
+
+def _report(factor: np.ndarray, k_gram: np.ndarray, slope_tol: float, trace_tol: float) -> DriscollReport:
+    """Traces of L^{-1} K L^{-T} at n = 10, 20, ..., n_max and their classification."""
+    half = scipy.linalg.solve_triangular(factor, k_gram, lower=True)
+    congruent = scipy.linalg.solve_triangular(factor, half.T, lower=True)
+    cumulative = np.cumsum(np.diag(congruent))
+    n_values = list(range(10, k_gram.shape[0] + 1, 10))
+    traces = [float(cumulative[n - 1]) for n in n_values]
+
+    tail = max(2, math.ceil(len(n_values) / 3))
+    tail_n = np.asarray(n_values[-tail:], dtype=float)
+    tail_tr = np.asarray(traces[-tail:])
+    slope = float(np.polyfit(tail_n, tail_tr, 1)[0])
+    if slope > slope_tol:
+        verdict = "diverging"
+    elif float(np.max(tail_tr) - np.min(tail_tr)) <= trace_tol * max(1.0, abs(traces[-1])):
+        verdict = "converging"
+    else:
+        verdict = "inconclusive"
+    return DriscollReport(tuple(n_values), tuple(traces), verdict, slope)
+
+
 def driscoll_test(
     k_real: Callable,
     n_max: int = 200,
@@ -157,40 +197,31 @@ def driscoll_test(
     per point, ``converging`` when that tail is Cauchy within ``trace_tol``
     (relative), else ``inconclusive``.
     """
-    if n_max < MIN_N_MAX:
-        raise ValueError(f"n_max must be >= {MIN_N_MAX}, got {n_max}")
-    if points is None:
-        pts = dense_spiral(n_max)
-    else:
-        pts = np.asarray(points, dtype=complex)
-        if pts.size < n_max:
-            raise ValueError(f"need at least n_max={n_max} points, got {pts.size}")
-    pts = pts[:n_max]
-    if np.any(np.abs(pts) <= 1.0):
-        raise ValueError("all points must lie strictly outside the unit circle")
-    if np.unique(pts).size < n_max:
-        raise ValueError("points must be distinct: duplicate points give a singular H2 Gram")
+    pts, factor = _h2_probe(n_max, points)
+    return _report(factor, _real_gram(k_real, pts), slope_tol, trace_tol)
 
-    r_full = _real_gram(h2_kernel, pts)
-    k_full = _real_gram(k_real, pts)
-    chol = chol_factor_with_jitter(r_full, rel_jitter=1e-12)
-    half = scipy.linalg.solve_triangular(chol, k_full, lower=True)
-    congruent = scipy.linalg.solve_triangular(chol, half.T, lower=True)
-    cumulative = np.cumsum(np.diag(congruent))
-    n_values = list(range(10, n_max + 1, 10))
-    traces = [float(cumulative[n - 1]) for n in n_values]
 
-    tail = max(2, math.ceil(len(n_values) / 3))
-    tail_n = np.asarray(n_values[-tail:], dtype=float)
-    tail_tr = np.asarray(traces[-tail:])
-    slope = float(np.polyfit(tail_n, tail_tr, 1)[0])
-    if slope > slope_tol:
-        verdict = "diverging"
-    elif float(np.max(tail_tr) - np.min(tail_tr)) <= trace_tol * max(1.0, abs(traces[-1])):
-        verdict = "converging"
-    else:
-        verdict = "inconclusive"
-    return DriscollReport(tuple(n_values), tuple(traces), verdict, slope)
+def driscoll_parts(
+    kernel: ComplexKernel,
+    n_max: int = 200,
+    points: Sequence[complex] | None = None,
+    slope_tol: float = 0.01,
+    trace_tol: float = 1e-3,
+) -> tuple[DriscollReport, DriscollReport]:
+    """``driscoll_test`` of both real parts of a complex kernel, sharing their work.
+
+    Returns the reports of k_r = Re{k + kt}/2 and k_i = Re{k - kt}/2 (see
+    :func:`hinfgp.kernels.real_imag_kernels`), equal to two ``driscoll_test``
+    calls.  Both parts are measured against the same R_{n_max} on the same
+    points, so it is built and factored once, and k and kt are evaluated once.
+    """
+    pts, factor = _h2_probe(n_max, points)
+    z, w = pts[:, None], pts[None, :]
+    herm, comp = kernel.hermitian_eval(z, w), kernel.complementary_eval(z, w)
+    return (
+        _report(factor, _part_values(herm, comp, imag=False), slope_tol, trace_tol),
+        _report(factor, _part_values(herm, comp, imag=True), slope_tol, trace_tol),
+    )
 
 
 def symmetry_test(kernel: ComplexKernel, grid: Sequence[complex]) -> SymmetryReport:
@@ -253,20 +284,3 @@ def continuity_probe(
         if margin < 0.0:
             passed = False
     return ContinuityReport(passed, worst, worst_pair, float(C), float(alpha))
-
-
-def continuity_search(
-    k_real: Callable,
-    angle_pairs: Sequence[tuple[float, float]],
-) -> list[ContinuityReport]:
-    """Grid-search helper over C in {1e-2..1e3} (decades) and alpha in {0.1, 1, 2}.
-
-    The continuity condition only asserts *existence* of constants, so the
-    computable surrogate is to return the reports of every probed combination;
-    any passing entry is evidence for the condition.
-    """
-    reports = []
-    for exp10 in range(-2, 4):
-        for alpha in (0.1, 1.0, 2.0):
-            reports.append(continuity_probe(k_real, angle_pairs, 10.0 ** exp10, alpha))
-    return reports

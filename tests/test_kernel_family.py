@@ -58,7 +58,10 @@ def reference_lml(record: dict, theta: dict, data: FrequencyDataset) -> float:
             factor = scipy.linalg.cho_factor(mat + jitter * np.eye(len(mat), dtype=mat.dtype), lower=True)
     except (np.linalg.LinAlgError, ValueError):
         return -math.inf
-    quad = float(np.real(np.conj(data.responses) @ scipy.linalg.cho_solve(factor, data.responses)))
+    solution = scipy.linalg.cho_solve(factor, data.responses)
+    if not np.isfinite(solution).all():
+        return -math.inf
+    quad = float(np.real(np.conj(data.responses) @ solution))
     logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor[0])))))
     return -0.5 * (quad + logdet + len(data) * math.log(2.0 * math.pi))
 
@@ -166,6 +169,30 @@ def test_singular_gram_scores_minus_inf_on_both_paths():
     family = KernelFamily.from_config(record, ["weight1", "weight2"])
     assert reference_lml(record, theta, data) == -math.inf
     assert log_marginal_likelihood(family, theta, data) == -math.inf
+
+
+def _vanishing_mixture(weight1):
+    geometric = {"name": "geometric", "params": {"alpha": 0.5}}
+    return {
+        "name": "mixture",
+        "params": {"weight1": weight1, "weight2": 0.0},
+        "component1": geometric,
+        "component2": geometric,
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "weight1, sites, responses",
+    [(1e-320, [1.0, 1.5], [1.0, 2.0]), (5e-324, [1.0], [1j])],
+    ids=["two_sites", "one_site"],
+)
+def test_overflowing_solve_scores_minus_inf(weight1, sites, responses):
+    """A subnormal Gram factors, but K_yy^{-1} y overflows: -inf, not NaN or a warning."""
+    record = _vanishing_mixture(weight1)
+    data = FrequencyDataset(np.array(sites, complex), np.array(responses, complex), 0.0)
+    assert log_marginal_likelihood(KernelFamily.from_config(record), {}, data) == -math.inf
+    assert reference_lml(record, {}, data) == -math.inf
 
 
 _OUT_OF_DOMAIN = [

@@ -491,6 +491,12 @@ class TestOptimizer:
         out2 = optimize_hyperparameters(self._family(0.25), geometric_data(), budget=120, seed=9)
         assert out1 == out2
 
+    def test_boundary_start_names_path(self):
+        record = {"name": "cozine", "params": {"a": 0.6, "omega0": 0.0}}
+        family = KernelFamily.from_config(record, ["omega0"])
+        with pytest.raises(ValueError, match="'omega0'"):
+            optimize_hyperparameters(family, geometric_data(), budget=10, seed=0)
+
     def test_all_minus_inf_raises(self):
         zero = {"name": "stationary_list", "params": {"coefficients": [0.0]}}
         record = {"name": "mixture", "params": {"weight1": 0.5}, "component1": zero, "component2": zero}

@@ -8,6 +8,8 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hinfgp import cli, verify
+from hinfgp._linalg import chol_factor_with_jitter
 from hinfgp.kernels import (
     ComplexKernel,
     CozineParams,
@@ -21,8 +23,8 @@ from hinfgp.kernels import (
 from hinfgp.verify import (
     _real_gram,
     continuity_probe,
-    continuity_search,
     dense_spiral,
+    driscoll_parts,
     driscoll_test,
     h2_kernel,
     symmetry_test,
@@ -154,17 +156,20 @@ def assert_traces_close(traces, reference, rel=1e-9):
         assert abs(got - want) <= rel * max(1.0, abs(want))
 
 
-def _candidate_parts():
+def _candidate_kernels():
     geo = geometric_kernel(0.5)
     cozine = cozine_kernel(CozineParams(0.9, 0.2 * math.pi))
-    kernels = {
+    return {
         "geometric": geo,
         "cozine": cozine,
         "mixture": mixture_kernel(geo, 1.0, cozine, 1.0),
         "circular": circular_variant(geo),
     }
+
+
+def _candidate_parts():
     parts = {"h2": h2_kernel}
-    for name, kernel in kernels.items():
+    for name, kernel in _candidate_kernels().items():
         parts[f"{name}-real"], parts[f"{name}-imag"] = real_imag_kernels(kernel)
     return parts
 
@@ -211,6 +216,58 @@ class TestDriscollGramViews:
         # there; the shared jitter moves it by more than that
         assert per_prefix_trace(h2_kernel, pts, 10) == pytest.approx(10.0, abs=1e-13)
         assert 1e-12 < 10.0 - report.traces[0] < 1e-9
+
+
+PART_KERNELS = {"h2": cli.kernel_from_verify_record({"name": "h2"}), **_candidate_kernels()}
+
+
+class TestDriscollParts:
+    """One probe for both parts: the reports of two ``driscoll_test`` calls,
+    from one H2 factorization and one evaluation of k and kt."""
+
+    @pytest.mark.parametrize("n_max", [120, 230])
+    @pytest.mark.parametrize("name", sorted(PART_KERNELS))
+    def test_equals_one_test_per_part(self, name, n_max):
+        kernel = PART_KERNELS[name]
+        expected = tuple(driscoll_test(part, n_max) for part in real_imag_kernels(kernel))
+        assert driscoll_parts(kernel, n_max) == expected
+
+    def test_n_max_validation(self):
+        with pytest.raises(ValueError, match="n_max"):
+            driscoll_parts(geometric_kernel(0.5), n_max=15)
+
+    def test_duplicate_points_rejected(self):
+        pts = dense_spiral(60)
+        pts[30] = pts[5]
+        with pytest.raises(ValueError, match="duplicate"):
+            driscoll_parts(geometric_kernel(0.5), n_max=40, points=pts)
+
+    def test_verify_record_factors_and_evaluates_once(self, monkeypatch):
+        n_max = 60
+        probe_calls = {"hermitian": 0, "complementary": 0}
+        factor_calls = []
+
+        def counting(part, fn):
+            def wrapped(z, w):
+                if np.shape(z) == (n_max, 1) and np.shape(w) == (1, n_max):
+                    probe_calls[part] += 1
+                return fn(z, w)
+
+            return wrapped
+
+        def counting_factor(mat, rel_jitter):
+            factor_calls.append(mat.shape)
+            return chol_factor_with_jitter(mat, rel_jitter=rel_jitter)
+
+        geo = geometric_kernel(0.5)
+        kernel = ComplexKernel(
+            counting("hermitian", geo.hermitian_eval), counting("complementary", geo.complementary_eval)
+        )
+        monkeypatch.setattr(verify, "chol_factor_with_jitter", counting_factor)
+        record = cli._verify_record(kernel, n_max, 30)
+        assert factor_calls == [(n_max, n_max)]
+        assert probe_calls == {"hermitian": 1, "complementary": 1}
+        assert record["driscoll"]["real_part"]["verdict"] == "converging"
 
 
 def prior_energy(record):
@@ -345,8 +402,7 @@ class TestContinuity:
 
     def test_geometric_satisfies_some_bound(self):
         k_r, _ = real_imag_kernels(geometric_kernel(0.5))
-        reports = continuity_search(k_r, self._pairs())
-        assert any(r.passed for r in reports)
+        assert continuity_probe(k_r, self._pairs(), C=1.0, alpha=1.0).passed
 
     def test_probe_fails_for_tiny_constant(self):
         k_r, _ = real_imag_kernels(geometric_kernel(0.5))
