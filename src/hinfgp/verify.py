@@ -52,6 +52,11 @@ __all__ = [
 # fit in ``driscoll_test`` two points.
 MIN_N_MAX = 20
 
+# Tail thresholds of the Driscoll classification: slope per point and
+# relative Cauchy spread (see ``driscoll_test``).
+_SLOPE_TOL = 0.01
+_TRACE_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class DriscollReport:
@@ -164,8 +169,8 @@ def driscoll_test(
     k_real: Callable,
     n_max: int = 200,
     points: Sequence[complex] | None = None,
-    slope_tol: float = 0.01,
-    trace_tol: float = 1e-3,
+    slope_tol: float = _SLOPE_TOL,
+    trace_tol: float = _TRACE_TOL,
 ) -> DriscollReport:
     """Zero-one RKHS membership probe: traces of K_n R_n^{-1} for n = 10, 20, ..., n_max.
 
@@ -201,26 +206,21 @@ def driscoll_test(
     return _report(factor, _real_gram(k_real, pts), slope_tol, trace_tol)
 
 
-def driscoll_parts(
-    kernel: ComplexKernel,
-    n_max: int = 200,
-    points: Sequence[complex] | None = None,
-    slope_tol: float = 0.01,
-    trace_tol: float = 1e-3,
-) -> tuple[DriscollReport, DriscollReport]:
+def driscoll_parts(kernel: ComplexKernel, n_max: int) -> tuple[DriscollReport, DriscollReport]:
     """``driscoll_test`` of both real parts of a complex kernel, sharing their work.
 
     Returns the reports of k_r = Re{k + kt}/2 and k_i = Re{k - kt}/2 (see
     :func:`hinfgp.kernels.real_imag_kernels`), equal to two ``driscoll_test``
-    calls.  Both parts are measured against the same R_{n_max} on the same
-    points, so it is built and factored once, and k and kt are evaluated once.
+    calls with their default points and tolerances.  Both parts are measured
+    against the same R_{n_max} on the same points, so it is built and
+    factored once, and k and kt are evaluated once.
     """
-    pts, factor = _h2_probe(n_max, points)
+    pts, factor = _h2_probe(n_max, None)
     z, w = pts[:, None], pts[None, :]
     herm, comp = kernel.hermitian_eval(z, w), kernel.complementary_eval(z, w)
     return (
-        _report(factor, _part_values(herm, comp, imag=False), slope_tol, trace_tol),
-        _report(factor, _part_values(herm, comp, imag=True), slope_tol, trace_tol),
+        _report(factor, _part_values(herm, comp, imag=False), _SLOPE_TOL, _TRACE_TOL),
+        _report(factor, _part_values(herm, comp, imag=True), _SLOPE_TOL, _TRACE_TOL),
     )
 
 

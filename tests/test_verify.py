@@ -236,12 +236,6 @@ class TestDriscollParts:
         with pytest.raises(ValueError, match="n_max"):
             driscoll_parts(geometric_kernel(0.5), n_max=15)
 
-    def test_duplicate_points_rejected(self):
-        pts = dense_spiral(60)
-        pts[30] = pts[5]
-        with pytest.raises(ValueError, match="duplicate"):
-            driscoll_parts(geometric_kernel(0.5), n_max=40, points=pts)
-
     def test_verify_record_factors_and_evaluates_once(self, monkeypatch):
         n_max = 60
         probe_calls = {"hermitian": 0, "complementary": 0}
