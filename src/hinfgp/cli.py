@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from ._linalg import ConditioningError
-from .kernels import ComplexKernel, CozineParams, StationarySequence
+from .kernels import ComplexKernel
 from .regression import (
     _disk_bounds,
     fit,
@@ -42,7 +42,7 @@ from .regression import (
     predict_wl,
     schur_P,
 )
-from .sampling import sample_cozine_batch, sample_stationary_batch
+from .sampling import path_law, sample_paths
 from .sysid import DiscreteTF, FilterBankSpec, TimeTrace, estimate_noise_var, etfe, make_allpass, make_resonant_system, simulate
 from .verify import MIN_N_MAX, dense_spiral, driscoll_parts, symmetry_test
 
@@ -620,48 +620,16 @@ _SAMPLE_PROBES = (
 )
 
 
-_SAMPLED_FAMILIES = ("geometric", "exponential", "stationary_list", "cozine")
-
-
-def _sampling_family(record: Mapping):
-    """Map a kernel record to (sampler batch fn, kernel, expected abs-sum, label)."""
-    name = record.get("name")
-    if name not in _SAMPLED_FAMILIES:
-        supported = ", ".join(_SAMPLED_FAMILIES)
-        raise ConfigError(f"kernel {name!r} has no path sampler; supported families: {supported}")
-    family = kernels.KernelFamily.from_config(record)
-    kernel, params = family({}), family.params
-    if family.name == "cozine":
-        resonance = CozineParams(params["a"], params["omega0"])
-
-        def draw(seed: int, count: int, trunc: int) -> np.ndarray:
-            return sample_cozine_batch(resonance, seed, count)
-
-        # E|h(n)| = a^n sqrt(2/pi) since X cos + Y sin is standard normal
-        label = f"cozine(a={resonance.a}, omega0={resonance.omega0})"
-        return draw, kernel, math.sqrt(2.0 / math.pi) / (1.0 - resonance.a), label
-    if family.name == "geometric":
-        seq = StationarySequence.geometric(params["alpha"])
-    elif family.name == "exponential":
-        seq = StationarySequence.exponential()
-    else:
-        seq = StationarySequence.explicit(params["coefficients"])
-
-    def draw(seed: int, count: int, trunc: int) -> np.ndarray:
-        return sample_stationary_batch(seq, trunc, seed, count)
-
-    return draw, kernel, math.sqrt(2.0 / math.pi) * seq.sum_a, seq.describe()
-
-
 def run_sample(cfg: Mapping) -> dict:
     """Sampling pipeline: writes impulse responses and Monte Carlo covariance summaries."""
     try:
-        draw, kernel, expected_abs_sum, label = _sampling_family(cfg["kernel"])
-    except (KeyError, ValueError) as exc:
+        law = path_law(cfg["kernel"].get("name"))  # before parsing: an unsampled record may not parse
+        family = kernels.KernelFamily.from_config(cfg["kernel"])
+    except ValueError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
+    kernel, label = family({}), law.label(family.params)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    provenance = (cfg["sha256"], cfg["seed"])
     count = cfg["count"]
 
     summary: dict = {
@@ -676,14 +644,14 @@ def run_sample(cfg: Mapping) -> dict:
         handle.write(f"# seed={cfg['seed']}\n")
         handle.write(f"# family={label}\n")
         if count > 0:
-            mat = draw(cfg["seed"], count, cfg["trunc"])
+            mat = sample_paths(family, cfg["trunc"], cfg["seed"], count)
             for row in mat[: cfg["max_paths_saved"]]:
                 handle.write(" ".join("%.17g" % v for v in row) + "\n")
 
     if count > 0:
         abs_sums = np.sum(np.abs(mat), axis=1)
         summary["mean_abs_sum"] = float(np.mean(abs_sums))
-        summary["expected_abs_sum"] = expected_abs_sum
+        summary["expected_abs_sum"] = law.abs_sum(family.params)
         if count > 1:
             summary["se_abs_sum"] = float(np.std(abs_sums, ddof=1) / math.sqrt(count))
         powers = np.arange(mat.shape[1])

@@ -8,23 +8,27 @@ process are candidate transfer functions; processes whose paths have real
 impulse responses satisfy the conjugate symmetry f(z*) = f(z)*, which at the
 covariance level reads k(z, z) = k(z*, z*) and k(z, z) = kt(z, z*).
 
-This module provides the built-in covariance families
+This module provides the covariance families, each a node of a config record
+(see ``from_config``):
 
-* ``geometric_kernel`` / ``exponential_kernel`` / ``stationary_kernel`` —
-  Hermitian stationary processes f(z) = sum_n a_n w_n z^{-n} with nonnegative
-  l1 coefficient sequences {a_n^2},
-* ``cozine_kernel`` — a random damped-cosine (second-order resonance) process,
-* ``mixture_kernel`` — nonnegative combinations,
+* ``geometric``, ``exponential`` and ``stationary_list`` — Hermitian
+  stationary processes f(z) = sum_n a_n w_n z^{-n} with nonnegative l1
+  coefficient sequences {a_n^2} (alpha^n, 1/n!, or an explicit list),
+* ``cozine`` — a random damped-cosine (second-order resonance) process,
+* ``mixture`` — a nonnegative combination of two records,
 
-plus Gram-matrix assembly, the real/imaginary part decomposition used by
-the H-infinity membership checks, and ``KernelFamily``: a config record
-parsed once into a map from tunable hyperparameters to kernels, which binds
-to fixed sites for repeated Gram evaluation.
+with the constructors ``geometric_kernel``, ``exponential_kernel`` and
+``cozine_kernel`` for the families set by scalars alone.  It also holds
+Gram-matrix assembly, the real/imaginary part decomposition used by the
+H-infinity membership checks, and ``KernelFamily``: a config record parsed
+once into a map from tunable hyperparameters to kernels, which binds to
+fixed sites for repeated Gram evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -32,13 +36,9 @@ import numpy as np
 
 __all__ = [
     "ComplexKernel",
-    "StationarySequence",
-    "CozineParams",
     "geometric_kernel",
     "exponential_kernel",
-    "stationary_kernel",
     "cozine_kernel",
-    "mixture_kernel",
     "real_imag_kernels",
     "gram",
     "from_config",
@@ -63,97 +63,6 @@ class ComplexKernel:
 
     hermitian_eval: KernelFn
     complementary_eval: KernelFn
-
-
-@dataclass(frozen=True)
-class StationarySequence:
-    """Nonnegative l1 coefficients {a_n^2} of a Hermitian stationary process.
-
-    The process is f(z) = sum_{n>=0} a_n w_n z^{-n} with i.i.d. standard real
-    normal w_n, so k(z, w) = sum_n a_n^2 (zw*)^{-n}.  ``kind`` selects either a
-    closed-form family ("geometric": a_n^2 = alpha^n; "exponential":
-    a_n^2 = 1/n!) or an explicit finite list of a_n^2 values.
-    """
-
-    kind: str
-    alpha: float | None = None
-    a_sq: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "geometric":
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise ValueError(f"geometric sequence needs alpha in (0, 1), got {self.alpha}")
-        elif self.kind == "exponential":
-            pass
-        elif self.kind == "explicit":
-            if self.a_sq is None or len(self.a_sq) == 0:
-                raise ValueError("explicit sequence needs at least one coefficient")
-            if any(c < 0.0 for c in self.a_sq):
-                raise ValueError("sequence coefficients a_n^2 must be nonnegative")
-        else:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
-
-    @classmethod
-    def geometric(cls, alpha: float) -> "StationarySequence":
-        return cls("geometric", alpha=float(alpha))
-
-    @classmethod
-    def exponential(cls) -> "StationarySequence":
-        return cls("exponential")
-
-    @classmethod
-    def explicit(cls, a_sq: Sequence[float]) -> "StationarySequence":
-        return cls("explicit", a_sq=tuple(float(c) for c in a_sq))
-
-    def coefficients(self, count: int) -> np.ndarray:
-        """First ``count`` amplitude coefficients a_n = sqrt(a_n^2), n = 0..count-1."""
-        n = np.arange(count, dtype=float)
-        if self.kind == "geometric":
-            return self.alpha ** (n / 2.0)
-        if self.kind == "exponential":
-            # a_n = 1/sqrt(n!), built iteratively to avoid factorial overflow
-            a = np.empty(count)
-            val = 1.0
-            for i in range(count):
-                a[i] = val
-                val /= math.sqrt(i + 1.0)
-            return a
-        out = np.zeros(count)
-        stored = np.sqrt(np.asarray(self.a_sq[:count]))
-        out[: stored.size] = stored
-        return out
-
-    @property
-    def sum_a(self) -> float:
-        """sum_n a_n (finite: the amplitude sequence is summable for all kinds)."""
-        if self.kind == "geometric":
-            return 1.0 / (1.0 - math.sqrt(self.alpha))
-        if self.kind == "exponential":
-            total, term, n = 0.0, 1.0, 0
-            while term > 1e-18:
-                total += term
-                n += 1
-                term /= math.sqrt(n)
-            return total
-        return float(np.sum(np.sqrt(self.a_sq)))
-
-    def describe(self) -> str:
-        if self.kind == "geometric":
-            return f"geometric(alpha={self.alpha})"
-        if self.kind == "exponential":
-            return "exponential"
-        return f"explicit(n={len(self.a_sq)})"
-
-
-@dataclass(frozen=True)
-class CozineParams:
-    """Damped-resonance parameters: pole radius ``a`` in (0,1), angle ``omega0`` in [0, pi]."""
-
-    a: float
-    omega0: float
-
-    def __post_init__(self) -> None:
-        _resonance(self.a, self.omega0)
 
 
 # Each family's covariance is written once, as a function of the site arrays
@@ -296,8 +205,8 @@ _DOMAINS = {
 
 
 def _node(name: str, **params) -> ComplexKernel:
-    """The kernel of a parameter-free family node."""
-    return KernelFamily(name, params, "", ())({})
+    """The kernel of the record ``{"name": name, "params": params}``."""
+    return _parse_family({"name": name, "params": params}, "", (), False)({})
 
 
 def geometric_kernel(alpha: float) -> ComplexKernel:
@@ -330,20 +239,7 @@ def _zero_complementary(z, w):
     return 0.0 * np.multiply(z, w)
 
 
-def stationary_kernel(seq: StationarySequence) -> ComplexKernel:
-    """Kernel of the stationary process defined by ``seq``.
-
-    Closed-form tags delegate to the analytic formulas; explicit lists are
-    summed exactly over their stored coefficients (n = 0..N).
-    """
-    if seq.kind == "geometric":
-        return geometric_kernel(seq.alpha)
-    if seq.kind == "exponential":
-        return exponential_kernel()
-    return _node("stationary_list", coefficients=seq.a_sq)
-
-
-def cozine_kernel(params: CozineParams) -> ComplexKernel:
+def cozine_kernel(a: float, omega0: float) -> ComplexKernel:
     """Covariance of the random damped-cosine process.
 
     The process is the second-order rational transfer function
@@ -357,22 +253,10 @@ def cozine_kernel(params: CozineParams) -> ComplexKernel:
 
     with D(x) = 1 - 2 a cos(w0) x + a^2 x^2, and kt(z, w) = k(z, w*).  The poles
     a e^{+-j w0} lie strictly inside the unit disk, so evaluation is finite for
-    |z|, |w| >= 1.
+    |z|, |w| >= 1.  The pole radius ``a`` lies in (0, 1) and the angle
+    ``omega0`` in [0, pi].
     """
-    return _node("cozine", a=params.a, omega0=params.omega0)
-
-
-def mixture_kernel(k1: ComplexKernel, w1: float, k2: ComplexKernel, w2: float) -> ComplexKernel:
-    """Pointwise nonnegative combination w1*k1 + w2*k2 of both covariance parts."""
-    w1, w2 = _weights(w1, w2)
-
-    def herm(z, w):
-        return _mixture(w1, k1.hermitian_eval, w2, k2.hermitian_eval, z, w)
-
-    def comp(z, w):
-        return _mixture(w1, k1.complementary_eval, w2, k2.complementary_eval, z, w)
-
-    return ComplexKernel(herm, comp)
+    return _node("cozine", a=a, omega0=omega0)
 
 
 def real_imag_kernels(kernel: ComplexKernel):
@@ -648,6 +532,11 @@ class BoundFamily:
     gram: Callable[[Mapping[str, float]], np.ndarray]
 
 
+def _is_real(value) -> bool:
+    """Whether a record value is a finite real number (booleans are not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _parse_family(record: Mapping, prefix: str, tunable: tuple, verify: bool) -> KernelFamily:
     if not isinstance(record, Mapping):
         raise ValueError(f"kernel config must be a mapping, got {type(record).__name__}")
@@ -664,7 +553,7 @@ def _parse_family(record: Mapping, prefix: str, tunable: tuple, verify: bool) ->
                 raise ValueError(f"unknown key(s) {sorted(unknown)} in h2 kernel record")
             return KernelFamily("h2", {}, prefix, tunable)
     name = record.get("name")
-    if name not in _CONFIG_PARAMS:
+    if not isinstance(name, str) or name not in _CONFIG_PARAMS:
         raise ValueError(
             f"unknown kernel name {name!r}; expected one of {sorted(_CONFIG_PARAMS)}"
         )
@@ -672,10 +561,16 @@ def _parse_family(record: Mapping, prefix: str, tunable: tuple, verify: bool) ->
     unknown = set(record) - allowed_keys
     if unknown:
         raise ValueError(f"unknown kernel config key(s) {sorted(unknown)} for kernel {name!r}")
-    params = dict(record.get("params", {}))
+    params = record.get("params", {})
+    if not isinstance(params, Mapping):
+        raise ValueError(f"'params' of kernel {name!r} must be a mapping, got {params!r}")
+    params = dict(params)
     unknown_params = set(params) - _CONFIG_PARAMS[name]
     if unknown_params:
         raise ValueError(f"unknown parameter(s) {sorted(unknown_params)} for kernel {name!r}")
+    for key, value in params.items():
+        if key != "coefficients" and not _is_real(value):
+            raise ValueError(f"parameter '{key}' of kernel {name!r} must be a finite number, got {value!r}")
     if name == "geometric" and "alpha" not in params:
         raise ValueError("geometric kernel config requires 'alpha'")
     if name == "cozine":
@@ -685,7 +580,13 @@ def _parse_family(record: Mapping, prefix: str, tunable: tuple, verify: bool) ->
     if name == "stationary_list":
         if "coefficients" not in params:
             raise ValueError("stationary_list kernel config requires 'coefficients'")
-        params["coefficients"] = StationarySequence.explicit(params["coefficients"]).a_sq
+        a_sq = params["coefficients"]
+        if not isinstance(a_sq, (list, tuple)) or not a_sq or not all(_is_real(c) and c >= 0.0 for c in a_sq):
+            raise ValueError(
+                "'coefficients' of kernel 'stationary_list' must be a non-empty list of "
+                f"finite nonnegative numbers, got {a_sq!r}"
+            )
+        params["coefficients"] = tuple(float(c) for c in a_sq)
     children = []
     if name == "mixture":
         for key in _COMPONENTS:
@@ -702,5 +603,7 @@ def from_config(record: Mapping) -> ComplexKernel:
     "stationary_list", "mixture") and a ``params`` map; mixtures additionally
     carry nested ``component1``/``component2`` records.  Unknown keys anywhere
     are errors, so configs fail fast instead of silently ignoring typos.
+    Scalar parameters must be finite real numbers (not booleans), and
+    ``coefficients`` a non-empty list of finite nonnegative ones.
     """
     return KernelFamily.from_config(record)({})

@@ -19,14 +19,12 @@ import pytest
 from hinfgp import cli
 from hinfgp.kernels import (
     ComplexKernel,
-    CozineParams,
-    StationarySequence,
+    KernelFamily,
     cozine_kernel,
     exponential_kernel,
+    from_config,
     geometric_kernel,
-    mixture_kernel,
     real_imag_kernels,
-    stationary_kernel,
 )
 from hinfgp.regression import (
     FrequencyDataset,
@@ -144,10 +142,10 @@ class TestAcceptanceCriteria:
 
     def test_criterion_02_cozine_monte_carlo(self):
         start = time.perf_counter()
-        params = CozineParams(0.5, math.pi / 2.0)
-        kernel = cozine_kernel(params)
+        family = KernelFamily.from_config({"name": "cozine", "params": {"a": 0.5, "omega0": math.pi / 2.0}})
+        kernel = family({})
         count = 100_000
-        mat = sample_cozine_batch(params, seed=20260823, count=count)
+        mat = sample_cozine_batch(family, seed=20260823, count=count)
         powers = np.arange(mat.shape[1])
         probes = [
             (2.0 + 0.0j, 2.0 + 0.0j),
@@ -184,10 +182,15 @@ class TestAcceptanceCriteria:
             geometric_kernel(0.5),
             geometric_kernel(0.25),
             exponential_kernel(),
-            cozine_kernel(CozineParams(0.5, math.pi / 2.0)),
-            stationary_kernel(StationarySequence.explicit([1.0, 0.5, 0.25])),
-            mixture_kernel(
-                geometric_kernel(0.5), 0.3, cozine_kernel(CozineParams(0.9, 0.63)), 0.7
+            cozine_kernel(0.5, math.pi / 2.0),
+            from_config({"name": "stationary_list", "params": {"coefficients": [1.0, 0.5, 0.25]}}),
+            from_config(
+                {
+                    "name": "mixture",
+                    "params": {"weight1": 0.3, "weight2": 0.7},
+                    "component1": {"name": "geometric", "params": {"alpha": 0.5}},
+                    "component2": {"name": "cozine", "params": {"a": 0.9, "omega0": 0.63}},
+                }
             ),
         ]
         worst = 0.0
@@ -236,7 +239,8 @@ class TestAcceptanceCriteria:
     def test_criterion_05_path_summability(self):
         start = time.perf_counter()
         count = 10_000
-        mat = sample_stationary_batch(StationarySequence.geometric(0.25), 200, 20260823, count)
+        family = KernelFamily.from_config({"name": "geometric", "params": {"alpha": 0.25}})
+        mat = sample_stationary_batch(family, 200, 20260823, count)
         sums = np.sum(np.abs(mat), axis=1)
         target = math.sqrt(2.0 / math.pi) / (1.0 - 0.5)
         se = float(np.std(sums, ddof=1) / math.sqrt(count))
@@ -289,11 +293,11 @@ class TestAcceptanceCriteria:
 
     def test_criterion_07_coverage_calibration(self):
         kernel = geometric_kernel(0.5)
-        seq = StationarySequence.geometric(0.5)
+        family = KernelFamily.from_config({"name": "geometric", "params": {"alpha": 0.5}})
         sites = np.exp(1j * np.arange(1, 26) * math.pi / 26.0)
         held = np.exp(1j * np.linspace(1.5, 24.5, 8) * math.pi / 26.0)
         trunc, draws, eta, noise = 200, 200, 3.0, 0.01
-        mat = sample_stationary_batch(seq, trunc, 777, draws)
+        mat = sample_stationary_batch(family, trunc, 777, draws)
         powers = np.arange(trunc + 1)
         f_sites = mat @ (sites[:, None] ** (-powers[None, :])).T
         f_held = mat @ (held[:, None] ** (-powers[None, :])).T

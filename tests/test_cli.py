@@ -21,7 +21,7 @@ from hinfgp.cli import (
     parse_verify_config,
     resolve_config,
 )
-from hinfgp.kernels import ComplexKernel, CozineParams, cozine_kernel, geometric_kernel, mixture_kernel
+from hinfgp.kernels import ComplexKernel, from_config, geometric_kernel
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -106,8 +106,13 @@ class TestKernelFamilyFromRecord:
         assert family.tunable == ("component1.alpha", "component2.a", "weight1")
         assert [family.record_value(p) for p in family.tunable] == [0.5, 0.6, 0.3]
         built = family({"component1.alpha": 0.9, "component2.a": 0.4, "weight1": 1.5})
-        direct = mixture_kernel(
-            geometric_kernel(0.9), 1.5, cozine_kernel(CozineParams(0.4, 1.1)), 0.7
+        direct = from_config(
+            {
+                "name": "mixture",
+                "params": {"weight1": 1.5, "weight2": 0.7},
+                "component1": {"name": "geometric", "params": {"alpha": 0.9}},
+                "component2": {"name": "cozine", "params": {"a": 0.4, "omega0": 1.1}},
+            }
         )
         z = 1.5 * np.exp(0.4j)
         assert abs(built.hermitian_eval(z, z) - direct.hermitian_eval(z, z)) < 1e-14
@@ -318,6 +323,63 @@ class TestMainExitCodes:
         assert f"'{path}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _command_config(command, kernel, out):
+        if command == "identify":
+            return identify_config(out, kernel=kernel)
+        if command == "verify":
+            return {"seed": 0, "kernel": kernel, "n_max": 40, "grid": {"count": 40}, "out_dir": str(out)}
+        return {"seed": 0, "kernel": kernel, "count": 10, "out_dir": str(out)}
+
+    @pytest.mark.parametrize("command", ["identify", "verify", "sample"])
+    @pytest.mark.parametrize(
+        "kernel,param",
+        [
+            ({"name": "geometric", "params": {"alpha": "0.5"}}, "alpha"),
+            ({"name": "geometric", "params": {"alpha": None}}, "alpha"),
+            ({"name": "geometric", "params": {"alpha": [0.5]}}, "alpha"),
+            ({"name": "cozine", "params": {"a": 0.5, "omega0": True}}, "omega0"),
+        ],
+        ids=["string", "null", "list", "bool"],
+    )
+    def test_non_numeric_parameter_fails_before_writing(self, tmp_path, capsys, command, kernel, param):
+        out = tmp_path / "out"
+        cfg = self._command_config(command, kernel, out)
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"parameter '{param}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["identify", "verify"])
+    @pytest.mark.parametrize("weight", ["1", True], ids=["string", "bool"])
+    def test_non_numeric_mixture_weight_fails(self, tmp_path, capsys, command, weight):
+        kernel = {
+            "name": "mixture",
+            "params": {"weight1": weight},
+            "component1": {"name": "geometric", "params": {"alpha": 0.5}},
+            "component2": {"name": "exponential"},
+        }
+        out = tmp_path / "out"
+        cfg = self._command_config(command, kernel, out)
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "parameter 'weight1'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        ["123", [1.0, math.nan], [1.0, math.inf], [True, 0.5], ["1.0"], [], [1.0, -0.5]],
+        ids=["string", "nan", "infinity", "bool", "numeric-string", "empty", "negative"],
+    )
+    def test_bad_coefficients_fail_sample(self, tmp_path, capsys, coefficients):
+        kernel = {"name": "stationary_list", "params": {"coefficients": coefficients}}
+        out = tmp_path / "out"
+        cfg = self._command_config("sample", kernel, out)
+        assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'coefficients'" in err
+        assert not out.exists()
+
     def test_missing_out_dir(self, tmp_path, capsys):
         cfg = {"seed": 0, "kernel": {"name": "geometric", "params": {"alpha": 0.5}}, "count": 10}
         assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 1
@@ -415,9 +477,20 @@ class TestSamplePipeline:
         cfg.update(overrides)
         return cfg
 
-    def test_summary_statistics(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            {"name": "geometric", "params": {"alpha": 0.25}},
+            {"name": "exponential"},
+            {"name": "stationary_list", "params": {"coefficients": [1.0, 0.5, 0.25, 0.125]}},
+            {"name": "cozine", "params": {"a": 0.6, "omega0": 1.1}},
+        ],
+        ids=lambda kernel: kernel["name"],
+    )
+    def test_summary_statistics(self, tmp_path, kernel):
         out = tmp_path / "out"
-        assert cli.main(["sample", "--config", write_config(tmp_path, self._config(out))]) == 0
+        cfg = self._config(out, kernel=kernel)
+        assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["count"] == 3000
         # mean absolute impulse-response sum against the closed form

@@ -7,16 +7,13 @@ import pytest
 
 from hinfgp.kernels import (
     ComplexKernel,
-    CozineParams,
-    StationarySequence,
+    KernelFamily,
     cozine_kernel,
     exponential_kernel,
     from_config,
     geometric_kernel,
     gram,
-    mixture_kernel,
     real_imag_kernels,
-    stationary_kernel,
 )
 
 
@@ -26,6 +23,27 @@ def spiral_points(count, r_lo=1.1, r_hi=3.0, seed=3):
     radii = np.geomspace(r_lo, r_hi, count)
     angles = rng.uniform(-math.pi, math.pi, count)
     return radii * np.exp(1j * angles)
+
+
+def geometric(alpha):
+    return {"name": "geometric", "params": {"alpha": alpha}}
+
+
+def cozine(a, omega0):
+    return {"name": "cozine", "params": {"a": a, "omega0": omega0}}
+
+
+def stationary_list(*a_sq):
+    return {"name": "stationary_list", "params": {"coefficients": list(a_sq)}}
+
+
+def mixture(component1, weight1, component2, weight2):
+    return {
+        "name": "mixture",
+        "params": {"weight1": weight1, "weight2": weight2},
+        "component1": component1,
+        "component2": component2,
+    }
 
 
 class TestGeometricKernel:
@@ -89,54 +107,14 @@ class TestExponentialKernel:
         assert complex(k.hermitian_eval(z, w)) == pytest.approx(series, abs=1e-13)
 
 
-class TestStationarySequence:
-    def test_geometric_amplitudes(self):
-        seq = StationarySequence.geometric(0.25)
-        np.testing.assert_allclose(seq.coefficients(4), [1.0, 0.5, 0.25, 0.125], atol=1e-15)
-
-    def test_exponential_amplitudes(self):
-        # a_n = 1/sqrt(n!)
-        seq = StationarySequence.exponential()
-        expected = [1.0, 1.0, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0), 1.0 / math.sqrt(24.0)]
-        np.testing.assert_allclose(seq.coefficients(5), expected, rtol=1e-14)
-
-    def test_exponential_amplitudes_large_count_finite(self):
-        # 1/sqrt(n!) underflows gracefully instead of overflowing the factorial
-        seq = StationarySequence.exponential()
-        coeffs = seq.coefficients(400)
-        assert np.all(np.isfinite(coeffs))
-        assert coeffs[-1] < 1e-300 or coeffs[-1] == 0.0
-
-    def test_sum_a_geometric(self):
-        # sum alpha^{n/2} = 1/(1 - sqrt(alpha)) = 2 for alpha = 1/4
-        assert StationarySequence.geometric(0.25).sum_a == pytest.approx(2.0, abs=1e-14)
-
-    def test_explicit_padding_and_sum(self):
-        seq = StationarySequence.explicit([1.0, 0.25])
-        np.testing.assert_allclose(seq.coefficients(4), [1.0, 0.5, 0.0, 0.0], atol=1e-15)
-        assert seq.sum_a == pytest.approx(1.5, abs=1e-15)
-
-    def test_explicit_rejects_negative(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            StationarySequence.explicit([1.0, -0.1])
-
-    def test_explicit_rejects_empty(self):
-        with pytest.raises(ValueError):
-            StationarySequence.explicit([])
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            StationarySequence("harmonic")
-
-
 class TestStationaryKernel:
     def test_explicit_list_value(self):
         # 1 + (1/2)/4 + (1/4)/16 = 1.140625 at zw* = 4
-        k = stationary_kernel(StationarySequence.explicit([1.0, 0.5, 0.25]))
+        k = from_config(stationary_list(1.0, 0.5, 0.25))
         assert complex(k.hermitian_eval(2.0, 2.0)) == pytest.approx(1.140625, abs=1e-15)
 
-    def test_closed_form_delegation(self):
-        kg = stationary_kernel(StationarySequence.geometric(0.5))
+    def test_record_matches_constructor(self):
+        kg = from_config(geometric(0.5))
         direct = geometric_kernel(0.5)
         pts = spiral_points(10)
         np.testing.assert_allclose(
@@ -149,11 +127,11 @@ class TestStationaryKernel:
 class TestCozineKernel:
     def test_frozen_diag_value(self):
         # a = 1/2, omega0 = pi/2: cos(omega0) = 0, so k(2,2) = (1 + 1/16)/(17/16)^2 = 16/17
-        k = cozine_kernel(CozineParams(0.5, math.pi / 2.0))
+        k = cozine_kernel(0.5, math.pi / 2.0)
         assert complex(k.hermitian_eval(2.0, 2.0)) == pytest.approx(16.0 / 17.0, abs=1e-15)
 
     def test_complementary_conjugate_relation(self):
-        k = cozine_kernel(CozineParams(0.7, 0.9))
+        k = cozine_kernel(0.7, 0.9)
         pts = spiral_points(24, seed=5)
         for z, w in zip(pts[:12], pts[12:]):
             assert complex(k.complementary_eval(z, w)) == pytest.approx(
@@ -164,7 +142,7 @@ class TestCozineKernel:
         """k(z, w) = sum_{m,n} E[h(m) h(n)] z^{-m} (w*)^{-n} with
         E[h(m)h(n)] = a^{m+n} cos((m - n) omega0)."""
         a, omega0 = 0.5, 1.2
-        k = cozine_kernel(CozineParams(a, omega0))
+        k = cozine_kernel(a, omega0)
         m = np.arange(80)
         cov = a ** (m[:, None] + m[None, :]) * np.cos((m[:, None] - m[None, :]) * omega0)
         z, w = 1.6 * np.exp(0.4j), 2.2 * np.exp(-0.8j)
@@ -176,27 +154,24 @@ class TestCozineKernel:
     @pytest.mark.parametrize("a,omega0", [(0.0, 1.0), (1.0, 1.0), (0.5, -0.1), (0.5, 3.2)])
     def test_parameter_validation(self, a, omega0):
         with pytest.raises(ValueError):
-            CozineParams(a, omega0)
+            cozine_kernel(a, omega0)
 
 
 class TestMixtureKernel:
     def test_pointwise_combination(self):
-        k1 = geometric_kernel(0.5)
-        k2 = cozine_kernel(CozineParams(0.5, math.pi / 2.0))
-        mix = mixture_kernel(k1, 0.3, k2, 0.7)
+        mix = from_config(mixture(geometric(0.5), 0.3, cozine(0.5, math.pi / 2.0), 0.7))
         # 0.3 * 8/7 + 0.7 * 16/17, exact rational arithmetic
         assert complex(mix.hermitian_eval(2.0, 2.0)) == pytest.approx(
             1.0016806722689076, abs=1e-14
         )
 
     def test_negative_weight_rejected(self):
-        k = geometric_kernel(0.5)
         with pytest.raises(ValueError, match="weight"):
-            mixture_kernel(k, -1.0, k, 1.0)
+            from_config(mixture(geometric(0.5), -1.0, geometric(0.5), 1.0))
 
     def test_weights_stored(self):
         k1, k2 = geometric_kernel(0.5), exponential_kernel()
-        mix = mixture_kernel(k1, 2.0, k2, 3.0)
+        mix = from_config(mixture(geometric(0.5), 2.0, {"name": "exponential"}, 3.0))
         z, w = 2.0 + 1.0j, 1.5 - 0.5j
         for part in ("hermitian_eval", "complementary_eval"):
             expected = 2.0 * getattr(k1, part)(z, w) + 3.0 * getattr(k2, part)(z, w)
@@ -207,14 +182,9 @@ def builtin_kernels():
     return [
         ("geometric", geometric_kernel(0.5)),
         ("exponential", exponential_kernel()),
-        ("cozine", cozine_kernel(CozineParams(0.6, 1.1))),
-        ("stationary_list", stationary_kernel(StationarySequence.explicit([1.0, 0.5, 0.25]))),
-        (
-            "mixture",
-            mixture_kernel(
-                geometric_kernel(0.4), 1.0, cozine_kernel(CozineParams(0.5, 2.0)), 0.5
-            ),
-        ),
+        ("cozine", cozine_kernel(0.6, 1.1)),
+        ("stationary_list", from_config(stationary_list(1.0, 0.5, 0.25))),
+        ("mixture", from_config(mixture(geometric(0.4), 1.0, cozine(0.5, 2.0), 0.5))),
     ]
 
 
@@ -338,3 +308,72 @@ class TestFromConfig:
     def test_non_mapping_rejected(self):
         with pytest.raises(ValueError, match="mapping"):
             from_config(["geometric"])
+
+    def test_non_string_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel name"):
+            from_config({"name": ["geometric"], "params": {"alpha": 0.5}})
+
+    def test_non_mapping_params_rejected(self):
+        with pytest.raises(ValueError, match="'params' of kernel 'geometric' must be a mapping"):
+            from_config({"name": "geometric", "params": [0.5]})
+
+
+class TestParameterChecks:
+    """Each record value is checked once, when the record is parsed."""
+
+    @pytest.mark.parametrize(
+        "record,param,kernel",
+        [
+            (geometric("0.5"), "alpha", "geometric"),
+            (geometric(None), "alpha", "geometric"),
+            (geometric([0.5]), "alpha", "geometric"),
+            (geometric(True), "alpha", "geometric"),
+            (geometric(math.nan), "alpha", "geometric"),
+            (cozine(0.5, True), "omega0", "cozine"),
+            (cozine("0.5", 1.0), "a", "cozine"),
+            (mixture(geometric(0.5), "1", geometric(0.5), 1.0), "weight1", "mixture"),
+            (mixture(geometric(0.5), 1.0, geometric(0.5), True), "weight2", "mixture"),
+            (mixture(geometric(0.5), math.inf, geometric(0.5), 1.0), "weight1", "mixture"),
+            (mixture(geometric(0.5), 1.0, geometric(0.5), math.nan), "weight2", "mixture"),
+            (mixture(geometric(0.5), 1.0, cozine(0.5, None), 1.0), "omega0", "cozine"),
+        ],
+    )
+    def test_non_numeric_scalar_rejected(self, record, param, kernel):
+        message = f"parameter '{param}' of kernel '{kernel}' must be a finite number"
+        with pytest.raises(ValueError, match=message):
+            from_config(record)
+
+    def test_numpy_scalars_accepted(self):
+        k = from_config(geometric(np.float64(0.5)))
+        assert complex(k.hermitian_eval(2.0, 2.0)) == complex(geometric_kernel(0.5).hermitian_eval(2.0, 2.0))
+
+    def test_constructor_rejects_non_numeric(self):
+        with pytest.raises(ValueError, match="parameter 'omega0' of kernel 'cozine'"):
+            cozine_kernel(0.5, "1.0")
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            "123",
+            [],
+            [1.0, -0.1],
+            [1.0, math.nan],
+            [1.0, math.inf],
+            [True, 0.5],
+            ["1.0", 0.5],
+            [1.0, None],
+            {"0": 1.0},
+            1.0,
+            None,
+        ],
+        ids=repr,
+    )
+    def test_coefficients_rejected(self, coefficients):
+        record = {"name": "stationary_list", "params": {"coefficients": coefficients}}
+        with pytest.raises(ValueError, match="non-empty list of finite nonnegative numbers"):
+            from_config(record)
+
+    def test_coefficients_stored_as_floats(self):
+        family = KernelFamily.from_config({"name": "stationary_list", "params": {"coefficients": (1, 0.25)}})
+        assert family.params["coefficients"] == (1.0, 0.25)
+        assert all(type(c) is float for c in family.params["coefficients"])

@@ -11,15 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hinfgp.kernels import (
-    CozineParams,
-    StationarySequence,
-    cozine_kernel,
-    exponential_kernel,
-    geometric_kernel,
-    gram,
-    mixture_kernel,
-)
+from hinfgp.kernels import KernelFamily, exponential_kernel, from_config, geometric_kernel, gram
 from hinfgp.regression import FrequencyDataset, fit, predict_sl_many, predict_wl
 from hinfgp.sampling import sample_cozine_batch, sample_stationary_batch
 
@@ -46,11 +38,14 @@ def conjugate_symmetric_kernels(draw):
         return geometric_kernel(draw(alphas))
     if family == "exponential":
         return exponential_kernel()
-    cozine = cozine_kernel(CozineParams(draw(st.floats(0.05, 0.95)), draw(st.floats(0.0, math.pi))))
+    a, omega0 = draw(st.floats(0.05, 0.95)), draw(st.floats(0.0, math.pi))
+    cozine = {"name": "cozine", "params": {"a": a, "omega0": omega0}}
     if family == "cozine":
-        return cozine
+        return from_config(cozine)
     weights = st.floats(0.0, 2.0)
-    return mixture_kernel(geometric_kernel(draw(alphas)), draw(weights), cozine, draw(weights))
+    geometric = {"name": "geometric", "params": {"alpha": draw(alphas)}}
+    params = {"weight1": draw(weights), "weight2": draw(weights)}
+    return from_config({"name": "mixture", "params": params, "component1": geometric, "component2": cozine})
 
 
 @st.composite
@@ -164,12 +159,12 @@ def test_prior_paths_obey_markov_coverage(family, a, omega0, z, eta, seed):
     standard deviations of the miss rate at that bound over MARKOV_PATHS paths."""
     z = complex(z[0])
     if family == "geometric":
-        kernel = geometric_kernel(a)
-        coeffs = sample_stationary_batch(StationarySequence.geometric(a), 200, seed, MARKOV_PATHS)
+        prior = KernelFamily.from_config({"name": "geometric", "params": {"alpha": a}})
+        coeffs = sample_stationary_batch(prior, 200, seed, MARKOV_PATHS)
     else:
-        params = CozineParams(a, omega0)
-        kernel = cozine_kernel(params)
-        coeffs = sample_cozine_batch(params, seed, MARKOV_PATHS)
+        prior = KernelFamily.from_config({"name": "cozine", "params": {"a": a, "omega0": omega0}})
+        coeffs = sample_cozine_batch(prior, seed, MARKOV_PATHS)
+    kernel = prior({})
     values = coeffs @ z ** -np.arange(coeffs.shape[1])
     sigma = math.sqrt(float(np.real(kernel.hermitian_eval(z, z))))
     miss_bound = 1.0 / eta**2

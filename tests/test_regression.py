@@ -11,14 +11,12 @@ from hinfgp import regression
 from hinfgp._linalg import ConditioningError, chol_factor_with_jitter
 from hinfgp.kernels import (
     ComplexKernel,
-    CozineParams,
     Domain,
     KernelFamily,
     cozine_kernel,
+    from_config,
     geometric_kernel,
     gram,
-    stationary_kernel,
-    StationarySequence,
 )
 from hinfgp.regression import (
     EllipsoidBound,
@@ -227,7 +225,7 @@ class TestWidelyLinear:
     def test_matches_augmented_solve(self):
         """Schur-reduced implementation against the dense 2n x 2n oracle."""
         rng = np.random.default_rng(46)
-        for kernel_fn in (geometric_kernel(0.5), cozine_kernel(CozineParams(0.6, 1.1))):
+        for kernel_fn in (geometric_kernel(0.5), cozine_kernel(0.6, 1.1)):
             _, sites, y = random_instance(rng, n_max=5)
             data = FrequencyDataset(sites, y, 0.05)
             post = fit(kernel_fn, data)
@@ -354,20 +352,20 @@ class TestEllipsoid:
 class TestLikelihood:
     def test_unit_kernel_zero_observation(self):
         # K = [1], y = 0: L = -1/2 log(2 pi)
-        kernel = stationary_kernel(StationarySequence.explicit([1.0]))
+        kernel = from_config({"name": "stationary_list", "params": {"coefficients": [1.0]}})
         data = FrequencyDataset(np.array([2.0]), np.array([0.0 + 0j]), 0.0)
         val = log_marginal_likelihood(lambda _: kernel, {}, data)
         assert val == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_scaled_kernel_frozen_value(self):
         # K = [2], y = sqrt(2): L = -1/2 (1 + log 2 + log 2 pi)
-        kernel = stationary_kernel(StationarySequence.explicit([2.0]))
+        kernel = from_config({"name": "stationary_list", "params": {"coefficients": [2.0]}})
         data = FrequencyDataset(np.array([2.0]), np.array([math.sqrt(2.0) + 0j]), 0.0)
         val = log_marginal_likelihood(lambda _: kernel, {}, data)
         assert val == pytest.approx(-1.7655121234846454, abs=1e-12)
 
     def test_failed_factorization_returns_minus_inf(self):
-        zero = stationary_kernel(StationarySequence.explicit([0.0]))
+        zero = from_config({"name": "stationary_list", "params": {"coefficients": [0.0]}})
         data = FrequencyDataset(np.array([2.0]), np.array([1.0 + 0j]), 0.0)
         assert log_marginal_likelihood(lambda _: zero, {}, data) == -math.inf
 
@@ -394,7 +392,7 @@ class TestLikelihood:
         data = FrequencyDataset(np.array([2.0]), np.array([0.9 + 0.1j]), 0.0)
 
         def family(values):
-            return stationary_kernel(StationarySequence.explicit([values["scale"]]))
+            return from_config({"name": "stationary_list", "params": {"coefficients": [values["scale"]]}})
 
         well = log_marginal_likelihood(family, {"scale": 1.0}, data)
         # wildly inflated prior variance wastes probability mass

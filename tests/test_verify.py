@@ -12,12 +12,10 @@ from hinfgp import cli, verify
 from hinfgp._linalg import chol_factor_with_jitter
 from hinfgp.kernels import (
     ComplexKernel,
-    CozineParams,
     cozine_kernel,
     exponential_kernel,
     from_config,
     geometric_kernel,
-    mixture_kernel,
     real_imag_kernels,
 )
 from hinfgp.verify import (
@@ -158,11 +156,16 @@ def assert_traces_close(traces, reference, rel=1e-9):
 
 def _candidate_kernels():
     geo = geometric_kernel(0.5)
-    cozine = cozine_kernel(CozineParams(0.9, 0.2 * math.pi))
+    mixture = {
+        "name": "mixture",
+        "params": {"weight1": 1.0, "weight2": 1.0},
+        "component1": {"name": "geometric", "params": {"alpha": 0.5}},
+        "component2": {"name": "cozine", "params": {"a": 0.9, "omega0": 0.2 * math.pi}},
+    }
     return {
         "geometric": geo,
-        "cozine": cozine,
-        "mixture": mixture_kernel(geo, 1.0, cozine, 1.0),
+        "cozine": cozine_kernel(0.9, 0.2 * math.pi),
+        "mixture": from_config(mixture),
         "circular": circular_variant(geo),
     }
 
@@ -363,10 +366,15 @@ class TestSymmetry:
             geometric_kernel(0.3),
             geometric_kernel(0.7),
             exponential_kernel(),
-            cozine_kernel(CozineParams(0.5, math.pi / 2.0)),
-            cozine_kernel(CozineParams(0.9, 0.4)),
-            mixture_kernel(
-                geometric_kernel(0.5), 1.0, cozine_kernel(CozineParams(0.6, 2.0)), 0.5
+            cozine_kernel(0.5, math.pi / 2.0),
+            cozine_kernel(0.9, 0.4),
+            from_config(
+                {
+                    "name": "mixture",
+                    "params": {"weight1": 1.0, "weight2": 0.5},
+                    "component1": {"name": "geometric", "params": {"alpha": 0.5}},
+                    "component2": {"name": "cozine", "params": {"a": 0.6, "omega0": 2.0}},
+                }
             ),
         ],
         ids=["geo03", "geo07", "exp", "cozine-res", "cozine-slow", "mixture"],
