@@ -103,8 +103,8 @@ def _get_number(section: Mapping, key: str, where: str, default=None):
             return default
         raise ConfigError(f"missing required key '{key}' in {where}")
     val = section[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"'{key}' in {where} must be a number, got {val!r}")
+    if not kernels._is_real(val):
+        raise ConfigError(f"'{key}' in {where} must be a finite number, got {val!r}")
     return float(val)
 
 
@@ -127,6 +127,13 @@ def _get_n_max(section: Mapping, where: str) -> int:
     return n_max
 
 
+def _get_section(cfg: Mapping, key: str) -> Mapping:
+    section = cfg.get(key)
+    if not isinstance(section, Mapping):
+        raise ConfigError(f"missing required section '{key}'")
+    return section
+
+
 def _get_out_dir(cfg: Mapping) -> str:
     out_dir = cfg.get("out_dir")
     if not isinstance(out_dir, str) or not out_dir:
@@ -135,35 +142,28 @@ def _get_out_dir(cfg: Mapping) -> str:
 
 
 # ---------------------------------------------------------------------------
-# kernel specs: families with tunable parameters, plus verify-only extensions
+# kernel specs: one reader for all three subcommands
 
-def kernel_family_from_record(record: Mapping, tunable: Sequence[str]) -> kernels.KernelFamily:
-    """The :class:`~hinfgp.kernels.KernelFamily` of an ``identify`` kernel record.
 
-    The family maps a {path: value} assignment of the ``tunable`` paths to a
-    ComplexKernel and declares each path's range.  A starting value that the
-    tuner cannot transform, such as a weight of 0 or an angle of 0, is a
-    ConfigError naming its path (see
-    :meth:`~hinfgp.kernels.KernelFamily.unconstrained_start`).
+def parse_kernel(
+    section: Mapping, tunable: Sequence[str] = (), verify: bool = False
+) -> kernels.KernelFamily:
+    """The :class:`~hinfgp.kernels.KernelFamily` of a config's ``kernel`` section.
+
+    ``tunable`` lists the paths ``identify`` tunes (the section's own
+    ``tunable`` key removed); ``verify`` also admits the ``{"name": "h2"}``
+    Hardy space kernel and a ``"circular": true`` flag (see
+    :meth:`~hinfgp.kernels.KernelFamily.from_config`).  Every error is a
+    ConfigError starting ``kernel:``, including a tunable starting value on
+    its range's boundary, such as a weight or an angle of 0, which names its
+    path (see :meth:`~hinfgp.kernels.KernelFamily.unconstrained_start`).
     """
-    base = dict(record)
-    base.pop("tunable", None)
     try:
-        family = kernels.KernelFamily.from_config(base, tunable)
+        family = kernels.KernelFamily.from_config(section, tunable, verify)
         family.unconstrained_start()
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"kernel: {exc}") from exc
     return family
-
-
-def kernel_from_verify_record(record: Mapping) -> ComplexKernel:
-    """Kernel spec for the ``verify`` subcommand: a standard family, the
-    ``{"name": "h2"}`` Hardy space kernel, or either with ``"circular": true``
-    (see :meth:`~hinfgp.kernels.KernelFamily.from_config`)."""
-    try:
-        return kernels.KernelFamily.from_config(record, verify=True)({})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +273,7 @@ def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from exc
 
-    noise = resolved.get("noise")
-    if not isinstance(noise, Mapping):
-        raise ConfigError("missing required section 'noise'")
+    noise = _get_section(resolved, "noise")
     _check_keys(noise, {"input_var", "output_var"}, "noise")
     input_var = _get_number(noise, "input_var", "noise")
     output_var = _get_number(noise, "output_var", "noise")
@@ -287,16 +285,11 @@ def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
     if trace_len < bank.taps:
         raise ConfigError(f"trace_len={trace_len} is shorter than the {bank.taps}-tap filters")
 
-    kernel_section = resolved.get("kernel")
-    if not isinstance(kernel_section, Mapping):
-        raise ConfigError("missing required section 'kernel'")
+    kernel_section = _get_section(resolved, "kernel")
     tunable = kernel_section.get("tunable", [])
     if not isinstance(tunable, list) or not all(isinstance(t, str) for t in tunable):
         raise ConfigError("'kernel.tunable' must be a list of parameter paths")
-    try:
-        kernel = kernel_family_from_record(kernel_section, tunable)
-    except ValueError as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
+    kernel = parse_kernel({k: v for k, v in kernel_section.items() if k != "tunable"}, tunable)
 
     estimator = resolved.get("estimator")
     if estimator not in ("strict", "wide"):
@@ -307,8 +300,8 @@ def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
 
     noise_var = resolved.get("noise_var", "auto")
     if noise_var != "auto":
-        if isinstance(noise_var, bool) or not isinstance(noise_var, (int, float)) or noise_var < 0:
-            raise ConfigError("'noise_var' must be \"auto\" or a nonnegative number")
+        if not kernels._is_real(noise_var) or noise_var < 0:
+            raise ConfigError("'noise_var' must be \"auto\" or a finite nonnegative number")
         noise_var = float(noise_var)
 
     budget = _get_int(resolved, "budget", "config", 2000)
@@ -547,9 +540,7 @@ def run_identify(cfg: ExperimentConfig) -> dict:
 def parse_verify_config(resolved: Mapping) -> dict:
     _check_keys(resolved, {"seed", "kernel", "n_max", "grid", "symmetry_tol", "out_dir"}, "config")
     seed = _get_int(resolved, "seed", "config", 0)
-    kernel_section = resolved.get("kernel")
-    if not isinstance(kernel_section, Mapping):
-        raise ConfigError("missing required section 'kernel'")
+    kernel = parse_kernel(_get_section(resolved, "kernel"), verify=True)
     n_max = _get_n_max(resolved, "config")
     grid = resolved.get("grid", {})
     if not isinstance(grid, Mapping):
@@ -557,7 +548,7 @@ def parse_verify_config(resolved: Mapping) -> dict:
     _check_keys(grid, {"count", "r_lo", "r_hi"}, "grid")
     return {
         "seed": seed,
-        "kernel": kernel_section,
+        "kernel": kernel,
         "n_max": n_max,
         "grid_count": _get_int(grid, "count", "grid", 200),
         "r_lo": _get_number(grid, "r_lo", "grid", 1.1),
@@ -569,8 +560,8 @@ def parse_verify_config(resolved: Mapping) -> dict:
 
 
 def run_verify(cfg: Mapping) -> dict:
-    """Verification pipeline: symmetry + Driscoll reports for a kernel spec."""
-    kernel = kernel_from_verify_record(cfg["kernel"])
+    """Verification pipeline: symmetry + Driscoll reports for a parsed kernel family."""
+    kernel = cfg["kernel"]({})
     report = {
         "config_sha256": cfg["sha256"],
         "seed": cfg["seed"],
@@ -600,12 +591,14 @@ def parse_sample_config(resolved: Mapping) -> dict:
     if trunc < 1:
         raise ConfigError(f"trunc must be >= 1, got {trunc}")
     max_saved = _get_int(resolved, "max_paths_saved", "config", 100)
-    kernel_section = resolved.get("kernel")
-    if not isinstance(kernel_section, Mapping):
-        raise ConfigError("missing required section 'kernel'")
+    kernel_section = _get_section(resolved, "kernel")
+    try:
+        path_law(kernel_section.get("name"))  # first: an unsampled record may not parse
+    except ValueError as exc:
+        raise ConfigError(f"kernel: {exc}") from exc
     return {
         "seed": seed,
-        "kernel": copy.deepcopy(dict(kernel_section)),
+        "kernel": parse_kernel(kernel_section),
         "count": count,
         "trunc": trunc,
         "max_paths_saved": max_saved,
@@ -621,16 +614,17 @@ _SAMPLE_PROBES = (
 
 
 def run_sample(cfg: Mapping) -> dict:
-    """Sampling pipeline: writes impulse responses and Monte Carlo covariance summaries."""
-    try:
-        law = path_law(cfg["kernel"].get("name"))  # before parsing: an unsampled record may not parse
-        family = kernels.KernelFamily.from_config(cfg["kernel"])
-    except ValueError as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
+    """Sampling pipeline: writes impulse responses and Monte Carlo covariance summaries.
+
+    The paths are drawn before ``out_dir`` is created, so a refused draw writes nothing.
+    """
+    family, count = cfg["kernel"], cfg["count"]
+    law = path_law(family.name)
+    if count > 0:
+        mat = sample_paths(family, cfg["trunc"], cfg["seed"], count)
     kernel, label = family({}), law.label(family.params)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    count = cfg["count"]
 
     summary: dict = {
         "config_sha256": cfg["sha256"],
@@ -644,7 +638,6 @@ def run_sample(cfg: Mapping) -> dict:
         handle.write(f"# seed={cfg['seed']}\n")
         handle.write(f"# family={label}\n")
         if count > 0:
-            mat = sample_paths(family, cfg["trunc"], cfg["seed"], count)
             for row in mat[: cfg["max_paths_saved"]]:
                 handle.write(" ".join("%.17g" % v for v in row) + "\n")
 

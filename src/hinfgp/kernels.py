@@ -282,14 +282,15 @@ def _part_values(herm, comp, imag: bool):
     return 0.5 * np.real(herm - comp if imag else herm + comp)
 
 
-def _check_sites(pts: np.ndarray, noise_var: float) -> None:
+def _check_sites(pts: np.ndarray, noise_var: float = 0.0) -> None:
+    """The one check of the kernel domain |z| >= 1, for sites and query points alike."""
     if pts.ndim != 1:
         raise ValueError("points must be a one-dimensional sequence of complex numbers")
     if noise_var < 0.0:
         raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
-    if np.any(np.abs(pts) < 1.0 - 1e-12):
-        bad = pts[np.abs(pts) < 1.0 - 1e-12][0]
-        raise ValueError(f"point {bad} lies inside the kernel domain (|z| >= 1)")
+    inside = np.abs(pts) < 1.0 - 1e-12
+    if np.any(inside):
+        raise ValueError(f"point {pts[inside][0]} lies inside the kernel domain (|z| >= 1)")
 
 
 def gram(
@@ -526,7 +527,7 @@ class BoundFamily:
     hyperparameters ``values``.
     """
 
-    family: Callable[[Mapping[str, float]], ComplexKernel]
+    family: KernelFamily
     sites: np.ndarray
     noise_var: float
     gram: Callable[[Mapping[str, float]], np.ndarray]

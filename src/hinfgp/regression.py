@@ -21,7 +21,7 @@ noise of variance sigma_e^2, this module provides
     var_wl(z)  = var_sl(z) - d Pbar^+ d^H,     s = conj(y - B conj(alpha)),
 
   where v_i = kt(z, z_i) and Pbar^+ is a truncated pseudo-inverse of
-  conj(P) (eigenvalues below p_floor * ||P|| are dropped — P is typically
+  conj(P) (eigenvalues below 1e-8 * ||P|| are dropped — P is typically
   near-singular for conjugate-symmetric priors, which is exactly the regime in
   which the plain inverse is numerically unstable).  ``predict_wl`` takes a
   scalar or a 1-D array of query points, evaluated in blocks of 64 rows;
@@ -38,14 +38,15 @@ noise of variance sigma_e^2, this module provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from ._linalg import ConditioningError, chol_factor_with_jitter, chol_solve
-from .kernels import BoundFamily, ComplexKernel, KernelFamily, gram
+from .kernels import BoundFamily, ComplexKernel, KernelFamily, _check_sites, gram
 
 __all__ = [
     "FrequencyDataset",
@@ -64,8 +65,10 @@ __all__ = [
     "optimize_hyperparameters",
 ]
 
-_SITE_TOL = 1e-12
 _WL_BLOCK = 64  # query rows per widely linear block: bounds the working set at large n
+# Eigenvalues of P below _P_FLOOR times the largest are dropped from the
+# widely linear pseudo-inverse.
+_P_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +88,7 @@ class FrequencyDataset:
             raise ValueError(
                 f"sites and responses disagree in length: {sites.size} vs {responses.size}"
             )
-        if self.noise_var < 0.0:
-            raise ValueError(f"noise_var must be nonnegative, got {self.noise_var}")
-        if np.any(np.abs(sites) < 1.0 - _SITE_TOL):
-            raise ValueError("all observation sites must satisfy |z| >= 1")
+        _check_sites(sites, self.noise_var)
         if self.noise_var == 0.0 and sites.size != np.unique(sites).size:
             raise ConditioningError(
                 "duplicate observation sites with zero noise give a singular Gram matrix"
@@ -103,14 +103,43 @@ class FrequencyDataset:
 
 @dataclass(eq=False)
 class Posterior:
-    """Fitted regression state: kernel, data, K_yy, its lower Cholesky factor and K_yy^{-1} y."""
+    """Fitted regression state: kernel, data, K_yy, its lower Cholesky factor and K_yy^{-1} y.
+
+    The widely linear state is computed on first use and kept: ``_schur`` for
+    ``schur_P`` and ``predict_wl``, ``_wl_state`` for ``predict_wl`` only.
+    """
 
     kernel: ComplexKernel
     dataset: FrequencyDataset
     gram_yy: np.ndarray
     factorization: np.ndarray
     alpha_vec: np.ndarray
-    _wl_cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def _schur(self):
+        """(B, W = A^{-1} B, Hermitian part of P = A - B W*, ||A||_2)."""
+        comp = gram(self.kernel, self.dataset.sites, "complementary")
+        w_mat = chol_solve(self.factorization, comp)
+        p_mat = self.gram_yy - comp @ np.conj(w_mat)
+        scale = float(np.linalg.norm(self.gram_yy, 2))
+        return comp, w_mat, 0.5 * (p_mat + p_mat.conj().T), scale
+
+    @cached_property
+    def _wl_state(self):
+        """Truncated eigendecomposition of conj(P): (basis, 1/eigenvalues,
+        Pbar^+ s), or None when P is numerically zero."""
+        comp, _, p_herm, scale = self._schur
+        eigvals, eigvecs = np.linalg.eigh(np.conj(p_herm))
+        lam_max = float(eigvals[-1])
+        if lam_max <= 1e-14 * scale:
+            return None
+        keep = eigvals >= _P_FLOOR * lam_max
+        basis = eigvecs[:, keep]
+        inv_lam = 1.0 / eigvals[keep]
+        # s = y* - B* A^{-1} y
+        residual = np.conj(self.dataset.responses - comp @ np.conj(self.alpha_vec))
+        correction = basis @ (inv_lam * (basis.conj().T @ residual))  # Pbar^+ s
+        return basis, inv_lam, correction
 
 
 class WidelyLinearPrediction(NamedTuple):
@@ -166,11 +195,6 @@ def fit(kernel: ComplexKernel, data: FrequencyDataset) -> Posterior:
     return Posterior(kernel, data, gram_yy, factorization, alpha_vec)
 
 
-def _check_queries(post: Posterior, pts: np.ndarray) -> None:
-    if np.any(np.abs(pts) < 1.0 - _SITE_TOL):
-        raise ValueError("query points must not lie inside the kernel domain")
-
-
 def predict_sl(post: Posterior, z: complex) -> tuple[complex, float]:
     """Strictly linear posterior mean and (clamped nonnegative) variance at z."""
     means, variances = predict_sl_many(post, [z])
@@ -180,7 +204,7 @@ def predict_sl(post: Posterior, z: complex) -> tuple[complex, float]:
 def predict_sl_many(post: Posterior, zs: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
     """Strictly linear posterior means and (clamped nonnegative) variances over a grid."""
     pts = np.asarray(zs, dtype=complex)
-    _check_queries(post, pts)
+    _check_sites(pts)
     cross = np.asarray(
         post.kernel.hermitian_eval(pts[:, None], post.dataset.sites[None, :]), dtype=complex
     )
@@ -191,41 +215,6 @@ def predict_sl_many(post: Posterior, zs: Sequence[complex]) -> tuple[np.ndarray,
     return means, np.maximum(prior - quad, 0.0)
 
 
-def _schur(post: Posterior):
-    """(B, W = A^{-1} B, Hermitian part of P = A - B W*, ||A||_2), computed once per posterior."""
-    if "schur" not in post._wl_cache:
-        comp = gram(post.kernel, post.dataset.sites, "complementary")
-        w_mat = chol_solve(post.factorization, comp)
-        p_mat = post.gram_yy - comp @ np.conj(w_mat)
-        scale = float(np.linalg.norm(post.gram_yy, 2))
-        post._wl_cache["schur"] = (comp, w_mat, 0.5 * (p_mat + p_mat.conj().T), scale)
-    return post._wl_cache["schur"]
-
-
-def _wl_state(post: Posterior, p_floor: float):
-    """Cached truncated eigendecomposition of conj(P) for one p_floor:
-    (basis, 1/eigenvalues, Pbar^+ s), or None when P is numerically zero."""
-    key = float(p_floor)
-    if key in post._wl_cache:
-        return post._wl_cache[key]
-    comp, _, p_herm, scale = _schur(post)
-    eigvals, eigvecs = np.linalg.eigh(np.conj(p_herm))
-    lam_max = float(eigvals[-1])
-    if lam_max <= 1e-14 * scale:
-        state = None
-    else:
-        keep = eigvals >= p_floor * lam_max
-        basis = eigvecs[:, keep]
-        inv_lam = 1.0 / eigvals[keep]
-        residual = np.conj(
-            post.dataset.responses - comp @ np.conj(post.alpha_vec)
-        )  # s = y* - B* A^{-1} y
-        correction = basis @ (inv_lam * (basis.conj().T @ residual))  # Pbar^+ s
-        state = (basis, inv_lam, correction)
-    post._wl_cache[key] = state
-    return state
-
-
 def schur_P(post: Posterior) -> SchurComplement:
     """Schur complement P = A - B (A*)^{-1} B* of the augmented covariance.
 
@@ -233,15 +222,15 @@ def schur_P(post: Posterior) -> SchurComplement:
     much the widely linear estimator can improve on the strictly linear one
     (P = 0 is the maximally improper case: y* is perfectly predictable from y).
     """
-    _, _, p_herm, scale = _schur(post)
+    _, _, p_herm, scale = post._schur
     return SchurComplement(p_herm, float(np.linalg.norm(p_herm, 2) / scale))
 
 
-def predict_wl(post: Posterior, z, p_floor: float = 1e-8) -> WidelyLinearPrediction:
+def predict_wl(post: Posterior, z) -> WidelyLinearPrediction:
     """Widely linear posterior at z: mean, Hermitian variance, complementary variance.
 
     ``z`` is a scalar or a 1-D array; an array gives a prediction of arrays.
-    Eigenvalues of P below ``p_floor * ||P||_2`` are dropped from the inverse
+    Eigenvalues of P below 1e-8 * ||P||_2 are dropped from the inverse
     (truncated pseudo-inverse).  When P is numerically zero altogether —
     nothing survives the floor — the strictly linear prediction is returned
     with ``used_fallback=True`` and a NaN complementary variance.
@@ -249,8 +238,8 @@ def predict_wl(post: Posterior, z, p_floor: float = 1e-8) -> WidelyLinearPredict
     pts = np.asarray(z, dtype=complex)
     scalar = pts.ndim == 0
     pts = pts.reshape(-1)
-    _check_queries(post, pts)
-    state = _wl_state(post, p_floor)
+    _check_sites(pts)
+    state = post._wl_state
     if state is None:
         mean, herm_var = predict_sl_many(post, pts)
         comp_var = np.full(pts.size, complex(math.nan, math.nan))
@@ -272,7 +261,7 @@ def _wl_block(post: Posterior, state, pts: np.ndarray):
     complex symmetric (B* A^{-1} = W^H), e = u - v W*.
     """
     basis, inv_lam, correction = state
-    _, w_mat, _, _ = _schur(post)
+    _, w_mat, _, _ = post._schur
     factor, sites = post.factorization, post.dataset.sites[None, :]
     u = np.asarray(post.kernel.hermitian_eval(pts[:, None], sites), dtype=complex)
     v = np.asarray(post.kernel.complementary_eval(pts[:, None], sites), dtype=complex)
@@ -318,43 +307,28 @@ def _disk_bounds(center: complex, radius: float, eta: float) -> EllipsoidBound:
     return EllipsoidBound(center, radius, eta, mag_interval, phase_interval)
 
 
-FamilyFn = Callable[[Mapping[str, float]], ComplexKernel]
-
-
-def _bind(kernel_family: FamilyFn | BoundFamily, data: FrequencyDataset) -> BoundFamily:
-    """``kernel_family`` bound to the sites and noise of ``data``.
-
-    A family already bound to them is used as is, and a :class:`KernelFamily`
-    is bound once here.  Any other callable (hyperparameters -> ComplexKernel)
-    is adapted: its Gram is assembled through ``gram`` at every evaluation.
-    """
+def _bind(kernel_family: KernelFamily | BoundFamily, data: FrequencyDataset) -> BoundFamily:
+    """``kernel_family`` bound to the sites and noise of ``data``: a family
+    already bound to them is used as is, any other is bound here."""
     if isinstance(kernel_family, BoundFamily):
         if kernel_family.sites is data.sites and kernel_family.noise_var == data.noise_var:
             return kernel_family
         kernel_family = kernel_family.family
-    if isinstance(kernel_family, KernelFamily):
-        return kernel_family.bind(data.sites, data.noise_var)
-    return BoundFamily(
-        kernel_family,
-        data.sites,
-        data.noise_var,
-        lambda values: gram(kernel_family(values), data.sites, "hermitian", data.noise_var),
-    )
+    return kernel_family.bind(data.sites, data.noise_var)
 
 
 def log_marginal_likelihood(
-    kernel_family: FamilyFn | BoundFamily,
+    kernel_family: KernelFamily | BoundFamily,
     theta: Mapping[str, float],
     data: FrequencyDataset,
 ) -> float:
     """L(theta) = -1/2 (y^H K_yy^{-1} y + log det K_yy + n log 2 pi).
 
-    ``kernel_family`` maps the hyperparameters to a kernel: a
-    :class:`~hinfgp.kernels.KernelFamily`, the same family bound to the data's
-    sites (``optimize_hyperparameters`` binds once per search, so each
-    evaluation only assembles K_yy from precomputed site arrays), or any
-    callable, whose kernel's Gram is then built through ``gram``.  All three
-    give the same K_yy bit for bit.  K_yy is factored exactly as ``fit``
+    ``kernel_family`` maps the hyperparameters ``theta`` to a kernel: a
+    :class:`~hinfgp.kernels.KernelFamily`, or the same family bound to the
+    data's sites (``optimize_hyperparameters`` binds once per search, so each
+    evaluation only assembles K_yy from precomputed site arrays).  Both give
+    the same K_yy bit for bit.  K_yy is factored exactly as ``fit``
     factors it, with the same single jitter retry; a factorization that still
     fails, a non-finite Gram, or a solve K_yy^{-1} y that overflows (a Gram
     that factors but is nearly zero) returns -inf, which the optimizer treats

@@ -13,7 +13,8 @@ paths are h(n) = a^n (X cos(n w0) + Y sin(n w0)) instead.
 Randomness comes from numpy's Philox generator — a counter-based bit stream
 keyed by an explicit 64-bit seed — so every draw is reproducible and parallel
 Monte Carlo loops can use independent per-task seeds.  Each sampler draws a
-whole matrix of paths from a single stream.
+whole matrix of paths from a single stream, and refuses with ``ValueError``
+a matrix of more than 2**24 entries before it allocates one.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ import numpy as np
 __all__ = ["path_law", "sample_paths", "sample_stationary_batch", "sample_cozine_batch"]
 
 _COZINE_TAIL_TOL = 1e-12
+# The largest path matrix a sampler allocates, in entries (128 MiB of floats).
+# Cozine's truncation grows as log(tol)/log(a), 29 million columns at a = 0.999999.
+_MAX_PATH_ENTRIES = 2**24
 _HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)  # E|w| for w ~ N(0, 1)
 
 
@@ -104,6 +108,13 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _check_size(rows: int, cols: int) -> None:
+    if rows * cols > _MAX_PATH_ENTRIES:
+        raise ValueError(
+            f"a {rows} x {cols} path matrix exceeds the limit of {_MAX_PATH_ENTRIES} entries"
+        )
+
+
 def sample_paths(family, trunc: int, seed: int, count: int) -> np.ndarray:
     """``count`` paths of the parsed family node ``family``, one row per path.
 
@@ -128,6 +139,7 @@ def sample_stationary_batch(family, trunc: int, seed: int, count: int) -> np.nda
         raise ValueError(f"truncation length must be >= 1, got {trunc}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    _check_size(max(count, 1), trunc + 1)
     amps = path_law(family.name).amplitudes(family.params, trunc + 1)
     return _philox(seed).standard_normal((count, trunc + 1)) * amps
 
@@ -153,8 +165,11 @@ def sample_cozine_batch(family, seed: int, count: int) -> np.ndarray:
         raise ValueError(f"count must be nonnegative, got {count}")
     if count == 0:
         return np.zeros((0, 1))
+    _check_size(count, 1)
     a, omega0 = family.params["a"], family.params["omega0"]
     draws = _philox(seed).standard_normal((count, 2))
     x, y = draws[:, 0], draws[:, 1]
-    n = np.arange(_cozine_trunc(a, float(np.max(np.hypot(x, y)))) + 1)
+    trunc = _cozine_trunc(a, float(np.max(np.hypot(x, y))))
+    _check_size(count, trunc + 1)
+    n = np.arange(trunc + 1)
     return a**n * (np.multiply.outer(x, np.cos(n * omega0)) + np.multiply.outer(y, np.sin(n * omega0)))

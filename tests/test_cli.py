@@ -4,6 +4,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,9 @@ from hinfgp import cli
 from hinfgp.cli import (
     ConfigError,
     config_hash,
-    kernel_family_from_record,
-    kernel_from_verify_record,
     load_config,
     parse_identify_config,
+    parse_kernel,
     parse_sample_config,
     parse_verify_config,
     resolve_config,
@@ -85,7 +85,7 @@ class TestConfigPlumbing:
 class TestKernelFamilyFromRecord:
     def test_flat_substitution(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}}
-        family = kernel_family_from_record(record, ["alpha"])
+        family = parse_kernel(record, ["alpha"])
         assert family.tunable == ("alpha",)
         assert family.record_value("alpha") == 0.5
         z, w = 2.0 + 0.0j, 2.0 * np.exp(1j * math.pi / 3.0)
@@ -100,7 +100,7 @@ class TestKernelFamilyFromRecord:
             "component1": {"name": "geometric", "params": {"alpha": 0.5}},
             "component2": {"name": "cozine", "params": {"a": 0.6, "omega0": 1.1}},
         }
-        family = kernel_family_from_record(
+        family = parse_kernel(
             record, ["component1.alpha", "component2.a", "weight1"]
         )
         assert family.tunable == ("component1.alpha", "component2.a", "weight1")
@@ -119,43 +119,43 @@ class TestKernelFamilyFromRecord:
 
     def test_base_record_unchanged_by_family_calls(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}}
-        family = kernel_family_from_record(record, ["alpha"])
+        family = parse_kernel(record, ["alpha"])
         family({"alpha": 0.9})
         assert record["params"]["alpha"] == 0.5
 
     def test_no_tunable_gives_no_domains(self):
-        family = kernel_family_from_record({"name": "exponential"}, [])
+        family = parse_kernel({"name": "exponential"}, [])
         assert family.tunable == ()
         assert family.domains == {}
 
     def test_non_tunable_leaf(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}}
         with pytest.raises(ConfigError, match="not tunable"):
-            kernel_family_from_record(record, ["coefficients"])
+            parse_kernel(record, ["coefficients"])
 
     def test_duplicate_path(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}}
         with pytest.raises(ConfigError, match="duplicate"):
-            kernel_family_from_record(record, ["alpha", "alpha"])
+            parse_kernel(record, ["alpha", "alpha"])
 
     def test_unresolvable_path(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}}
         with pytest.raises(ConfigError, match="does not resolve"):
-            kernel_family_from_record(record, ["component3.alpha"])
+            parse_kernel(record, ["component3.alpha"])
 
     def test_missing_initial_value(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}}
         with pytest.raises(ConfigError, match="no initial value"):
-            kernel_family_from_record(record, ["a"])
+            parse_kernel(record, ["a"])
 
     def test_invalid_base_record_rejected_eagerly(self):
         with pytest.raises(ValueError, match="kernel"):
-            kernel_family_from_record({"name": "nope"}, [])
+            parse_kernel({"name": "nope"}, [])
 
 
 class TestKernelFromVerifyRecord:
     def test_h2_kernel(self):
-        kernel = kernel_from_verify_record({"name": "h2"})
+        kernel = parse_kernel({"name": "h2"}, verify=True)({})
         assert abs(kernel.hermitian_eval(2.0, 2.0) - 4.0 / 3.0) < 1e-14
         z, w = 2.0 + 0.0j, 2.0 * np.exp(1j * math.pi / 3.0)
         # complementary part pairs f with f, i.e. the kernel at (z, conj(w))
@@ -164,11 +164,11 @@ class TestKernelFromVerifyRecord:
 
     def test_h2_extra_keys_rejected(self):
         with pytest.raises(ConfigError, match="h2"):
-            kernel_from_verify_record({"name": "h2", "params": {"alpha": 0.5}})
+            parse_kernel({"name": "h2", "params": {"alpha": 0.5}}, verify=True)
 
     def test_circular_flag_zeroes_complementary(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}, "circular": True}
-        kernel = kernel_from_verify_record(record)
+        kernel = parse_kernel(record, verify=True)({})
         z = 2.0 * np.exp(0.7j)
         assert kernel.complementary_eval(z, z) == 0.0
         assert abs(
@@ -177,13 +177,13 @@ class TestKernelFromVerifyRecord:
 
     def test_circular_must_be_boolean(self):
         with pytest.raises(ConfigError, match="circular"):
-            kernel_from_verify_record(
-                {"name": "geometric", "params": {"alpha": 0.5}, "circular": "yes"}
+            parse_kernel(
+                {"name": "geometric", "params": {"alpha": 0.5}, "circular": "yes"}, verify=True
             )
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError, match="unknown kernel"):
-            kernel_from_verify_record({"name": "sobolev"})
+            parse_kernel({"name": "sobolev"}, verify=True)
 
 
 class TestParseIdentifyConfig:
@@ -380,6 +380,37 @@ class TestMainExitCodes:
         assert err.startswith("error: ") and "'coefficients'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,key,mutate",
+        [
+            ("identify", "eta", lambda c: c.update(eta=math.nan)),
+            ("identify", "eta", lambda c: c.update(eta=math.inf)),
+            ("identify", "eta", lambda c: c.update(eta=-math.inf)),
+            ("identify", "output_var", lambda c: c["noise"].update(output_var=math.nan)),
+            ("identify", "noise_var", lambda c: c.update(noise_var=math.nan)),
+            ("verify", "r_lo", lambda c: c["grid"].update(r_lo=math.nan)),
+            ("verify", "symmetry_tol", lambda c: c.update(symmetry_tol=math.inf)),
+        ],
+        ids=[
+            "eta-nan",
+            "eta-infinity",
+            "eta-minus-infinity",
+            "output_var-nan",
+            "noise_var-nan",
+            "r_lo-nan",
+            "symmetry_tol-infinity",
+        ],
+    )
+    def test_non_finite_number_fails_before_writing(self, tmp_path, capsys, command, key, mutate):
+        """json reads NaN and Infinity; a config number must be finite."""
+        out = tmp_path / "out"
+        cfg = self._command_config(command, {"name": "geometric", "params": {"alpha": 0.5}}, out)
+        mutate(cfg)
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err and "finite" in err
+        assert not out.exists()
+
     def test_missing_out_dir(self, tmp_path, capsys):
         cfg = {"seed": 0, "kernel": {"name": "geometric", "params": {"alpha": 0.5}}, "count": 10}
         assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 1
@@ -447,7 +478,8 @@ class TestScaledSymmetryCheck:
 
     def _kernel(self, values):
         record = load_config(CONFIG_DIR / "resonant.json")["kernel"]
-        return kernel_family_from_record(record, record["tunable"])(values)
+        tunable = record.pop("tunable")
+        return parse_kernel(record, tunable)(values)
 
     @pytest.mark.parametrize("values", SCALED_TUNES)
     def test_scaled_kernel_passes(self, values):
@@ -531,6 +563,32 @@ class TestSamplePipeline:
             outs.append(out)
         assert (outs[0] / "paths.txt").read_bytes() == (outs[1] / "paths.txt").read_bytes()
         assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "kernel,count",
+        [
+            ({"name": "cozine", "params": {"a": 0.999999, "omega0": 1.0}}, 4),
+            ({"name": "cozine", "params": {"a": 0.5, "omega0": 1.0}}, 2**24 + 1),
+            ({"name": "geometric", "params": {"alpha": 0.25}}, 10**9),
+        ],
+        ids=["cozine-slow-decay", "cozine-huge-count", "stationary-huge-count"],
+    )
+    def test_oversized_path_matrix_refused(self, tmp_path, capsys, kernel, count):
+        """A draw above 2**24 entries is refused before anything is allocated
+        or written: cozine at a = 0.999999 needs 29 million columns."""
+        out = tmp_path / "out"
+        path = write_config(tmp_path, self._config(out, kernel=kernel, count=count))
+        tracemalloc.start()
+        try:
+            code = cli.main(["sample", "--config", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "path matrix" in err
+        assert not out.exists()
+        assert peak < 2**20  # bytes: far below one refused row block
 
     def test_unsampleable_kernel(self, tmp_path, capsys):
         cfg = self._config(tmp_path / "out")

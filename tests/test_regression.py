@@ -14,7 +14,6 @@ from hinfgp.kernels import (
     Domain,
     KernelFamily,
     cozine_kernel,
-    from_config,
     geometric_kernel,
     gram,
 )
@@ -199,7 +198,7 @@ class TestWidelyLinear:
         assert mean_sl.real == pytest.approx(0.74498769463604403, abs=1e-12)
         assert mean_sl.imag == pytest.approx(1.75660305060851178, abs=1e-12)
         assert var_sl == pytest.approx(0.15385923797386644, abs=1e-12)
-        pred = predict_wl(post, 3.0, p_floor=1e-12)
+        pred = predict_wl(post, 3.0)
         assert not pred.used_fallback
         assert pred.mean.real == pytest.approx(0.82299957978198233, abs=1e-12)
         assert pred.mean.imag == pytest.approx(0.0, abs=1e-12)
@@ -214,7 +213,7 @@ class TestWidelyLinear:
         constraint."""
         post = self._single_site_posterior()
         for z in (2.0, 3.0, 5.0):
-            pred = predict_wl(post, z, p_floor=1e-12)
+            pred = predict_wl(post, z)
             assert abs(pred.mean.imag) < 1e-10
             # at a real query the error is real, so both variances coincide
             assert complex(pred.complementary_var).real == pytest.approx(
@@ -233,12 +232,12 @@ class TestWidelyLinear:
             for _ in range(4):
                 z = complex(rng.uniform(1.1, 4.0) * np.exp(1j * rng.uniform(-math.pi, math.pi)))
                 mean_o, var_o, comp_o = augmented_solve(kernel_fn, data, z)
-                pred = predict_wl(post, z, p_floor=1e-13)
+                pred = predict_wl(post, z)
                 assert abs(pred.mean - mean_o) < 1e-9
                 assert abs(pred.hermitian_var - var_o) < 1e-9
                 assert abs(complex(pred.complementary_var) - comp_o) < 1e-9
                 queries.append(z)
-            batch = predict_wl(post, np.array(queries), p_floor=1e-13)
+            batch = predict_wl(post, np.array(queries))
             for z, mean, var, comp in zip(queries, *batch[:3]):
                 mean_o, var_o, comp_o = augmented_solve(kernel_fn, data, z)
                 assert abs(mean - mean_o) < 1e-9
@@ -282,6 +281,33 @@ class TestWidelyLinear:
         assert abs(pred.mean - mean_sl) < 1e-12
         assert abs(pred.hermitian_var - var_sl) < 1e-12
         assert abs(complex(pred.complementary_var)) < 1e-12
+
+    def test_wide_state_built_once(self, monkeypatch):
+        """The complementary Gram and the eigendecomposition of conj(P) are
+        computed once per posterior; ``schur_P`` alone needs no eigh."""
+        rng = np.random.default_rng(52)
+        kernel, sites, y = random_instance(rng)
+        data = FrequencyDataset(sites, y, 0.05)
+        calls = {"complementary": 0, "eigh": 0}
+        real_gram, real_eigh = regression.gram, np.linalg.eigh
+
+        def counting_gram(kernel, points, part="hermitian", noise_var=0.0):
+            calls["complementary"] += part == "complementary"
+            return real_gram(kernel, points, part, noise_var)
+
+        def counting_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "gram", counting_gram)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        post = fit(kernel, data)
+        predict_wl(post, np.array([2.0 + 1.0j, 1.5 - 0.5j]))
+        predict_wl(post, 3.0)
+        schur_P(post)
+        assert calls == {"complementary": 1, "eigh": 1}
+        schur_P(fit(kernel, data))
+        assert calls == {"complementary": 2, "eigh": 1}
 
     def test_schur_complement_against_dense_inverse(self):
         rng = np.random.default_rng(49)
@@ -349,25 +375,27 @@ class TestEllipsoid:
         assert inside >= 1.0 - 1.0 / eta**2
 
 
+def one_term_family(a_sq):
+    """The stationary_list family with the single coefficient ``a_sq``: k = a_sq."""
+    return KernelFamily.from_config({"name": "stationary_list", "params": {"coefficients": [a_sq]}})
+
+
 class TestLikelihood:
     def test_unit_kernel_zero_observation(self):
         # K = [1], y = 0: L = -1/2 log(2 pi)
-        kernel = from_config({"name": "stationary_list", "params": {"coefficients": [1.0]}})
         data = FrequencyDataset(np.array([2.0]), np.array([0.0 + 0j]), 0.0)
-        val = log_marginal_likelihood(lambda _: kernel, {}, data)
+        val = log_marginal_likelihood(one_term_family(1.0), {}, data)
         assert val == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_scaled_kernel_frozen_value(self):
         # K = [2], y = sqrt(2): L = -1/2 (1 + log 2 + log 2 pi)
-        kernel = from_config({"name": "stationary_list", "params": {"coefficients": [2.0]}})
         data = FrequencyDataset(np.array([2.0]), np.array([math.sqrt(2.0) + 0j]), 0.0)
-        val = log_marginal_likelihood(lambda _: kernel, {}, data)
+        val = log_marginal_likelihood(one_term_family(2.0), {}, data)
         assert val == pytest.approx(-1.7655121234846454, abs=1e-12)
 
     def test_failed_factorization_returns_minus_inf(self):
-        zero = from_config({"name": "stationary_list", "params": {"coefficients": [0.0]}})
         data = FrequencyDataset(np.array([2.0]), np.array([1.0 + 0j]), 0.0)
-        assert log_marginal_likelihood(lambda _: zero, {}, data) == -math.inf
+        assert log_marginal_likelihood(one_term_family(0.0), {}, data) == -math.inf
 
     def test_jitter_policy_matches_fit(self):
         """Near-duplicate sites at zero noise: fit's single jitter retry
@@ -382,7 +410,8 @@ class TestLikelihood:
         quad = float(np.real(np.conj(data.responses) @ post.alpha_vec))
         logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(post.factorization)))))
         expected = -0.5 * (quad + logdet + len(data) * math.log(2.0 * math.pi))
-        val = log_marginal_likelihood(lambda _: kernel, {}, data)
+        family = KernelFamily.from_config({"name": "geometric", "params": {"alpha": 0.5}})
+        val = log_marginal_likelihood(family, {}, data)
         assert math.isfinite(val)
         assert val == expected
 
@@ -390,13 +419,9 @@ class TestLikelihood:
         """y of unit size: the unit-variance kernel should beat a grossly
         misscaled one."""
         data = FrequencyDataset(np.array([2.0]), np.array([0.9 + 0.1j]), 0.0)
-
-        def family(values):
-            return from_config({"name": "stationary_list", "params": {"coefficients": [values["scale"]]}})
-
-        well = log_marginal_likelihood(family, {"scale": 1.0}, data)
+        well = log_marginal_likelihood(one_term_family(1.0), {}, data)
         # wildly inflated prior variance wastes probability mass
-        badly = log_marginal_likelihood(family, {"scale": 400.0}, data)
+        badly = log_marginal_likelihood(one_term_family(400.0), {}, data)
         assert well > badly
 
 

@@ -221,7 +221,7 @@ class TestDriscollGramViews:
         assert 1e-12 < 10.0 - report.traces[0] < 1e-9
 
 
-PART_KERNELS = {"h2": cli.kernel_from_verify_record({"name": "h2"}), **_candidate_kernels()}
+PART_KERNELS = {"h2": cli.parse_kernel({"name": "h2"}, verify=True)({}), **_candidate_kernels()}
 
 
 class TestDriscollParts:
