@@ -1,16 +1,57 @@
-"""Shared dense linear-algebra helpers: jittered Cholesky factorization and its solve.
+"""Shared dense linear-algebra helpers: the BLAS thread policy, jittered
+Cholesky factorization and its solve.
 
-Both call LAPACK ``potrf``/``potrs`` directly: the routines that
-:func:`scipy.linalg.cho_factor` and :func:`scipy.linalg.cho_solve` call, with
-the same arguments, so results are bit-identical without the wrappers'
-per-call validation overhead (which dominates at the small orders the
-likelihood search factors thousands of times).
+Thread policy.  A pip-installed numpy and scipy each bundle their own
+OpenBLAS runtime with its own worker pool: numpy's
+``numpy.libs/libscipy_openblas64_*.so`` serves ``@``, ``eigh``, ``svd`` and
+``norm``, and scipy's ``scipy.libs/libscipy_openblas*.so`` serves the LAPACK
+calls made through :mod:`scipy.linalg` (``potrf``, ``potrs``,
+``solve_triangular``).  On a machine with few cores the two pools contend,
+and a small product waits for workers busy in the other runtime (a 25x1000
+complex matvec took 6.4 ms instead of 8 us on two cores).  Importing this
+module therefore sets numpy's bundled runtime to one thread, once, through
+its ``scipy_openblas_set_num_threads64_`` entry point.  scipy's runtime keeps
+its default thread count: the Driscoll probe's order-400 factorizations and
+triangular solves run there and use every core.  Where numpy's bundled copy is
+absent (an MKL, conda or system OpenBLAS build) nothing is changed.
+
+Both factorization helpers call LAPACK ``potrf``/``potrs`` directly: the
+routines that :func:`scipy.linalg.cho_factor` and
+:func:`scipy.linalg.cho_solve` call, with the same arguments, so results are
+bit-identical without the wrappers' per-call validation overhead (which
+dominates at the small orders the likelihood search factors thousands of
+times).
 """
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 from scipy.linalg import get_lapack_funcs
+
+
+def _pin_numpy_openblas(libs_dir: Path) -> bool:
+    """Set the numpy-bundled OpenBLAS in ``libs_dir`` to one thread; whether it did.
+
+    The library is the one numpy already loaded, so ``ctypes`` gets the same
+    handle.  A directory without ``libscipy_openblas64_*.so``, or a library
+    without the ``scipy_openblas_set_num_threads64_`` symbol, changes nothing.
+    """
+    for path in sorted(libs_dir.glob("libscipy_openblas64_*.so")):
+        try:
+            set_num_threads = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_num_threads.argtypes = [ctypes.c_int]
+        set_num_threads.restype = None
+        set_num_threads(1)
+        return True
+    return False
+
+
+_pin_numpy_openblas(Path(np.__file__).resolve().parent.parent / "numpy.libs")
 
 
 class ConditioningError(RuntimeError):

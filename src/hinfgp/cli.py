@@ -127,6 +127,11 @@ def _get_n_max(section: Mapping, where: str) -> int:
     return n_max
 
 
+def _is_real_list(value) -> bool:
+    """Whether a config value is a non-empty list of finite, non-bool reals."""
+    return isinstance(value, list) and bool(value) and all(kernels._is_real(v) for v in value)
+
+
 def _get_section(cfg: Mapping, key: str) -> Mapping:
     section = cfg.get(key)
     if not isinstance(section, Mapping):
@@ -207,14 +212,17 @@ def _parse_system(section: Mapping) -> tuple[DiscreteTF, str]:
     elif kind == "allpass":
         _check_keys(section, {"type", "pole", "fs"}, "system")
         pole = section.get("pole")
-        if not (isinstance(pole, list) and len(pole) == 2):
-            raise ConfigError("allpass system needs 'pole': [re, im]")
+        if not (_is_real_list(pole) and len(pole) == 2):
+            raise ConfigError(f"allpass system needs 'pole': [re, im] of two finite numbers, got {pole!r}")
         tf = make_allpass(complex(float(pole[0]), float(pole[1])), _get_number(section, "fs", "system"))
     elif kind == "external":
         _check_keys(section, {"type", "num", "den", "fs"}, "system")
         num, den = section.get("num"), section.get("den")
-        if not (isinstance(num, list) and isinstance(den, list)):
-            raise ConfigError("external system needs coefficient lists 'num' and 'den'")
+        if not (_is_real_list(num) and _is_real_list(den)):
+            raise ConfigError(
+                "external system needs non-empty coefficient lists 'num' and 'den' of finite numbers, "
+                f"got {num!r} and {den!r}"
+            )
         tf = DiscreteTF(np.asarray(num, dtype=float), np.asarray(den, dtype=float), _get_number(section, "fs", "system"))
     else:
         raise ConfigError(f"unknown system type {kind!r}; expected resonant | allpass | external")
@@ -236,8 +244,8 @@ def _parse_filter_bank(section: Mapping) -> FilterBankSpec:
     }
     if "center_freqs" in section:
         freqs = section["center_freqs"]
-        if not isinstance(freqs, list):
-            raise ConfigError("'center_freqs' must be a list of frequencies")
+        if not _is_real_list(freqs):
+            raise ConfigError(f"'center_freqs' must be a non-empty list of finite numbers, got {freqs!r}")
         kwargs["center_freqs"] = tuple(float(f) for f in freqs)
     if "window_convention" in section:
         kwargs["window_convention"] = section["window_convention"]

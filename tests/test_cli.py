@@ -323,6 +323,29 @@ class TestMainExitCodes:
         assert f"'{path}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, bad",
+        [
+            ({"system": {"type": "external", "num": [math.nan], "den": [1.0], "fs": 1.0}}, [math.nan]),
+            ({"system": {"type": "external", "num": [], "den": [1.0], "fs": 1.0}}, []),
+            ({"system": {"type": "external", "num": [True], "den": [1.0], "fs": 1.0}}, [True]),
+            ({"system": {"type": "allpass", "pole": ["0.3", 0.1], "fs": 1.0}}, ["0.3", 0.1]),
+            ({"system": {"type": "allpass", "pole": [True, 0.1], "fs": 1.0}}, [True, 0.1]),
+            ({"filter_bank": {"num_filters": 1, "taps": 100, "center_freqs": ["0.5"]}}, ["0.5"]),
+            ({"filter_bank": {"num_filters": 1, "taps": 100, "center_freqs": [True]}}, [True]),
+        ],
+        ids=["nan_num", "empty_num", "bool_num", "string_pole", "bool_pole", "string_freq", "bool_freq"],
+    )
+    def test_non_numeric_system_or_bank_entry_fails_before_writing(self, tmp_path, capsys, overrides, bad):
+        """Each coefficient, pole part and center frequency is checked while
+        parsing: the error quotes the offending list and no out_dir is made."""
+        out = tmp_path / "out"
+        cfg = identify_config(out, **overrides)
+        assert cli.main(["identify", "--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(bad) in err
+        assert not out.exists()
+
     @staticmethod
     def _command_config(command, kernel, out):
         if command == "identify":

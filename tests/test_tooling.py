@@ -12,20 +12,27 @@ Import cost is most of a short CLI run, so ``import hinfgp.cli`` loads neither
 ``scipy.signal`` (never used by the package) nor ``scipy.optimize`` (used only
 while tuning).  The test suite imports both itself, so these checks run in a
 fresh interpreter.
+
+Importing the package's linear-algebra users sets numpy's bundled OpenBLAS to
+one thread and leaves scipy's OpenBLAS alone (see ``hinfgp._linalg``); that is
+also checked in a fresh interpreter, since this one imported them already.
 """
 
 import ast
+import ctypes
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hinfgp
-from hinfgp import cli, kernels, regression, sampling, sysid, verify
+from hinfgp import _linalg, cli, kernels, regression, sampling, sysid, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -60,14 +67,18 @@ def test_public_name_resolves(module, name):
     assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def fresh_stdout(code):
+    """What a fresh interpreter, with the package on its path, prints running ``code``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return proc.stdout
+
+
 def loaded_modules_after(code):
     """The ``sys.modules`` names a fresh interpreter holds after running ``code``."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    probe = code + "\nimport sys\nprint(' '.join(sys.modules))"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
-    )
-    return set(proc.stdout.split())
+    return set(fresh_stdout(code + "\nimport sys\nprint(' '.join(sys.modules))").split())
 
 
 def test_cli_import_loads_neither_scipy_signal_nor_optimize():
@@ -95,3 +106,71 @@ def test_package_does_not_import_scipy_signal():
             else:
                 continue
             assert not any(name.startswith("scipy.signal") for name in names), f"{path.name}: {names}"
+
+
+SITE = Path(np.__file__).resolve().parent.parent
+NUMPY_OPENBLAS = sorted((SITE / "numpy.libs").glob("libscipy_openblas64_*.so"))
+needs_numpy_openblas = pytest.mark.skipif(
+    not NUMPY_OPENBLAS, reason="numpy's bundled OpenBLAS (numpy.libs/libscipy_openblas64_*.so) is absent"
+)
+
+THREAD_PROBE = """
+import ctypes, importlib, json
+from pathlib import Path
+import numpy, scipy.linalg
+site = Path(numpy.__file__).resolve().parent.parent
+numpy_blas = ctypes.CDLL(str(sorted((site / "numpy.libs").glob("libscipy_openblas64_*.so"))[0]))
+numpy_threads = numpy_blas.scipy_openblas_get_num_threads64_
+scipy_libs = sorted((site / "scipy.libs").glob("libscipy_openblas*.so"))
+scipy_threads = ctypes.CDLL(str(scipy_libs[0])).scipy_openblas_get_num_threads if scipy_libs else lambda: None
+before = {{"numpy": numpy_threads(), "scipy": scipy_threads()}}
+importlib.import_module({module!r})
+print(json.dumps({{"before": before, "after": {{"numpy": numpy_threads(), "scipy": scipy_threads()}}}}))
+"""
+
+
+@needs_numpy_openblas
+@pytest.mark.parametrize("module", ["hinfgp.cli", "hinfgp.regression", "hinfgp.verify", "hinfgp.sysid"])
+def test_import_pins_numpy_openblas_to_one_thread(module):
+    """numpy's runtime reports 1 thread after the import; scipy's runtime (or
+    None where scipy bundles none) reports what it did before."""
+    counts = json.loads(fresh_stdout(THREAD_PROBE.format(module=module)))
+    assert counts["after"]["numpy"] == 1
+    assert counts["after"]["scipy"] == counts["before"]["scipy"]
+
+
+@pytest.mark.parametrize("contents", [(), ("libscipy_openblas64_bogus.so",)], ids=["empty", "not_a_library"])
+def test_pin_without_numpy_openblas_is_a_no_op(tmp_path, contents):
+    for name in contents:
+        (tmp_path / name).write_bytes(b"not an ELF file")
+    assert _linalg._pin_numpy_openblas(tmp_path) is False
+
+
+@needs_numpy_openblas
+def test_wide_artifacts_agree_with_two_numpy_threads(tmp_path):
+    """The identify-wide shape (wide estimator, 400 filters, fixed mixture)
+    run with numpy's OpenBLAS at two threads, as before the pin, agrees with
+    the pinned run to 1e-8 relative: the thread count moves only rounding."""
+    set_threads = ctypes.CDLL(str(NUMPY_OPENBLAS[0])).scipy_openblas_set_num_threads64_
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    cfg = json.loads((ROOT / "configs" / "resonant.json").read_text(encoding="utf-8"))
+    cfg["kernel"]["tunable"] = []
+    cfg["estimator"] = "wide"
+    cfg["filter_bank"]["num_filters"] = 400
+    cfg["verify"] = {"n_max": 20, "grid_count": 20}
+
+    def artifacts(threads):
+        set_threads(threads)
+        out = tmp_path / str(threads)
+        cli.run_identify(cli.parse_identify_config({**cfg, "out_dir": str(out)}))
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        table = np.loadtxt(out / "predictions.csv", delimiter=",", skiprows=3)
+        return table, [summary[key] for key in ("median_rel_error", "impropriety", "log_marginal_likelihood")]
+
+    try:
+        pinned, two = artifacts(1), artifacts(2)
+    finally:
+        set_threads(1)
+    for a, b in zip(pinned, two):
+        np.testing.assert_allclose(b, a, rtol=1e-8, atol=0.0)
