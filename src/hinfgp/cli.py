@@ -108,7 +108,9 @@ def _get_number(section: Mapping, key: str, where: str, default=None):
     return float(val)
 
 
-def _get_int(section: Mapping, key: str, where: str, default=None):
+def _get_int(section: Mapping, key: str, where: str, default=None, minimum=None):
+    """An integer config value, at least ``minimum`` when one is given: sizes
+    and seeds are checked here, so a run fails before it writes anything."""
     if key not in section:
         if default is not None:
             return default
@@ -116,15 +118,9 @@ def _get_int(section: Mapping, key: str, where: str, default=None):
     val = section[key]
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"'{key}' in {where} must be an integer, got {val!r}")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"'{key}' in {where} must be >= {minimum}, got {val}")
     return val
-
-
-def _get_n_max(section: Mapping, where: str) -> int:
-    """The Driscoll probe size, checked here so a run fails before it writes anything."""
-    n_max = _get_int(section, "n_max", where, 200)
-    if n_max < MIN_N_MAX:
-        raise ConfigError(f"'n_max' in {where} must be >= {MIN_N_MAX}, got {n_max}")
-    return n_max
 
 
 def _is_real_list(value) -> bool:
@@ -275,7 +271,7 @@ def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
         },
         "config",
     )
-    seed = _get_int(resolved, "seed", "config")
+    seed = _get_int(resolved, "seed", "config", minimum=0)
     try:
         system, system_type = _parse_system(resolved.get("system", {}))
     except ValueError as exc:
@@ -312,9 +308,7 @@ def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
             raise ConfigError("'noise_var' must be \"auto\" or a finite nonnegative number")
         noise_var = float(noise_var)
 
-    budget = _get_int(resolved, "budget", "config", 2000)
-    if budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {budget}")
+    budget = _get_int(resolved, "budget", "config", 2000, minimum=1)
 
     diagnostics = resolved.get("diagnostics", {})
     if not isinstance(diagnostics, Mapping):
@@ -328,8 +322,8 @@ def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
     if not isinstance(verify_section, Mapping):
         raise ConfigError("'verify' must be a mapping")
     _check_keys(verify_section, {"n_max", "grid_count"}, "verify")
-    verify_n_max = _get_n_max(verify_section, "verify")
-    verify_grid_count = _get_int(verify_section, "grid_count", "verify", 200)
+    verify_n_max = _get_int(verify_section, "n_max", "verify", 200, minimum=MIN_N_MAX)
+    verify_grid_count = _get_int(verify_section, "grid_count", "verify", 200, minimum=1)
 
     return ExperimentConfig(
         seed=seed,
@@ -547,9 +541,9 @@ def run_identify(cfg: ExperimentConfig) -> dict:
 
 def parse_verify_config(resolved: Mapping) -> dict:
     _check_keys(resolved, {"seed", "kernel", "n_max", "grid", "symmetry_tol", "out_dir"}, "config")
-    seed = _get_int(resolved, "seed", "config", 0)
+    seed = _get_int(resolved, "seed", "config", 0, minimum=0)
     kernel = parse_kernel(_get_section(resolved, "kernel"), verify=True)
-    n_max = _get_n_max(resolved, "config")
+    n_max = _get_int(resolved, "n_max", "config", 200, minimum=MIN_N_MAX)
     grid = resolved.get("grid", {})
     if not isinstance(grid, Mapping):
         raise ConfigError("'grid' must be a mapping")
@@ -558,7 +552,7 @@ def parse_verify_config(resolved: Mapping) -> dict:
         "seed": seed,
         "kernel": kernel,
         "n_max": n_max,
-        "grid_count": _get_int(grid, "count", "grid", 200),
+        "grid_count": _get_int(grid, "count", "grid", 200, minimum=1),
         "r_lo": _get_number(grid, "r_lo", "grid", 1.1),
         "r_hi": _get_number(grid, "r_hi", "grid", 3.0),
         "symmetry_tol": _get_number(resolved, "symmetry_tol", "config", SYMMETRY_TOL),
@@ -591,13 +585,9 @@ def parse_sample_config(resolved: Mapping) -> dict:
     _check_keys(
         resolved, {"seed", "kernel", "count", "trunc", "max_paths_saved", "out_dir"}, "config"
     )
-    seed = _get_int(resolved, "seed", "config")
-    count = _get_int(resolved, "count", "config")
-    if count < 0:
-        raise ConfigError(f"count must be nonnegative, got {count}")
-    trunc = _get_int(resolved, "trunc", "config", 200)
-    if trunc < 1:
-        raise ConfigError(f"trunc must be >= 1, got {trunc}")
+    seed = _get_int(resolved, "seed", "config", minimum=0)
+    count = _get_int(resolved, "count", "config", minimum=0)
+    trunc = _get_int(resolved, "trunc", "config", 200, minimum=1)
     max_saved = _get_int(resolved, "max_paths_saved", "config", 100)
     kernel_section = _get_section(resolved, "kernel")
     try:

@@ -10,21 +10,19 @@ noise of variance sigma_e^2, this module provides
     var(z)  = k(z, z) - u K_yy^{-1} u^H,   u_i = k(z, z_i),
   with K_yy = k(z_i, z_j) + sigma_e^2 I;
 
-* the widely linear refinement (``predict_wl``): conditioning on both y and
-  y* through the augmented covariance [[A, B], [B*, A*]] with A = K_yy and
-  B = Kt_yy the complementary Gram.  Writing W = A^{-1}B, the Schur complement
-  P = A - B W* measures the refinement's advantage (``schur_P``); the widely
-  linear mean and variances reduce to the strictly linear ones plus
-  corrections through the Hermitian matrix P* = conj(P):
+* the widely linear refinement (``predict_wl``): conditioning on y and y* is
+  a Hermitian solve with the augmented covariance Gamma = [[A, B], [B^H, A*]],
+  A = K_yy and B = Kt_yy the complementary Gram (Picinbono & Chevalier 1995).
+  Gamma's lower Cholesky factor L = [[L11, 0], [L21, L22]] is built blockwise
+  from ``fit``'s factor L11 of A, without forming Gamma:
 
-    mean_wl(z) = mean_sl(z) + d Pbar^+ s,      d = v - (u A^{-1}) B,
-    var_wl(z)  = var_sl(z) - d Pbar^+ d^H,     s = conj(y - B conj(alpha)),
+    L21^H = L11^{-1} B,   L22 L22^H = S = A* - L21 L21^H = conj(P),
 
-  where v_i = kt(z, z_i) and Pbar^+ is a truncated pseudo-inverse of
-  conj(P) (eigenvalues below 1e-8 * ||P|| are dropped — P is typically
-  near-singular for conjugate-symmetric priors, which is exactly the regime in
-  which the plain inverse is numerically unstable).  ``predict_wl`` takes a
-  scalar or a 1-D array of query points, evaluated in blocks of 64 rows;
+  with P = A - B (A*)^{-1} B* the Schur complement (``schur_P``).  For the
+  cross row r = [u, v], u_i = k(z, z_i), v_i = kt(z, z_i), x = L^{-1} r^H and
+  c = L^{-1} [y; y*], mean_wl(z) = x^H c and var_wl(z) = k(z, z) - ||x||^2.
+  ``predict_wl`` takes a scalar or a 1-D array of query points, evaluated in
+  blocks of 64 rows;
 
 * confidence ellipsoids (``ellipsoid``): disks |w - mean(z)| <= eta * sigma(z)
   which cover the true response with probability >= 1 - 1/eta^2 (Markov bound,
@@ -66,9 +64,6 @@ __all__ = [
 ]
 
 _WL_BLOCK = 64  # query rows per widely linear block: bounds the working set at large n
-# Eigenvalues of P below _P_FLOOR times the largest are dropped from the
-# widely linear pseudo-inverse.
-_P_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +96,23 @@ class FrequencyDataset:
         return int(self.sites.size)
 
 
+class _AugmentedFactor(NamedTuple):
+    """The blockwise lower Cholesky factor of Gamma = [[A, B], [B^H, A*]]
+    beyond ``fit``'s L11, and what the widely linear update reads from it."""
+
+    l21: np.ndarray  # B^H L11^{-H}
+    s_mat: np.ndarray  # S = A* - L21 L21^H = conj(P), Hermitian
+    impropriety: float  # lambda_max(S) / lambda_max(A)
+    l22: np.ndarray | None  # lower factor of S; None when S is numerically zero
+    coeffs: np.ndarray | None  # c = L^{-1} [y; y*]; None when l22 is
+
+
 @dataclass(eq=False)
 class Posterior:
     """Fitted regression state: kernel, data, K_yy, its lower Cholesky factor and K_yy^{-1} y.
 
-    The widely linear state is computed on first use and kept: ``_schur`` for
-    ``schur_P`` and ``predict_wl``, ``_wl_state`` for ``predict_wl`` only.
+    The widely linear state, ``_augmented``, is computed on first use by
+    ``schur_P`` or ``predict_wl`` and kept.
     """
 
     kernel: ComplexKernel
@@ -116,30 +122,32 @@ class Posterior:
     alpha_vec: np.ndarray
 
     @cached_property
-    def _schur(self):
-        """(B, W = A^{-1} B, Hermitian part of P = A - B W*, ||A||_2)."""
-        comp = gram(self.kernel, self.dataset.sites, "complementary")
-        w_mat = chol_solve(self.factorization, comp)
-        p_mat = self.gram_yy - comp @ np.conj(w_mat)
-        scale = float(np.linalg.norm(self.gram_yy, 2))
-        return comp, w_mat, 0.5 * (p_mat + p_mat.conj().T), scale
+    def _augmented(self) -> _AugmentedFactor:
+        """Factor Gamma from L11: one triangular solve for L21, S, and S's factor.
 
-    @cached_property
-    def _wl_state(self):
-        """Truncated eigendecomposition of conj(P): (basis, 1/eigenvalues,
-        Pbar^+ s), or None when P is numerically zero."""
-        comp, _, p_herm, scale = self._schur
-        eigvals, eigvecs = np.linalg.eigh(np.conj(p_herm))
-        lam_max = float(eigvals[-1])
-        if lam_max <= 1e-14 * scale:
-            return None
-        keep = eigvals >= _P_FLOOR * lam_max
-        basis = eigvecs[:, keep]
-        inv_lam = 1.0 / eigvals[keep]
-        # s = y* - B* A^{-1} y
-        residual = np.conj(self.dataset.responses - comp @ np.conj(self.alpha_vec))
-        correction = basis @ (inv_lam * (basis.conj().T @ residual))  # Pbar^+ s
-        return basis, inv_lam, correction
+        S is left unfactored (the widely linear fallback) when its largest
+        eigenvalue is at most 1e-14 times A's; otherwise it is factored with
+        the one jitter retry, or raises ``ConditioningError``.
+        """
+        comp = gram(self.kernel, self.dataset.sites, "complementary")
+        l21_h = scipy.linalg.solve_triangular(self.factorization, comp, lower=True)
+        l21 = l21_h.conj().T
+        s_mat = np.conj(self.gram_yy) - l21 @ l21_h
+        s_mat = 0.5 * (s_mat + s_mat.conj().T)
+        lam_a, lam_s = (_largest_eigenvalue(mat) for mat in (self.gram_yy, s_mat))
+        if lam_s <= 1e-14 * lam_a:
+            return _AugmentedFactor(l21, s_mat, lam_s / lam_a, None, None)
+        l22 = chol_factor_with_jitter(s_mat)
+        responses = self.dataset.responses
+        c1 = scipy.linalg.solve_triangular(self.factorization, responses, lower=True)
+        c2 = scipy.linalg.solve_triangular(l22, np.conj(responses) - l21 @ c1, lower=True)
+        return _AugmentedFactor(l21, s_mat, lam_s / lam_a, l22, np.concatenate([c1, c2]))
+
+
+def _largest_eigenvalue(mat: np.ndarray) -> float:
+    """Largest eigenvalue of a Hermitian matrix, read from its lower triangle."""
+    n = mat.shape[0]
+    return float(scipy.linalg.eigvalsh(mat, subset_by_index=[n - 1, n - 1])[0])
 
 
 class WidelyLinearPrediction(NamedTuple):
@@ -218,29 +226,31 @@ def predict_sl_many(post: Posterior, zs: Sequence[complex]) -> tuple[np.ndarray,
 def schur_P(post: Posterior) -> SchurComplement:
     """Schur complement P = A - B (A*)^{-1} B* of the augmented covariance.
 
-    P is Hermitian PSD; its spectral norm relative to ||K_yy||_2 measures how
-    much the widely linear estimator can improve on the strictly linear one
-    (P = 0 is the maximally improper case: y* is perfectly predictable from y).
+    P is Hermitian PSD, and conj(P) is S, the block that ``predict_wl``
+    factors.  Its spectral norm relative to ||K_yy||_2 measures how much the
+    widely linear estimator can improve on the strictly linear one (P = 0 is
+    the maximally improper case: y* is perfectly predictable from y).
     """
-    _, _, p_herm, scale = post._schur
-    return SchurComplement(p_herm, float(np.linalg.norm(p_herm, 2) / scale))
+    state = post._augmented
+    return SchurComplement(np.conj(state.s_mat), state.impropriety)
 
 
 def predict_wl(post: Posterior, z) -> WidelyLinearPrediction:
     """Widely linear posterior at z: mean, Hermitian variance, complementary variance.
 
     ``z`` is a scalar or a 1-D array; an array gives a prediction of arrays.
-    Eigenvalues of P below 1e-8 * ||P||_2 are dropped from the inverse
-    (truncated pseudo-inverse).  When P is numerically zero altogether —
-    nothing survives the floor — the strictly linear prediction is returned
-    with ``used_fallback=True`` and a NaN complementary variance.
+    S = conj(P) is factored with one jitter retry, then ``ConditioningError``.
+    When S is numerically zero (largest eigenvalue at most 1e-14 times
+    K_yy's), the strictly linear prediction is returned with
+    ``used_fallback=True`` and a NaN complementary variance.
     """
     pts = np.asarray(z, dtype=complex)
     scalar = pts.ndim == 0
     pts = pts.reshape(-1)
     _check_sites(pts)
-    state = post._wl_state
-    if state is None:
+    state = post._augmented
+    fallback = state.l22 is None
+    if fallback:
         mean, herm_var = predict_sl_many(post, pts)
         comp_var = np.full(pts.size, complex(math.nan, math.nan))
     else:
@@ -250,35 +260,30 @@ def predict_wl(post: Posterior, z) -> WidelyLinearPrediction:
             mean[rows], herm_var[rows], comp_var[rows] = _wl_block(post, state, pts[rows])
     if scalar:
         mean, herm_var, comp_var = complex(mean[0]), float(herm_var[0]), complex(comp_var[0])
-    return WidelyLinearPrediction(mean, herm_var, comp_var, state is None)
+    return WidelyLinearPrediction(mean, herm_var, comp_var, fallback)
 
 
-def _wl_block(post: Posterior, state, pts: np.ndarray):
+def _wl_block(post: Posterior, state: _AugmentedFactor, pts: np.ndarray):
     """Widely linear mean and variances at one block of query points.
 
-    With A = L L^H, one triangular solve each for u and v gives both u A^{-1} u^H
-    and u A^{-1} v^T.  The cached W = A^{-1} B gives d = v - u W and, since B is
-    complex symmetric (B* A^{-1} = W^H), e = u - v W*.
+    One triangular solve with L11 and one with L22 give, side by side,
+    x = L^{-1} [u, v]^H and w = L^{-1} [v, u]^T, so that the mean is x^H c,
+    the Hermitian variance k(z, z) - ||x||^2 and the complementary variance
+    kt(z, z) - x^H w.
     """
-    basis, inv_lam, correction = state
-    _, w_mat, _, _ = post._schur
-    factor, sites = post.factorization, post.dataset.sites[None, :]
+    sites, q = post.dataset.sites[None, :], pts.size
     u = np.asarray(post.kernel.hermitian_eval(pts[:, None], sites), dtype=complex)
     v = np.asarray(post.kernel.complementary_eval(pts[:, None], sites), dtype=complex)
-    lu = scipy.linalg.solve_triangular(factor, np.conj(u).T, lower=True)  # L^{-1} u^H
-    lv = scipy.linalg.solve_triangular(factor, v.T, lower=True)  # L^{-1} v^T
-    d = v - u @ w_mat
-    d_proj = d @ basis
-    mean = u @ post.alpha_vec + d @ correction
+    top = scipy.linalg.solve_triangular(post.factorization, np.hstack([u.conj().T, v.T]), lower=True)
+    rhs = np.hstack([v.conj().T, u.T]) - state.l21 @ top
+    bottom = scipy.linalg.solve_triangular(state.l22, rhs, lower=True)
+    solved = np.vstack([top, bottom])
+    x, w = solved[:, :q], solved[:, q:]
+    mean = x.conj().T @ state.coeffs
     prior = np.real(np.asarray(post.kernel.hermitian_eval(pts, pts)))
-    quad_sl = np.sum(np.abs(lu) ** 2, axis=0)  # u A^{-1} u^H
-    hermitian_var = np.maximum(prior - quad_sl - np.abs(d_proj) ** 2 @ inv_lam, 0.0)
-
-    # complementary error variance: kt(z,z) - u A^{-1} v^T - d Pbar^+ e^T
+    hermitian_var = np.maximum(prior - np.sum(np.abs(x) ** 2, axis=0), 0.0)
     prior_comp = np.asarray(post.kernel.complementary_eval(pts, pts), dtype=complex)
-    e_proj = (u - v @ np.conj(w_mat)) @ np.conj(basis)
-    u_ainv_v = np.sum(np.conj(lu) * lv, axis=0)  # u A^{-1} v^T
-    return mean, hermitian_var, prior_comp - u_ainv_v - (d_proj * e_proj) @ inv_lam
+    return mean, hermitian_var, prior_comp - np.sum(x.conj() * w, axis=0)
 
 
 def ellipsoid(post: Posterior, z: complex, eta: float) -> EllipsoidBound:

@@ -434,6 +434,39 @@ class TestMainExitCodes:
         assert err.startswith("error: ") and f"'{key}'" in err and "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["identify", "verify", "sample"])
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_negative_seed_fails_before_writing(self, tmp_path, capsys, command, via):
+        out = tmp_path / "out"
+        cfg = self._command_config(command, {"name": "geometric", "params": {"alpha": 0.5}}, out)
+        flags = []
+        if via == "config":
+            cfg["seed"] = -1
+        else:
+            flags = ["--seed", "-1"]
+        assert cli.main([command, "--config", write_config(tmp_path, cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'seed'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,key,mutate",
+        [
+            ("identify", "grid_count", lambda c: c.update(verify={"n_max": 40, "grid_count": 0})),
+            ("verify", "count", lambda c: c.update(grid={"count": 0})),
+            ("verify", "count", lambda c: c.update(grid={"count": -3})),
+        ],
+        ids=["identify-zero", "verify-zero", "verify-negative"],
+    )
+    def test_empty_symmetry_grid_fails_before_writing(self, tmp_path, capsys, command, key, mutate):
+        out = tmp_path / "out"
+        cfg = self._command_config(command, {"name": "geometric", "params": {"alpha": 0.5}}, out)
+        mutate(cfg)
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err
+        assert not out.exists()
+
     def test_missing_out_dir(self, tmp_path, capsys):
         cfg = {"seed": 0, "kernel": {"name": "geometric", "params": {"alpha": 0.5}}, "count": 10}
         assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 1

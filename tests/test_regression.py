@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hinfgp import regression
+from hinfgp import _linalg, regression
 from hinfgp._linalg import ConditioningError, chol_factor_with_jitter
 from hinfgp.kernels import (
     ComplexKernel,
@@ -32,23 +32,37 @@ from hinfgp.regression import (
 
 
 def augmented_solve(kernel, data, z):
-    """Independent widely linear oracle: dense solve of the 2n x 2n system
+    """Independent widely linear oracle: dense LU solve of the 2n x 2n system
     over the stacked vector [y; conj(y)].  Cross-covariances follow from
-    E[y_i f] = kt(z, z_i) and E[conj(y_i) f] = k(z, z_i)."""
+    E[y_i f] = kt(z, z_i) and E[conj(y_i) f] = k(z, z_i).  ``z`` is a scalar
+    or a 1-D array of queries, solved together; an array gives arrays."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))[:, None]
     a_mat = gram(kernel, data.sites, "hermitian", data.noise_var)
     b_mat = gram(kernel, data.sites, "complementary")
     gamma = np.block([[a_mat, b_mat], [np.conj(b_mat), np.conj(a_mat)]])
     yy = np.concatenate([data.responses, np.conj(data.responses)])
-    u = np.asarray(kernel.hermitian_eval(z, data.sites), dtype=complex)
-    v = np.asarray(kernel.complementary_eval(z, data.sites), dtype=complex)
-    row = np.concatenate([u, v])
-    mean = complex(row @ np.linalg.solve(gamma, yy))
-    var = float(
-        np.real(kernel.hermitian_eval(z, z)) - np.real(row @ np.linalg.solve(gamma, np.conj(row)))
+    u = np.asarray(kernel.hermitian_eval(zs, data.sites[None, :]), dtype=complex)
+    v = np.asarray(kernel.complementary_eval(zs, data.sites[None, :]), dtype=complex)
+    rows = np.hstack([u, v])
+    solved = np.linalg.solve(gamma, np.column_stack([yy, np.conj(rows).T, np.hstack([v, u]).T]))
+    q = zs.shape[0]
+    mean = rows @ solved[:, 0]
+    var = np.real(kernel.hermitian_eval(zs[:, 0], zs[:, 0])) - np.real(
+        np.einsum("ij,ji->i", rows, solved[:, 1 : q + 1])
     )
-    cross = np.concatenate([v, u])
-    comp = complex(kernel.complementary_eval(z, z) - row @ np.linalg.solve(gamma, cross))
+    comp = kernel.complementary_eval(zs[:, 0], zs[:, 0]) - np.einsum("ij,ji->i", rows, solved[:, q + 1 :])
+    if np.ndim(z) == 0:
+        return complex(mean[0]), float(var[0]), complex(comp[0])
     return mean, var, comp
+
+
+# The resonant mixture at its tuned values (test_acceptance.GOLDEN_TUNED).
+TUNED_MIXTURE = {
+    "name": "mixture",
+    "params": {"weight1": 0.02198313451245096, "weight2": 0.35829538298079183},
+    "component1": {"name": "geometric", "params": {"alpha": 0.007437084182554785}},
+    "component2": {"name": "cozine", "params": {"a": 0.9390638257609869, "omega0": 0.6254776553250977}},
+}
 
 
 def random_instance(rng, n_max=6):
@@ -222,7 +236,7 @@ class TestWidelyLinear:
             assert abs(complex(pred.complementary_var).imag) < 1e-10
 
     def test_matches_augmented_solve(self):
-        """Schur-reduced implementation against the dense 2n x 2n oracle."""
+        """The blockwise factor of Gamma against the dense 2n x 2n oracle."""
         rng = np.random.default_rng(46)
         for kernel_fn in (geometric_kernel(0.5), cozine_kernel(0.6, 1.1)):
             _, sites, y = random_instance(rng, n_max=5)
@@ -243,6 +257,36 @@ class TestWidelyLinear:
                 assert abs(mean - mean_o) < 1e-9
                 assert abs(var - var_o) < 1e-9
                 assert abs(comp - comp_o) < 1e-9
+
+    def test_matches_augmented_solve_at_large_n(self):
+        """The identify-wide regime, at 120 unit-circle sites under the tuned
+        resonant mixture with noise 3.6e-3: mean, Hermitian and complementary
+        variance agree with the dense oracle to 1e-9 of their largest
+        magnitude over 130 queries (three 64-row blocks)."""
+        kernel = KernelFamily.from_config(TUNED_MIXTURE)({})
+        rng = np.random.default_rng(53)
+        sites = np.exp(1j * np.linspace(0.02, math.pi - 0.02, 120))
+        noise = rng.standard_normal(120) + 1j * rng.standard_normal(120)
+        data = FrequencyDataset(sites, kernel.hermitian_eval(sites, 1.05) + 0.06 * noise, 3.6e-3)
+        off_circle = rng.uniform(1.0, 1.5, 30) * np.exp(1j * rng.uniform(0.0, math.pi, 30))
+        queries = np.concatenate([np.exp(1j * rng.uniform(-math.pi, math.pi, 100)), off_circle])
+        pred = predict_wl(fit(kernel, data), queries)
+        assert not pred.used_fallback
+        for got, want in zip(pred[:3], augmented_solve(kernel, data, queries)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_rank_deficient_schur_complement_takes_jitter(self):
+        """Zero noise at sites {2, 3, 1.5+1j}: S = conj(P) has eigenvalues about
+        {0, 2e-16, 9.8e-4}, so its first factorization fails and the jitter
+        retry factors it.  The means equal those of the former truncated
+        pseudo-inverse of P (eigenvalues below 1e-8 of the largest dropped)."""
+        data = FrequencyDataset(np.array([2.0, 3.0, 1.5 + 1.0j]), np.array([1.0, 0.5, 0.2]) + 0j, 0.0)
+        post = fit(geometric_kernel(0.5), data)
+        assert not _linalg._potrf(np.conj(schur_P(post).matrix))[1]
+        for z, mean in ((2.5, 0.667819279717027), (2.0 + 0.5j, 0.7375274166623034 - 0.3639058103689029j)):
+            pred = predict_wl(post, z)
+            assert not pred.used_fallback
+            assert abs(pred.mean - mean) < 1e-9
 
     def test_variance_never_exceeds_strictly_linear(self):
         rng = np.random.default_rng(47)
@@ -283,31 +327,33 @@ class TestWidelyLinear:
         assert abs(complex(pred.complementary_var)) < 1e-12
 
     def test_wide_state_built_once(self, monkeypatch):
-        """The complementary Gram and the eigendecomposition of conj(P) are
-        computed once per posterior; ``schur_P`` alone needs no eigh."""
+        """The complementary Gram and the factor L22 of S = conj(P) are
+        computed once per posterior, by whichever of ``predict_wl`` and
+        ``schur_P`` comes first."""
         rng = np.random.default_rng(52)
         kernel, sites, y = random_instance(rng)
         data = FrequencyDataset(sites, y, 0.05)
-        calls = {"complementary": 0, "eigh": 0}
-        real_gram, real_eigh = regression.gram, np.linalg.eigh
+        post, other = fit(kernel, data), fit(kernel, data)  # K_yy's factors are not counted
+        calls = {"complementary": 0, "factor": 0}
+        real_gram, real_factor = regression.gram, regression.chol_factor_with_jitter
 
         def counting_gram(kernel, points, part="hermitian", noise_var=0.0):
             calls["complementary"] += part == "complementary"
             return real_gram(kernel, points, part, noise_var)
 
-        def counting_eigh(*args, **kwargs):
-            calls["eigh"] += 1
-            return real_eigh(*args, **kwargs)
+        def counting_factor(*args, **kwargs):
+            calls["factor"] += 1
+            return real_factor(*args, **kwargs)
 
         monkeypatch.setattr(regression, "gram", counting_gram)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        post = fit(kernel, data)
+        monkeypatch.setattr(regression, "chol_factor_with_jitter", counting_factor)
         predict_wl(post, np.array([2.0 + 1.0j, 1.5 - 0.5j]))
         predict_wl(post, 3.0)
         schur_P(post)
-        assert calls == {"complementary": 1, "eigh": 1}
-        schur_P(fit(kernel, data))
-        assert calls == {"complementary": 2, "eigh": 1}
+        assert calls == {"complementary": 1, "factor": 1}
+        schur_P(other)
+        predict_wl(other, 3.0)
+        assert calls == {"complementary": 2, "factor": 2}
 
     def test_schur_complement_against_dense_inverse(self):
         rng = np.random.default_rng(49)
