@@ -9,11 +9,12 @@ Three subcommands tie the library together:
 * ``sample`` — draw process realizations and Monte Carlo covariance summaries.
 
 Configs are single JSON documents with nested sections; unknown keys anywhere
-are errors so runs fail fast instead of silently ignoring typos.  Every output
-file declares the SHA-256 of the resolved config (out_dir excluded, seed
-included) and the seed, and a rerun with the same config and seed is
-byte-identical: all randomness flows from Philox streams derived from the
-seed, and no timestamps are written.
+are errors so runs fail fast instead of silently ignoring typos.  A run
+computes every output file before it creates out_dir, so a failed run writes
+nothing.  Every output file declares the SHA-256 of the resolved config
+(out_dir excluded, seed included) and the seed, and a rerun with the same
+config and seed is byte-identical: all randomness flows from Philox streams
+derived from the seed, and no timestamps are written.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from ._linalg import ConditioningError
 from .kernels import ComplexKernel
 from .regression import (
     _disk_bounds,
@@ -354,20 +354,34 @@ def _fmt(value) -> str:
     return "%.17g" % float(value)
 
 
-def _write_csv(path: Path, provenance: tuple[str, int], columns: Sequence[str], rows) -> None:
-    sha, seed = provenance
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# config_sha256={sha}\n")
-        handle.write(f"# seed={seed}\n")
-        handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+def _csv(columns: Sequence[str], rows) -> str:
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, record: Mapping) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+def _publish(out_dir: str, sha: str, seed: int, files: Mapping[str, dict | str]) -> None:
+    """Create ``out_dir`` and write a run's files, each stamped with the config
+    SHA-256 and the seed.
+
+    ``files`` maps a file name to a JSON record, which gains the
+    ``config_sha256`` and ``seed`` keys in place (so a returned record is the
+    one written), or to a table's text, which gains two ``#`` header lines.
+    Every file is rendered before ``out_dir`` is created, and each ``run_*``
+    calls this once, as its last step: a run that fails writes nothing.
+    """
+    header = f"# config_sha256={sha}\n# seed={seed}\n"
+    rendered = {}
+    for name, body in files.items():
+        if isinstance(body, str):
+            rendered[name] = header + body
+        else:
+            body.update(config_sha256=sha, seed=seed)
+            rendered[name] = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in rendered.items():
+        (out / name).write_text(text, encoding="utf-8")
 
 
 def _verify_record(
@@ -396,9 +410,6 @@ def _verify_record(
 
 def run_identify(cfg: ExperimentConfig) -> dict:
     """Full identification pipeline; writes the artifact files and returns the summary."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    provenance = (cfg.sha256, cfg.seed)
     fs = cfg.system.sample_rate
 
     input_seed, output_noise_seed, input_noise_seed, tuner_seed = (
@@ -452,69 +463,12 @@ def run_identify(cfg: ExperimentConfig) -> dict:
     max_true = float(np.max(np.abs(true_grid)))
     median_rel_error = float(np.median(np.abs(means - true_grid))) / max_true
 
-    _write_csv(
-        out / "etfe_data.csv",
-        provenance,
-        ("omega", "re_y", "im_y"),
-        (
-            (w, y.real, y.imag)
-            for w, y in zip(site_freqs, data.responses)
-        ),
-    )
-    _write_csv(
-        out / "predictions.csv",
-        provenance,
-        (
-            "omega",
-            "re_true",
-            "im_true",
-            "re_mean",
-            "im_mean",
-            "sigma",
-            "mag_lo",
-            "mag_hi",
-            "phase_lo",
-            "phase_hi",
-            "phase_full",
-        ),
-        (
-            (
-                w,
-                t.real,
-                t.imag,
-                b.center.real,
-                b.center.imag,
-                s,
-                b.mag_interval[0],
-                b.mag_interval[1],
-                b.phase_interval[0] if b.phase_interval else -math.pi,
-                b.phase_interval[1] if b.phase_interval else math.pi,
-                b.phase_interval is None,
-            )
-            for w, t, s, b in zip(grid, true_grid, sigmas, bounds)
-        ),
-    )
-    _write_json(
-        out / "hyperparameters.json",
-        {
-            "config_sha256": cfg.sha256,
-            "seed": cfg.seed,
-            "tunable": list(cfg.kernel.tunable),
-            "values": values,
-            "log_marginal_likelihood": likelihood,
-            "budget": cfg.budget,
-        },
-    )
     verify_record = {
         "config_sha256": cfg.sha256,
         "seed": cfg.seed,
         **_verify_record(kernel, cfg.verify_n_max, cfg.verify_grid_count),
     }
-    _write_json(out / "verify_report.json", verify_record)
-
     summary: dict = {
-        "config_sha256": cfg.sha256,
-        "seed": cfg.seed,
         "system": cfg.system_type,
         "estimator": cfg.estimator,
         "eta": cfg.eta,
@@ -531,7 +485,57 @@ def run_identify(cfg: ExperimentConfig) -> dict:
         summary["wl_fallback"] = wl_fallback
     if cfg.impropriety_diag or cfg.estimator == "wide":
         summary["impropriety"] = schur_P(post).impropriety
-    _write_json(out / "summary.json", summary)
+
+    _publish(
+        cfg.out_dir,
+        cfg.sha256,
+        cfg.seed,
+        {
+            "etfe_data.csv": _csv(
+                ("omega", "re_y", "im_y"),
+                ((w, y.real, y.imag) for w, y in zip(site_freqs, data.responses)),
+            ),
+            "predictions.csv": _csv(
+                (
+                    "omega",
+                    "re_true",
+                    "im_true",
+                    "re_mean",
+                    "im_mean",
+                    "sigma",
+                    "mag_lo",
+                    "mag_hi",
+                    "phase_lo",
+                    "phase_hi",
+                    "phase_full",
+                ),
+                (
+                    (
+                        w,
+                        t.real,
+                        t.imag,
+                        b.center.real,
+                        b.center.imag,
+                        s,
+                        b.mag_interval[0],
+                        b.mag_interval[1],
+                        b.phase_interval[0] if b.phase_interval else -math.pi,
+                        b.phase_interval[1] if b.phase_interval else math.pi,
+                        b.phase_interval is None,
+                    )
+                    for w, t, s, b in zip(grid, true_grid, sigmas, bounds)
+                ),
+            ),
+            "hyperparameters.json": {
+                "tunable": list(cfg.kernel.tunable),
+                "values": values,
+                "log_marginal_likelihood": likelihood,
+                "budget": cfg.budget,
+            },
+            "verify_report.json": verify_record,
+            "summary.json": summary,
+        },
+    )
     return summary
 
 
@@ -563,17 +567,10 @@ def parse_verify_config(resolved: Mapping) -> dict:
 
 def run_verify(cfg: Mapping) -> dict:
     """Verification pipeline: symmetry + Driscoll reports for a parsed kernel family."""
-    kernel = cfg["kernel"]({})
-    report = {
-        "config_sha256": cfg["sha256"],
-        "seed": cfg["seed"],
-        **_verify_record(
-            kernel, cfg["n_max"], cfg["grid_count"], cfg["r_lo"], cfg["r_hi"], cfg["symmetry_tol"]
-        ),
-    }
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report)
+    report = _verify_record(
+        cfg["kernel"]({}), cfg["n_max"], cfg["grid_count"], cfg["r_lo"], cfg["r_hi"], cfg["symmetry_tol"]
+    )
+    _publish(cfg["out_dir"], cfg["sha256"], cfg["seed"], {"report.json": report})
     return report
 
 
@@ -588,7 +585,7 @@ def parse_sample_config(resolved: Mapping) -> dict:
     seed = _get_int(resolved, "seed", "config", minimum=0)
     count = _get_int(resolved, "count", "config", minimum=0)
     trunc = _get_int(resolved, "trunc", "config", 200, minimum=1)
-    max_saved = _get_int(resolved, "max_paths_saved", "config", 100)
+    max_saved = _get_int(resolved, "max_paths_saved", "config", 100, minimum=0)
     kernel_section = _get_section(resolved, "kernel")
     try:
         path_law(kernel_section.get("name"))  # first: an unsampled record may not parse
@@ -612,34 +609,15 @@ _SAMPLE_PROBES = (
 
 
 def run_sample(cfg: Mapping) -> dict:
-    """Sampling pipeline: writes impulse responses and Monte Carlo covariance summaries.
-
-    The paths are drawn before ``out_dir`` is created, so a refused draw writes nothing.
-    """
+    """Sampling pipeline: writes impulse responses and Monte Carlo covariance summaries."""
     family, count = cfg["kernel"], cfg["count"]
     law = path_law(family.name)
+    kernel, label = family({}), law.label(family.params)
+    summary: dict = {"family": label, "count": count}
+    paths = f"# family={label}\n"
     if count > 0:
         mat = sample_paths(family, cfg["trunc"], cfg["seed"], count)
-    kernel, label = family({}), law.label(family.params)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-
-    summary: dict = {
-        "config_sha256": cfg["sha256"],
-        "seed": cfg["seed"],
-        "family": label,
-        "count": count,
-    }
-    paths_file = out / "paths.txt"
-    with open(paths_file, "w", encoding="utf-8") as handle:
-        handle.write(f"# config_sha256={cfg['sha256']}\n")
-        handle.write(f"# seed={cfg['seed']}\n")
-        handle.write(f"# family={label}\n")
-        if count > 0:
-            for row in mat[: cfg["max_paths_saved"]]:
-                handle.write(" ".join("%.17g" % v for v in row) + "\n")
-
-    if count > 0:
+        paths += "".join(" ".join("%.17g" % v for v in row) + "\n" for row in mat[: cfg["max_paths_saved"]])
         abs_sums = np.sum(np.abs(mat), axis=1)
         summary["mean_abs_sum"] = float(np.mean(abs_sums))
         summary["expected_abs_sum"] = law.abs_sum(family.params)
@@ -676,7 +654,7 @@ def run_sample(cfg: Mapping) -> dict:
             probes.append(probe)
         summary["probes"] = probes
 
-    _write_json(out / "summary.json", summary)
+    _publish(cfg["out_dir"], cfg["sha256"], cfg["seed"], {"paths.txt": paths, "summary.json": summary})
     return summary
 
 
@@ -710,7 +688,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             run_verify(parse_verify_config(resolved))
         else:
             run_sample(parse_sample_config(resolved))
-    except (ConfigError, ConditioningError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -83,6 +83,12 @@ class FrequencyDataset:
             raise ValueError(
                 f"sites and responses disagree in length: {sites.size} vs {responses.size}"
             )
+        for name, values in (("sites", sites), ("responses", responses)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(
+                    f"{bad.size} of {values.size} {name} are not finite (first: {values[bad[0]]} at index {bad[0]})"
+                )
         _check_sites(sites, self.noise_var)
         if self.noise_var == 0.0 and sites.size != np.unique(sites).size:
             raise ConditioningError(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hinfgp import cli
+from hinfgp._linalg import ConditioningError
 from hinfgp.cli import (
     ConfigError,
     config_hash,
@@ -306,7 +307,7 @@ class TestMainExitCodes:
         out = tmp_path / "out"
         assert cli.main(["identify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         assert "n_max" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("path", ["weight1", "component2.omega0"], ids=["zero_weight", "zero_omega0"])
     def test_untransformable_start_fails_before_writing(self, tmp_path, capsys, path):
@@ -467,10 +468,78 @@ class TestMainExitCodes:
         assert err.startswith("error: ") and f"'{key}'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("max_paths_saved", -1), ("max_paths_saved", -3999), ("count", -1), ("trunc", 0)],
+        ids=["max_paths_saved-minus-one", "max_paths_saved-minus-3999", "negative-count", "zero-trunc"],
+    )
+    def test_sample_rejects(self, tmp_path, capsys, key, value):
+        """A negative ``max_paths_saved`` would slice the saved paths from the
+        end (-1 keeps all but one): it is refused while parsing, like the other
+        sample sizes."""
+        out = tmp_path / "out"
+        cfg = {**self._command_config("sample", {"name": "geometric", "params": {"alpha": 0.5}}, out), key: value}
+        assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err
+        assert not out.exists()
+
     def test_missing_out_dir(self, tmp_path, capsys):
         cfg = {"seed": 0, "kernel": {"name": "geometric", "params": {"alpha": 0.5}}, "count": 10}
         assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 1
         assert "output directory" in capsys.readouterr().err
+
+
+class TestFailedRunWritesNothing:
+    """Every ``identify`` stage runs before ``out_dir`` is created: a stage
+    that raises leaves one ``error:`` line on stderr and no ``out_dir``."""
+
+    STAGES = ("simulate", "optimize_hyperparameters", "fit", "predict_wl", "driscoll_parts", "schur_P")
+
+    @staticmethod
+    def _main(tmp_path, capsys, cfg):
+        code = cli.main(["identify", "--config", write_config(tmp_path, cfg)])
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        return code, errors
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize(
+        "exc",
+        [ValueError("stage failed"), ConditioningError("stage failed"), MemoryError("stage failed")],
+        ids=["ValueError", "ConditioningError", "MemoryError"],
+    )
+    def test_failing_stage(self, tmp_path, capsys, monkeypatch, stage, exc):
+        """The wide estimator with one tunable parameter reaches all six
+        stages; the error line shows that the patched stage ran."""
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, stage, fail)
+        out = tmp_path / "out"
+        kernel = {"name": "geometric", "params": {"alpha": 0.5}, "tunable": ["alpha"]}
+        code, errors = self._main(tmp_path, capsys, identify_config(out, kernel=kernel, estimator="wide", budget=5))
+        assert code == 1
+        assert errors == ["error: stage failed"]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("tunable", [[], ["alpha"]], ids=["fixed", "tuned"])
+    def test_overflowing_plant(self, tmp_path, capsys, tunable):
+        """Coefficients of 1e308 give finite outputs but NaN ETFE responses:
+        the dataset names them instead of the tuner or the factorization."""
+        out = tmp_path / "out"
+        cfg = identify_config(
+            out,
+            system={"type": "external", "num": [1e308, 1e308], "den": [1.0], "fs": 1.0},
+            noise={"input_var": 0.01, "output_var": 0.0001},
+            kernel={"name": "geometric", "params": {"alpha": 0.5}, "tunable": tunable},
+        )
+        code, errors = self._main(tmp_path, capsys, cfg)
+        assert code == 1
+        assert len(errors) == 1 and "responses are not finite" in errors[0]
+        assert not out.exists()
 
 
 class TestVerifyPipeline:

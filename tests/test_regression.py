@@ -103,6 +103,22 @@ class TestFrequencyDataset:
         data = FrequencyDataset(np.exp(1j * np.array([0.5, 1.0])), np.zeros(2, complex), 0.01)
         assert len(data) == 2
 
+    @pytest.mark.parametrize(
+        "sites, responses, name",
+        [
+            ([2.0, 3.0], [1.0, complex(np.nan, np.nan)], "responses"),
+            ([2.0, 3.0], [np.inf, 1.0], "responses"),
+            ([2.0, complex(np.nan, 1.0)], [1.0, 1.0], "sites"),
+            ([np.inf, 3.0], [1.0, 1.0], "sites"),
+        ],
+        ids=["nan-response", "inf-response", "nan-site", "inf-site"],
+    )
+    def test_non_finite_entries_rejected(self, sites, responses, name):
+        """A NaN or infinite entry is named at construction, not found later
+        as a failed factorization or an all -inf likelihood."""
+        with pytest.raises(ValueError, match=f"1 of 2 {name} are not finite"):
+            FrequencyDataset(np.array(sites, complex), np.array(responses, complex), 0.01)
+
 
 class TestCholeskyJitter:
     def test_indefinite_matrix_raises(self):
