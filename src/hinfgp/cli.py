@@ -42,7 +42,7 @@ from .regression import (
     predict_wl,
     schur_P,
 )
-from .sampling import path_law, sample_paths
+from .sampling import _MAX_ENTRIES, path_law, sample_paths
 from .sysid import DiscreteTF, FilterBankSpec, TimeTrace, estimate_noise_var, etfe, make_allpass, make_resonant_system, simulate
 from .verify import MIN_N_MAX, dense_spiral, driscoll_parts, symmetry_test
 
@@ -53,6 +53,11 @@ PREDICTION_GRID_SIZE = 512
 # SYMMETRY_TOL * max(1, max |k(z,z)|), so a kernel scaled up by tuning is held
 # to the same relative accuracy as an unscaled one.
 SYMMETRY_TOL = 1e-10
+# The symmetry grid's radii when a config gives none.
+_R_LO, _R_HI = 1.1, 3.0
+# Allocation caps, checked while parsing: no array a run allocates exceeds
+# _MAX_ENTRIES entries, so a size whose square is a Gram is at most _MAX_SIDE.
+_MAX_SIDE = math.isqrt(_MAX_ENTRIES)
 
 
 class ConfigError(ValueError):
@@ -91,55 +96,96 @@ def config_hash(resolved: Mapping) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _check_keys(section: Mapping, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+_REQUIRED = object()
 
 
-def _get_number(section: Mapping, key: str, where: str, default=None):
-    if key not in section:
-        if default is not None:
+class _Section:
+    """One config mapping, read key by key.
+
+    Each accessor reads one key, checks it and names the key and ``where``
+    in its error.  An absent key takes its ``default``, or is an error
+    without one.  ``close()`` refuses every key that nothing read, so the
+    keys a parser reads are the keys it allows.
+    """
+
+    def __init__(self, mapping: Mapping, where: str):
+        self.mapping, self.where, self._read = mapping, where, set()
+
+    def get(self, key: str, default=_REQUIRED, valid=None, rule: str = ""):
+        """The value at ``key``; a given value must pass ``valid``, which ``rule`` describes."""
+        self._read.add(key)
+        if key not in self.mapping:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key '{key}' in {self.where}")
             return default
-        raise ConfigError(f"missing required key '{key}' in {where}")
-    val = section[key]
-    if not kernels._is_real(val):
-        raise ConfigError(f"'{key}' in {where} must be a finite number, got {val!r}")
-    return float(val)
+        value = self.mapping[key]
+        if valid is not None:
+            self.bound(key, value, valid(value), rule)
+        return value
+
+    def bound(self, key: str, value, ok: bool, rule: str) -> None:
+        """Refuse ``value`` at ``key`` unless ``ok``: it must be ``rule``."""
+        if not ok:
+            raise ConfigError(f"'{key}' in {self.where} must be {rule}, got {value!r}")
+
+    def number(self, key: str, default=_REQUIRED, minimum=None, above=None) -> float:
+        """A finite real number (not a bool), >= ``minimum`` and > ``above`` when given."""
+        value = self.get(key, default, kernels._is_real, "a finite number")
+        self.bound(key, value, minimum is None or value >= minimum, f">= {minimum}")
+        self.bound(key, value, above is None or value > above, f"> {above}")
+        return float(value)
+
+    def integer(self, key: str, default=_REQUIRED, minimum=None, maximum=None) -> int:
+        """An integer (not a bool), >= ``minimum`` and <= ``maximum`` when given."""
+        value = self.get(key, default, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+        self.bound(key, value, minimum is None or value >= minimum, f">= {minimum}")
+        self.bound(key, value, maximum is None or value <= maximum, f"<= {maximum}")
+        return value
+
+    def reals(self, key: str, default=_REQUIRED, length=None):
+        """A non-empty list of finite reals (not bools), ``length`` of them when
+        given, as a tuple of floats."""
+        value = self.get(
+            key,
+            default,
+            lambda v: isinstance(v, list)
+            and bool(v)
+            and len(v) == (length or len(v))
+            and all(map(kernels._is_real, v)),
+            f"a list of {length or 'one or more'} finite numbers",
+        )
+        return value if value is default else tuple(map(float, value))
+
+    def choice(self, key: str, options: tuple, default=_REQUIRED) -> str:
+        """One of the strings ``options``."""
+        return self.get(key, default, lambda v: isinstance(v, str) and v in options, f"one of {list(options)}")
+
+    def section(self, key: str, required: bool = True) -> "_Section":
+        """The mapping at ``key`` (empty when absent and not ``required``)."""
+        value = self.get(key, _REQUIRED if required else {}, lambda v: isinstance(v, Mapping), "a mapping")
+        return _Section(value, key)
+
+    def close(self) -> None:
+        unknown = set(self.mapping) - self._read
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in {self.where}")
 
 
-def _get_int(section: Mapping, key: str, where: str, default=None, minimum=None):
-    """An integer config value, at least ``minimum`` when one is given: sizes
-    and seeds are checked here, so a run fails before it writes anything."""
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key '{key}' in {where}")
-    val = section[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"'{key}' in {where} must be an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"'{key}' in {where} must be >= {minimum}, got {val}")
-    return val
-
-
-def _is_real_list(value) -> bool:
-    """Whether a config value is a non-empty list of finite, non-bool reals."""
-    return isinstance(value, list) and bool(value) and all(kernels._is_real(v) for v in value)
-
-
-def _get_section(cfg: Mapping, key: str) -> Mapping:
-    section = cfg.get(key)
-    if not isinstance(section, Mapping):
-        raise ConfigError(f"missing required section '{key}'")
-    return section
-
-
-def _get_out_dir(cfg: Mapping) -> str:
-    out_dir = cfg.get("out_dir")
+def _provenance(cfg: _Section, seed_default=_REQUIRED) -> dict:
+    """The ``seed``, ``out_dir`` and config ``sha256`` that every run records."""
+    seed = cfg.integer("seed", seed_default, minimum=0)
+    out_dir = cfg.get("out_dir", "")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("no output directory: set 'out_dir' in the config or pass --out")
-    return out_dir
+    return {"seed": seed, "out_dir": out_dir, "sha256": config_hash(cfg.mapping)}
+
+
+def _probe_sizes(top: _Section, grid: _Section, count_key: str) -> tuple[int, int]:
+    """``n_max`` of the Driscoll probe (in ``top``) and the symmetry grid's size."""
+    return (
+        top.integer("n_max", 200, minimum=MIN_N_MAX, maximum=_MAX_SIDE),
+        grid.integer(count_key, 200, minimum=1, maximum=_MAX_ENTRIES),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,156 +240,94 @@ class ExperimentConfig:
     sha256: str
 
 
-def _parse_system(section: Mapping) -> tuple[DiscreteTF, str]:
-    if not isinstance(section, Mapping):
-        raise ConfigError("'system' must be a mapping")
-    kind = section.get("type")
+def _parse_system(system: _Section) -> tuple[DiscreteTF, str]:
+    kind = system.choice("type", ("resonant", "allpass", "external"))
+    fs = system.number("fs", above=0)
     if kind == "resonant":
-        _check_keys(section, {"type", "omega0", "xi", "fs"}, "system")
-        tf = make_resonant_system(
-            _get_number(section, "omega0", "system"),
-            _get_number(section, "xi", "system"),
-            _get_number(section, "fs", "system"),
-        )
+        make, args = make_resonant_system, (system.number("omega0"), system.number("xi"), fs)
     elif kind == "allpass":
-        _check_keys(section, {"type", "pole", "fs"}, "system")
-        pole = section.get("pole")
-        if not (_is_real_list(pole) and len(pole) == 2):
-            raise ConfigError(f"allpass system needs 'pole': [re, im] of two finite numbers, got {pole!r}")
-        tf = make_allpass(complex(float(pole[0]), float(pole[1])), _get_number(section, "fs", "system"))
-    elif kind == "external":
-        _check_keys(section, {"type", "num", "den", "fs"}, "system")
-        num, den = section.get("num"), section.get("den")
-        if not (_is_real_list(num) and _is_real_list(den)):
-            raise ConfigError(
-                "external system needs non-empty coefficient lists 'num' and 'den' of finite numbers, "
-                f"got {num!r} and {den!r}"
-            )
-        tf = DiscreteTF(np.asarray(num, dtype=float), np.asarray(den, dtype=float), _get_number(section, "fs", "system"))
+        make, args = make_allpass, (complex(*system.reals("pole", length=2)), fs)
     else:
-        raise ConfigError(f"unknown system type {kind!r}; expected resonant | allpass | external")
-    return tf, kind
-
-
-def _parse_filter_bank(section: Mapping) -> FilterBankSpec:
-    if not isinstance(section, Mapping):
-        raise ConfigError("'filter_bank' must be a mapping")
-    _check_keys(
-        section,
-        {"num_filters", "taps", "window_sigma", "center_freqs", "window_convention"},
-        "filter_bank",
-    )
-    kwargs: dict = {
-        "num_filters": _get_int(section, "num_filters", "filter_bank", 25),
-        "taps": _get_int(section, "taps", "filter_bank", 1000),
-        "window_sigma": _get_number(section, "window_sigma", "filter_bank", 0.25),
-    }
-    if "center_freqs" in section:
-        freqs = section["center_freqs"]
-        if not _is_real_list(freqs):
-            raise ConfigError(f"'center_freqs' must be a non-empty list of finite numbers, got {freqs!r}")
-        kwargs["center_freqs"] = tuple(float(f) for f in freqs)
-    if "window_convention" in section:
-        kwargs["window_convention"] = section["window_convention"]
+        make, args = DiscreteTF, (system.reals("num"), system.reals("den"), fs)
+    system.close()
     try:
-        return FilterBankSpec(**kwargs)
+        return make(*args), kind
+    except ValueError as exc:
+        raise ConfigError(f"system: {exc}") from exc
+
+
+def _parse_filter_bank(bank: _Section) -> FilterBankSpec:
+    num_filters = bank.integer("num_filters", FilterBankSpec.num_filters, minimum=1, maximum=_MAX_SIDE)
+    taps = bank.integer("taps", FilterBankSpec.taps, minimum=1)
+    most = _MAX_ENTRIES // num_filters
+    bank.bound("taps", taps, taps <= most, f"<= {most} ({_MAX_ENTRIES} entries over 'num_filters' = {num_filters})")
+    spec = {
+        "num_filters": num_filters,
+        "taps": taps,
+        "window_sigma": bank.number("window_sigma", FilterBankSpec.window_sigma, above=0),
+        "center_freqs": bank.reals("center_freqs", None),
+        "window_convention": bank.get("window_convention", FilterBankSpec.window_convention),
+    }
+    bank.close()
+    try:
+        return FilterBankSpec(**spec)
     except ValueError as exc:
         raise ConfigError(f"filter_bank: {exc}") from exc
 
 
 def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
-    _check_keys(
-        resolved,
-        {
-            "seed",
-            "system",
-            "noise",
-            "trace_len",
-            "filter_bank",
-            "kernel",
-            "estimator",
-            "eta",
-            "noise_var",
-            "budget",
-            "out_dir",
-            "diagnostics",
-            "verify",
-        },
-        "config",
+    cfg = _Section(resolved, "config")
+    provenance = _provenance(cfg)
+    system, system_type = _parse_system(cfg.section("system"))
+    noise = cfg.section("noise")
+    input_var, output_var = noise.number("input_var", above=0), noise.number("output_var", minimum=0)
+    noise.close()
+
+    trace_len = cfg.integer("trace_len", minimum=1, maximum=_MAX_ENTRIES)
+    bank = _parse_filter_bank(cfg.section("filter_bank", required=False))
+    cfg.bound("trace_len", trace_len, trace_len >= bank.taps, f">= 'taps' in filter_bank ({bank.taps})")
+    # estimate_noise_var keeps one estimate per filter and per trace_len // taps segment
+    most = (_MAX_ENTRIES // bank.num_filters + 1) * bank.taps - 1
+    rule = f"<= {most} (at most {_MAX_ENTRIES} noise estimates for its 'num_filters' and 'taps')"
+    cfg.bound("trace_len", trace_len, trace_len <= most, rule)
+
+    kernel = cfg.section("kernel")
+    tunable = kernel.get(
+        "tunable", [], lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v), "a list of parameter paths"
     )
-    seed = _get_int(resolved, "seed", "config", minimum=0)
-    try:
-        system, system_type = _parse_system(resolved.get("system", {}))
-    except ValueError as exc:
-        raise ConfigError(f"system: {exc}") from exc
+    family = parse_kernel({k: v for k, v in kernel.mapping.items() if k != "tunable"}, tunable)
 
-    noise = _get_section(resolved, "noise")
-    _check_keys(noise, {"input_var", "output_var"}, "noise")
-    input_var = _get_number(noise, "input_var", "noise")
-    output_var = _get_number(noise, "output_var", "noise")
-    if input_var <= 0.0 or output_var < 0.0:
-        raise ConfigError("noise variances must satisfy input_var > 0, output_var >= 0")
+    diagnostics = cfg.section("diagnostics", required=False)
+    impropriety = diagnostics.get("impropriety", False, lambda v: isinstance(v, bool), "a boolean")
+    diagnostics.close()
+    probe = cfg.section("verify", required=False)
+    verify_n_max, verify_grid_count = _probe_sizes(probe, probe, "grid_count")
+    probe.close()
 
-    trace_len = _get_int(resolved, "trace_len", "config")
-    bank = _parse_filter_bank(resolved.get("filter_bank", {}))
-    if trace_len < bank.taps:
-        raise ConfigError(f"trace_len={trace_len} is shorter than the {bank.taps}-tap filters")
-
-    kernel_section = _get_section(resolved, "kernel")
-    tunable = kernel_section.get("tunable", [])
-    if not isinstance(tunable, list) or not all(isinstance(t, str) for t in tunable):
-        raise ConfigError("'kernel.tunable' must be a list of parameter paths")
-    kernel = parse_kernel({k: v for k, v in kernel_section.items() if k != "tunable"}, tunable)
-
-    estimator = resolved.get("estimator")
-    if estimator not in ("strict", "wide"):
-        raise ConfigError(f"estimator must be 'strict' or 'wide', got {estimator!r}")
-    eta = _get_number(resolved, "eta", "config")
-    if eta <= 0.0:
-        raise ConfigError(f"eta must be positive, got {eta}")
-
-    noise_var = resolved.get("noise_var", "auto")
-    if noise_var != "auto":
-        if not kernels._is_real(noise_var) or noise_var < 0:
-            raise ConfigError("'noise_var' must be \"auto\" or a finite nonnegative number")
-        noise_var = float(noise_var)
-
-    budget = _get_int(resolved, "budget", "config", 2000, minimum=1)
-
-    diagnostics = resolved.get("diagnostics", {})
-    if not isinstance(diagnostics, Mapping):
-        raise ConfigError("'diagnostics' must be a mapping")
-    _check_keys(diagnostics, {"impropriety"}, "diagnostics")
-    impropriety = diagnostics.get("impropriety", False)
-    if not isinstance(impropriety, bool):
-        raise ConfigError("'diagnostics.impropriety' must be a boolean")
-
-    verify_section = resolved.get("verify", {})
-    if not isinstance(verify_section, Mapping):
-        raise ConfigError("'verify' must be a mapping")
-    _check_keys(verify_section, {"n_max", "grid_count"}, "verify")
-    verify_n_max = _get_int(verify_section, "n_max", "verify", 200, minimum=MIN_N_MAX)
-    verify_grid_count = _get_int(verify_section, "grid_count", "verify", 200, minimum=1)
-
-    return ExperimentConfig(
-        seed=seed,
+    parsed = ExperimentConfig(
+        **provenance,
         system=system,
         system_type=system_type,
         input_var=input_var,
         output_var=output_var,
         trace_len=trace_len,
         bank=bank,
-        kernel=kernel,
-        estimator=estimator,
-        eta=eta,
-        noise_var=noise_var,
-        budget=budget,
-        out_dir=_get_out_dir(resolved),
+        kernel=family,
+        estimator=cfg.choice("estimator", ("strict", "wide")),
+        eta=cfg.number("eta", above=0),
+        noise_var=cfg.get(
+            "noise_var",
+            "auto",
+            lambda v: v == "auto" or kernels._is_real(v) and v >= 0,
+            '"auto" or a finite number >= 0',
+        ),
+        budget=cfg.integer("budget", 2000, minimum=1),
         impropriety_diag=impropriety,
         verify_n_max=verify_n_max,
         verify_grid_count=verify_grid_count,
-        sha256=config_hash(resolved),
     )
+    cfg.close()
+    return parsed
 
 
 def _fmt(value) -> str:
@@ -385,7 +369,7 @@ def _publish(out_dir: str, sha: str, seed: int, files: Mapping[str, dict | str])
 
 
 def _verify_record(
-    kernel: ComplexKernel, n_max: int, grid_count: int, r_lo=1.1, r_hi=3.0, tol=SYMMETRY_TOL
+    kernel: ComplexKernel, n_max: int, grid_count: int, r_lo=_R_LO, r_hi=_R_HI, tol=SYMMETRY_TOL
 ) -> dict:
     """Symmetry and Driscoll sections of a verification report.
 
@@ -544,25 +528,21 @@ def run_identify(cfg: ExperimentConfig) -> dict:
 
 
 def parse_verify_config(resolved: Mapping) -> dict:
-    _check_keys(resolved, {"seed", "kernel", "n_max", "grid", "symmetry_tol", "out_dir"}, "config")
-    seed = _get_int(resolved, "seed", "config", 0, minimum=0)
-    kernel = parse_kernel(_get_section(resolved, "kernel"), verify=True)
-    n_max = _get_int(resolved, "n_max", "config", 200, minimum=MIN_N_MAX)
-    grid = resolved.get("grid", {})
-    if not isinstance(grid, Mapping):
-        raise ConfigError("'grid' must be a mapping")
-    _check_keys(grid, {"count", "r_lo", "r_hi"}, "grid")
-    return {
-        "seed": seed,
-        "kernel": kernel,
+    cfg = _Section(resolved, "config")
+    grid = cfg.section("grid", required=False)
+    n_max, grid_count = _probe_sizes(cfg, grid, "count")
+    parsed = {
+        **_provenance(cfg, seed_default=0),
+        "kernel": parse_kernel(cfg.section("kernel").mapping, verify=True),
         "n_max": n_max,
-        "grid_count": _get_int(grid, "count", "grid", 200, minimum=1),
-        "r_lo": _get_number(grid, "r_lo", "grid", 1.1),
-        "r_hi": _get_number(grid, "r_hi", "grid", 3.0),
-        "symmetry_tol": _get_number(resolved, "symmetry_tol", "config", SYMMETRY_TOL),
-        "out_dir": _get_out_dir(resolved),
-        "sha256": config_hash(resolved),
+        "grid_count": grid_count,
+        "r_lo": grid.number("r_lo", _R_LO, minimum=1),
+        "r_hi": grid.number("r_hi", _R_HI, minimum=1),
+        "symmetry_tol": cfg.number("symmetry_tol", SYMMETRY_TOL, above=0),
     }
+    grid.close()
+    cfg.close()
+    return parsed
 
 
 def run_verify(cfg: Mapping) -> dict:
@@ -579,27 +559,21 @@ def run_verify(cfg: Mapping) -> dict:
 
 
 def parse_sample_config(resolved: Mapping) -> dict:
-    _check_keys(
-        resolved, {"seed", "kernel", "count", "trunc", "max_paths_saved", "out_dir"}, "config"
-    )
-    seed = _get_int(resolved, "seed", "config", minimum=0)
-    count = _get_int(resolved, "count", "config", minimum=0)
-    trunc = _get_int(resolved, "trunc", "config", 200, minimum=1)
-    max_saved = _get_int(resolved, "max_paths_saved", "config", 100, minimum=0)
-    kernel_section = _get_section(resolved, "kernel")
+    cfg = _Section(resolved, "config")
+    parsed = {
+        **_provenance(cfg),
+        "count": cfg.integer("count", minimum=0),
+        "trunc": cfg.integer("trunc", 200, minimum=1),
+        "max_paths_saved": cfg.integer("max_paths_saved", 100, minimum=0),
+    }
+    kernel = cfg.section("kernel").mapping
     try:
-        path_law(kernel_section.get("name"))  # first: an unsampled record may not parse
+        path_law(kernel.get("name"))  # first: an unsampled record may not parse
     except ValueError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
-    return {
-        "seed": seed,
-        "kernel": parse_kernel(kernel_section),
-        "count": count,
-        "trunc": trunc,
-        "max_paths_saved": max_saved,
-        "out_dir": _get_out_dir(resolved),
-        "sha256": config_hash(resolved),
-    }
+    parsed["kernel"] = parse_kernel(kernel)
+    cfg.close()
+    return parsed
 
 
 _SAMPLE_PROBES = (

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -123,7 +124,7 @@ def _alpha(alpha) -> tuple[float]:
 
 def _resonance(a, omega0) -> tuple[float, float]:
     if not 0.0 < a < 1.0:
-        raise ValueError(f"pole radius a must lie in (0, 1), got {a}")
+        raise ValueError(f"pole radius 'a' must lie in (0, 1), got {a}")
     if not 0.0 <= omega0 <= math.pi:
         raise ValueError(f"omega0 must lie in [0, pi], got {omega0}")
     return float(a), math.cos(omega0)
@@ -131,7 +132,7 @@ def _resonance(a, omega0) -> tuple[float, float]:
 
 def _weights(w1, w2) -> tuple[float, float]:
     if w1 < 0.0 or w2 < 0.0:
-        raise ValueError(f"mixture weights must be nonnegative, got {w1}, {w2}")
+        raise ValueError(f"mixture weights 'weight1' and 'weight2' must be nonnegative, got {w1}, {w2}")
     return float(w1), float(w2)
 
 
@@ -534,8 +535,9 @@ class BoundFamily:
 
 
 def _is_real(value) -> bool:
-    """Whether a record value is a finite real number (booleans are not)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """Whether a record value is a real number with a finite float value
+    (booleans are not; nor is an integer too large for a float)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _parse_family(record: Mapping, prefix: str, tunable: tuple, verify: bool) -> KernelFamily:
@@ -573,14 +575,14 @@ def _parse_family(record: Mapping, prefix: str, tunable: tuple, verify: bool) ->
         if key != "coefficients" and not _is_real(value):
             raise ValueError(f"parameter '{key}' of kernel {name!r} must be a finite number, got {value!r}")
     if name == "geometric" and "alpha" not in params:
-        raise ValueError("geometric kernel config requires 'alpha'")
+        raise ValueError("'params' of kernel 'geometric' requires 'alpha'")
     if name == "cozine":
         missing = {"a", "omega0"} - set(params)
         if missing:
-            raise ValueError(f"cozine kernel config requires {sorted(missing)}")
+            raise ValueError(f"'params' of kernel 'cozine' requires {sorted(missing)}")
     if name == "stationary_list":
         if "coefficients" not in params:
-            raise ValueError("stationary_list kernel config requires 'coefficients'")
+            raise ValueError("'params' of kernel 'stationary_list' requires 'coefficients'")
         a_sq = params["coefficients"]
         if not isinstance(a_sq, (list, tuple)) or not a_sq or not all(_is_real(c) and c >= 0.0 for c in a_sq):
             raise ValueError(
@@ -591,8 +593,8 @@ def _parse_family(record: Mapping, prefix: str, tunable: tuple, verify: bool) ->
     children = []
     if name == "mixture":
         for key in _COMPONENTS:
-            if key not in record:
-                raise ValueError(f"mixture kernel config requires nested record {key!r}")
+            if not isinstance(record.get(key), Mapping):
+                raise ValueError(f"mixture kernel config requires a nested record {key!r}, got {record.get(key)!r}")
         children = [_parse_family(record[key], f"{prefix}{key}.", tunable, False) for key in _COMPONENTS]
     return KernelFamily(name, params, prefix, tunable, children)
 

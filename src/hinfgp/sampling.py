@@ -27,9 +27,10 @@ import numpy as np
 __all__ = ["path_law", "sample_paths", "sample_stationary_batch", "sample_cozine_batch"]
 
 _COZINE_TAIL_TOL = 1e-12
-# The largest path matrix a sampler allocates, in entries (128 MiB of floats).
-# Cozine's truncation grows as log(tol)/log(a), 29 million columns at a = 0.999999.
-_MAX_PATH_ENTRIES = 2**24
+# The largest array a run allocates, in entries (128 MiB of floats): the path
+# matrix here, and the sizes the CLI caps while parsing.  Cozine's truncation
+# grows as log(tol)/log(a), 29 million columns at a = 0.999999.
+_MAX_ENTRIES = 2**24
 _HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)  # E|w| for w ~ N(0, 1)
 
 
@@ -100,7 +101,7 @@ def path_law(name) -> _Law:
     this reads, so it can be checked before the record is parsed.
     """
     if not isinstance(name, str) or name not in _LAWS:
-        raise ValueError(f"kernel {name!r} has no path sampler; supported families: {', '.join(_LAWS)}")
+        raise ValueError(f"kernel name {name!r} has no path sampler; supported families: {', '.join(_LAWS)}")
     return _LAWS[name]
 
 
@@ -109,9 +110,9 @@ def _philox(seed: int) -> np.random.Generator:
 
 
 def _check_size(rows: int, cols: int) -> None:
-    if rows * cols > _MAX_PATH_ENTRIES:
+    if rows * cols > _MAX_ENTRIES:
         raise ValueError(
-            f"a {rows} x {cols} path matrix exceeds the limit of {_MAX_PATH_ENTRIES} entries"
+            f"a {rows} x {cols} path matrix exceeds the limit of {_MAX_ENTRIES} entries"
         )
 
 

@@ -51,14 +51,14 @@ class DiscreteTF:
         num = np.atleast_1d(np.asarray(self.num_coeffs, dtype=float))
         den = np.atleast_1d(np.asarray(self.den_coeffs, dtype=float))
         if den.size == 0 or abs(den[0] - 1.0) > 1e-12:
-            raise ValueError("denominator must be monic (leading coefficient 1)")
+            raise ValueError("denominator 'den' must be monic (leading coefficient 1)")
         if self.sample_rate <= 0.0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if den.size > 1:
             roots = np.roots(den)
             if roots.size and np.max(np.abs(roots)) >= 1.0:
                 raise ValueError(
-                    f"unstable system: pole magnitude {np.max(np.abs(roots)):.6f} >= 1"
+                    f"unstable system: pole magnitude {np.max(np.abs(roots)):.6f} >= 1 (roots of 'den')"
                 )
         object.__setattr__(self, "num_coeffs", num)
         object.__setattr__(self, "den_coeffs", den)
@@ -131,17 +131,17 @@ class FilterBankSpec:
         if self.num_filters < 1:
             raise ValueError(f"num_filters must be >= 1, got {self.num_filters}")
         if self.window_convention not in ("printed", "scaled"):
-            raise ValueError(f"unknown window convention {self.window_convention!r}")
+            raise ValueError(f"window_convention must be 'printed' or 'scaled', got {self.window_convention!r}")
         if self.center_freqs is not None:
             freqs = tuple(float(f) for f in self.center_freqs)
             if len(freqs) != self.num_filters:
                 raise ValueError(
-                    f"{len(freqs)} center frequencies for num_filters={self.num_filters}"
+                    f"{len(freqs)} center_freqs for num_filters={self.num_filters}"
                 )
             if any(not 0.0 < f < math.pi for f in freqs):
-                raise ValueError("center frequencies must lie strictly inside (0, pi)")
+                raise ValueError("center_freqs must lie strictly inside (0, pi)")
             if any(b <= a for a, b in zip(freqs, freqs[1:])):
-                raise ValueError("center frequencies must be strictly increasing")
+                raise ValueError("center_freqs must be strictly increasing")
             object.__setattr__(self, "center_freqs", freqs)
 
     @property
@@ -175,7 +175,7 @@ def make_resonant_system(omega0: float, xi: float, fs: float) -> DiscreteTF:
         raise ValueError(f"xi must lie in (0, 1), got {xi}")
     if fs <= omega0 / math.pi:
         raise ValueError(
-            f"sample rate {fs} Hz undersamples the resonance at {omega0} rad/s"
+            f"sample rate fs={fs} Hz undersamples the resonance at omega0={omega0} rad/s"
         )
     a_mat = np.array([[0.0, 1.0], [-omega0**2, -2.0 * xi * omega0]])
     b_mat = np.array([[0.0], [1.0]])

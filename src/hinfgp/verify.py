@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from ._linalg import chol_factor_with_jitter
-from .kernels import ComplexKernel, _part_values, h2_kernel
+from .kernels import ComplexKernel, _check_sites, _part_values, h2_kernel
 
 __all__ = [
     "DriscollReport",
@@ -187,8 +187,11 @@ def driscoll_test(
     ``rel_jitter=1e-12``.  If R_{n_max} needs its single retry, the jitter
     (1e-12 times the mean diagonal of R_{n_max}) enters every prefix,
     including those whose own factorization would succeed without it.
-    Repeated points raise ``ValueError``; near-duplicates that defeat the
-    retry raise ``ConditioningError``.  ``n_max`` must be at least
+    Repeated points raise ``ValueError``.  Near-duplicates are not caught:
+    the retry's jitter rescues R_{n_max}, and the pair silently counts as
+    one point (with ``pts[30] = pts[5] * (1 + 1e-15)``, the H2 self-trace
+    at n = 40 reads 39.0001, not 40).  ``ConditioningError`` is raised only
+    when the retry fails too.  ``n_max`` must be at least
     ``MIN_N_MAX`` (20), so that the tail fit below has two points.
 
     A bounded trace sequence is evidence the paths lie in H2 (hence extend to
@@ -226,11 +229,13 @@ def symmetry_test(kernel: ComplexKernel, grid: Sequence[complex]) -> SymmetryRep
     Reports max |k(z,z) - k(z*,z*)| and max |k(z,z) - kt(z,z*)|; both vanish
     exactly when the process has conjugate-symmetric paths.  Rounding leaves
     errors proportional to the kernel's size, so the report also carries
-    ``scale`` = max |k(z,z)| over the grid.
+    ``scale`` = max |k(z,z)| over the grid.  Every grid point must lie in the
+    kernel domain |z| >= 1 (``ValueError`` otherwise).
     """
     pts = np.asarray(grid, dtype=complex)
     if pts.size == 0:
         raise ValueError("symmetry grid must be nonempty")
+    _check_sites(pts)
     diag = np.asarray(kernel.hermitian_eval(pts, pts))
     diag_conj = np.asarray(kernel.hermitian_eval(np.conj(pts), np.conj(pts)))
     cross = np.asarray(kernel.complementary_eval(pts, np.conj(pts)))

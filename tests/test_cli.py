@@ -46,6 +46,19 @@ def identify_config(out_dir, **overrides):
     return cfg
 
 
+def mixture_record(**overrides):
+    """A mixture kernel record; ``weight1``/``weight2`` go to its params, other keys to the record."""
+    record = {
+        "name": "mixture",
+        "params": {"weight1": 1.0, "weight2": 1.0},
+        "component1": {"name": "geometric", "params": {"alpha": 0.5}},
+        "component2": {"name": "exponential"},
+    }
+    for key, value in overrides.items():
+        (record["params"] if key.startswith("weight") else record)[key] = value
+    return record
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -204,13 +217,33 @@ class TestParseIdentifyConfig:
             (lambda c: c.update(surprise=1), "unknown key"),
             (lambda c: c.pop("seed"), "seed"),
             (lambda c: c.update(seed=True), "integer"),
-            (lambda c: c.pop("system"), "system type"),
-            (lambda c: c["system"].update(type="continuous"), "system type"),
-            (lambda c: c["system"].pop("num"), "coefficient lists"),
+            (lambda c: c.pop("system"), "missing required key 'system' in config"),
+            (lambda c: c["system"].update(type="continuous"), "'type' in system must be one of"),
+            (lambda c: c["system"].pop("num"), "missing required key 'num' in system"),
+            (lambda c: c["system"].update(fs=-1.0), r"'fs' in system must be > 0, got -1\.0"),
+            (
+                lambda c: c.update(system={"type": "resonant", "omega0": 5.0, "xi": 0.1, "fs": 0}),
+                r"'fs' in system must be > 0, got 0",
+            ),
+            (
+                lambda c: c.update(system={"type": "allpass", "pole": [0.5, 0.0], "fs": 0.0}),
+                r"'fs' in system must be > 0, got 0\.0",
+            ),
+            (
+                lambda c: c.update(system={"type": "resonant", "omega0": 1e12, "xi": 0.1, "fs": 50.0}),
+                r"fs=50\.0 Hz undersamples the resonance at omega0=1000000000000\.0",
+            ),
             (lambda c: c.pop("noise"), "noise"),
             (lambda c: c["noise"].update(input_var=0.0), "input_var"),
             (lambda c: c["noise"].update(output_var=-1.0), "output_var"),
-            (lambda c: c.update(trace_len=50), "shorter"),
+            (
+                lambda c: c.update(trace_len=50),
+                r"'trace_len' in config must be >= 'taps' in filter_bank \(100\), got 50",
+            ),
+            (lambda c: c["filter_bank"].update(window_convention="boxcar"), "window_convention must be"),
+            (lambda c: c.update(kernel=mixture_record(weight1=-1.0)), "'weight1'"),
+            (lambda c: c.update(kernel=mixture_record(component1=3)), "'component1'"),
+            (lambda c: c.update(kernel=mixture_record(component2=[])), "'component2'"),
             (lambda c: c.update(estimator="robust"), "estimator"),
             (lambda c: c.update(eta=0.0), "eta"),
             (lambda c: c.update(noise_var=-0.5), "noise_var"),
@@ -229,10 +262,18 @@ class TestParseIdentifyConfig:
             "no_system",
             "bad_system_type",
             "bad_external",
+            "negative_fs",
+            "resonant_zero_fs",
+            "allpass_zero_fs",
+            "undersampled",
             "no_noise",
             "zero_input_var",
             "negative_output_var",
             "short_trace",
+            "bad_window_convention",
+            "negative_weight",
+            "scalar_component1",
+            "list_component2",
             "bad_estimator",
             "zero_eta",
             "negative_noise_var",
@@ -278,6 +319,17 @@ class TestParseIdentifyConfig:
     def test_verify_config_rejects_small_n_max(self, tmp_path):
         cfg = {"kernel": {"name": "h2"}, "n_max": 19, "out_dir": str(tmp_path)}
         with pytest.raises(ConfigError, match="n_max"):
+            parse_verify_config(cfg)
+
+    @pytest.mark.parametrize(
+        "grid,key",
+        [({"r_lo": 0.2, "r_hi": 0.9}, "r_lo"), ({"r_hi": 0.9}, "r_hi"), ({"r_lo": 0.0, "r_hi": 0.0}, "r_lo")],
+        ids=["inside", "r_hi-inside", "origin"],
+    )
+    def test_verify_config_rejects_grid_inside_unit_disk(self, tmp_path, grid, key):
+        """The symmetry identities hold on the kernel domain |z| >= 1 only."""
+        cfg = {"kernel": {"name": "h2"}, "grid": grid, "out_dir": str(tmp_path)}
+        with pytest.raises(ConfigError, match=f"'{key}' in grid must be >= 1, got "):
             parse_verify_config(cfg)
 
     def test_shipped_aux_configs_parse(self):
@@ -414,6 +466,8 @@ class TestMainExitCodes:
             ("identify", "noise_var", lambda c: c.update(noise_var=math.nan)),
             ("verify", "r_lo", lambda c: c["grid"].update(r_lo=math.nan)),
             ("verify", "symmetry_tol", lambda c: c.update(symmetry_tol=math.inf)),
+            ("identify", "eta", lambda c: c.update(eta=10**400)),
+            ("verify", "symmetry_tol", lambda c: c.update(symmetry_tol=-(10**400))),
         ],
         ids=[
             "eta-nan",
@@ -423,10 +477,13 @@ class TestMainExitCodes:
             "noise_var-nan",
             "r_lo-nan",
             "symmetry_tol-infinity",
+            "eta-beyond-float",
+            "symmetry_tol-beyond-float",
         ],
     )
     def test_non_finite_number_fails_before_writing(self, tmp_path, capsys, command, key, mutate):
-        """json reads NaN and Infinity; a config number must be finite."""
+        """json reads NaN, Infinity and integers of any size; a config number
+        must have a finite float value."""
         out = tmp_path / "out"
         cfg = self._command_config(command, {"name": "geometric", "params": {"alpha": 0.5}}, out)
         mutate(cfg)
@@ -483,6 +540,50 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{key}'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,key,mutate",
+        [
+            ("identify", "trace_len", lambda c: c.update(trace_len=2**24 + 1)),
+            ("identify", "num_filters", lambda c: c.update(filter_bank={"num_filters": 2**12 + 1, "taps": 1})),
+            # 257 x 65281 = 2**24 + 1: one entry past the cap, as filter bank or as noise estimates
+            ("identify", "taps", lambda c: c.update(trace_len=65281, filter_bank={"num_filters": 257, "taps": 65281})),
+            ("identify", "trace_len", lambda c: c.update(trace_len=65281, filter_bank={"num_filters": 257, "taps": 1})),
+            ("identify", "n_max", lambda c: c.update(verify={"n_max": 2**12 + 1})),
+            ("identify", "grid_count", lambda c: c.update(verify={"grid_count": 2**24 + 1})),
+            ("verify", "n_max", lambda c: c.update(n_max=2**12 + 1)),
+            ("verify", "count", lambda c: c.update(grid={"count": 2**24 + 1})),
+        ],
+        ids=["trace_len", "num_filters", "bank-entries", "noise-estimates", "identify-n_max",
+             "identify-grid_count", "verify-n_max", "verify-count"],
+    )
+    def test_size_past_its_cap_refused_before_allocating(self, tmp_path, capsys, command, key, mutate):
+        """Every size that drives an allocation is capped while parsing, so no
+        array a run allocates exceeds 2**24 entries, and a Gram side 2**12."""
+        out = tmp_path / "out"
+        cfg = self._command_config(command, {"name": "geometric", "params": {"alpha": 0.5}}, out)
+        mutate(cfg)
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = cli.main([command, "--config", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err and "<=" in err
+        assert not out.exists()
+        assert peak < 2**20  # bytes: far below any capped array
+
+    def test_sizes_at_their_caps_parse(self, tmp_path):
+        cfg = identify_config(tmp_path, trace_len=65280, filter_bank={"num_filters": 257, "taps": 1})
+        cfg["verify"] = {"n_max": 2**12, "grid_count": 2**24}
+        assert parse_identify_config(cfg).bank.num_filters == 257
+        cfg.update(trace_len=2**24, filter_bank={"num_filters": 2**12, "taps": 2**12})
+        assert parse_identify_config(cfg).trace_len == 2**24
+        verify = {"kernel": {"name": "h2"}, "n_max": 2**12, "grid": {"count": 2**24}, "out_dir": str(tmp_path)}
+        assert parse_verify_config(verify)["grid_count"] == 2**24
 
     def test_missing_out_dir(self, tmp_path, capsys):
         cfg = {"seed": 0, "kernel": {"name": "geometric", "params": {"alpha": 0.5}}, "count": 10}
@@ -716,7 +817,8 @@ class TestSamplePipeline:
         assert peak < 2**20  # bytes: far below one refused row block
 
     def test_unsampleable_kernel(self, tmp_path, capsys):
-        cfg = self._config(tmp_path / "out")
+        out = tmp_path / "out"
+        cfg = self._config(out)
         cfg["kernel"] = {
             "name": "mixture",
             "weight1": 0.5,
@@ -725,7 +827,15 @@ class TestSamplePipeline:
             "component2": {"name": "exponential"},
         }
         assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 1
-        assert "no path sampler" in capsys.readouterr().err
+        assert "error: kernel: kernel name 'mixture' has no path sampler" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_string_kernel_name(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._config(out, kernel={"name": 0})
+        assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "error: kernel: kernel name 0 has no path sampler" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -301,7 +301,7 @@ class TestFilterBankSpec:
             ({"taps": 0}, "taps"),
             ({"num_filters": 0}, "num_filters"),
             ({"window_convention": "boxcar"}, "convention"),
-            ({"num_filters": 3, "center_freqs": (0.5, 1.5)}, "center frequencies"),
+            ({"num_filters": 3, "center_freqs": (0.5, 1.5)}, "center_freqs"),
             ({"num_filters": 2, "center_freqs": (1.5, 0.5)}, "increasing"),
             ({"num_filters": 2, "center_freqs": (0.5, 3.5)}, r"\(0, pi\)"),
         ],

@@ -392,6 +392,16 @@ class TestSymmetry:
         with pytest.raises(ValueError, match="nonempty"):
             symmetry_test(geometric_kernel(0.5), [])
 
+    @pytest.mark.parametrize(
+        "grid",
+        [dense_spiral(20, 0.2, 0.9), dense_spiral(20, 0.0, 0.0), [2.0, 0.5j]],
+        ids=["inside", "origin", "one-point"],
+    )
+    def test_grid_inside_unit_disk_rejected(self, grid):
+        """Reports hold only on the kernel domain |z| >= 1, checked as for regression sites."""
+        with pytest.raises(ValueError, match="lies inside the kernel domain"):
+            symmetry_test(geometric_kernel(0.5), grid)
+
     def test_record_reports_grid_size(self):
         record = symmetry_test(geometric_kernel(0.5), dense_spiral(30)).to_record()
         assert record["grid_size"] == 30
