@@ -19,8 +19,8 @@ Both factorization helpers call LAPACK ``potrf``/``potrs`` directly: the
 routines that :func:`scipy.linalg.cho_factor` and
 :func:`scipy.linalg.cho_solve` call, with the same arguments, so results are
 bit-identical without the wrappers' per-call validation overhead (which
-dominates at the small orders the likelihood search factors thousands of
-times).
+dominates at the small orders the likelihood search factors hundreds of
+times per tune, with two solves each).
 """
 
 from __future__ import annotations

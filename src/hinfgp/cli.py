@@ -568,9 +568,15 @@ def parse_sample_config(resolved: Mapping) -> dict:
     }
     kernel = cfg.section("kernel").mapping
     try:
-        path_law(kernel.get("name"))  # first: an unsampled record may not parse
+        law = path_law(kernel.get("name"))  # first: an unsampled record may not parse
     except ValueError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
+    # cozine's truncation depends on its draw, and is checked when it draws
+    columns = 1 if law.amplitudes is None else parsed["trunc"] + 1
+    most = _MAX_ENTRIES // columns
+    shape = "at least one entry per path" if columns == 1 else f"'trunc' + 1 = {columns} entries per path"
+    rule = f"<= {most} (a path matrix of at most {_MAX_ENTRIES} entries, {shape})"
+    cfg.bound("count", parsed["count"], parsed["count"] <= most, rule)
     parsed["kernel"] = parse_kernel(kernel)
     cfg.close()
     return parsed

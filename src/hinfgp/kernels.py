@@ -78,6 +78,11 @@ def _geometric(p, alpha):
     return p / (p - alpha)
 
 
+def _d_geometric(p, alpha):
+    """d/d alpha of ``_geometric``: p/(p - alpha)^2."""
+    return p / (p - alpha) ** 2
+
+
 def _h2(p):
     """The Hardy space kernel: the geometric series at alpha = 1, singular at p = 1."""
     if np.any(p == 1.0):
@@ -101,15 +106,41 @@ def _cozine_quad(a, c, x):
     return 1.0 - 2.0 * a * c * x + (a * x) ** 2
 
 
+def _cozine_parts(a, c, zi, wi):
+    """The numerator 1 - a c (zi + wi) + a^2 zi wi and the denominators D(zi), D(wi)."""
+    return 1.0 - a * c * (zi + wi) + a * a * zi * wi, _cozine_quad(a, c, zi), _cozine_quad(a, c, wi)
+
+
 def _cozine(a, c, zi, wi):
     """(1 - a c (zi + wi) + a^2 zi wi) / (D(zi) D(wi)) with D(x) = 1 - 2 a c x + (a x)^2."""
-    num = 1.0 - a * c * (zi + wi) + a * a * zi * wi
-    return num / (_cozine_quad(a, c, zi) * _cozine_quad(a, c, wi))
+    num, dz, dw = _cozine_parts(a, c, zi, wi)
+    return num / (dz * dw)
+
+
+def _d_cozine(a, c, zi, wi):
+    """``_cozine(a, c, zi, wi)`` with its derivatives in a and c.
+
+    The quotient rule on k = num / den, den = D(zi) D(wi), gives
+    dk = d num / den - k (dD(zi) / D(zi) + dD(wi) / D(wi)), where
+    dD(x)/da = 2 x (a x - c) and dD(x)/dc = -2 a x.
+    """
+    num, dz, dw = _cozine_parts(a, c, zi, wi)
+    den = dz * dw
+    k = num / den
+    s = zi + wi
+    d_a = (2.0 * a * zi * wi - c * s) / den - k * (2.0 * zi * (a * zi - c) / dz + 2.0 * wi * (a * wi - c) / dw)
+    d_c = -a * s / den + k * (2.0 * a * zi / dz + 2.0 * a * wi / dw)
+    return k, d_a, d_c
 
 
 def _mixture(w1, k1, w2, k2, *args):
-    """w1 k1(*args) + w2 k2(*args), each part released once it is scaled."""
-    return w1 * k1(*args) + w2 * k2(*args)
+    """w1 k1 + w2 k2 from the parts' values ``k_i(*args)[0]``, each part
+    released once it is scaled.
+
+    Its derivatives: d/dw_i is part i, and a part's own derivatives are
+    scaled by its weight.
+    """
+    return w1 * k1(*args)[0] + w2 * k2(*args)[0]
 
 
 # Parameter checks: each maps a node's scalar parameters to the validated
@@ -150,7 +181,10 @@ class Domain:
 
     Values are validated against the closed hull; the optimizer works in
     unconstrained coordinates (log for positive parameters, logit for
-    intervals), so search never leaves the open interior.
+    intervals), so search never leaves the open interior.  Those coordinates
+    are clamped to [-``limit``, ``limit``], where exp and the logistic stay
+    finite and off the boundary; ``slope`` is the map's exact derivative,
+    0 beyond the clamp.
     """
 
     kind: str  # "positive" | "interval"
@@ -186,11 +220,28 @@ class Domain:
             raise ValueError(f"interval-domain value must be strictly interior, got {x}")
         return math.log(frac / (1.0 - frac))
 
+    @property
+    def limit(self) -> float:
+        return 690.0 if self.kind == "positive" else 36.0
+
     def from_unconstrained(self, t: float) -> float:
+        t = min(max(t, -self.limit), self.limit)
         if self.kind == "positive":
-            return math.exp(min(max(t, -690.0), 690.0))
-        frac = 1.0 / (1.0 + math.exp(-min(max(t, -36.0), 36.0)))
-        return self.lo + (self.hi - self.lo) * frac
+            return math.exp(t)
+        return self.lo + (self.hi - self.lo) * _logistic(t)
+
+    def slope(self, t: float) -> float:
+        """d from_unconstrained / dt."""
+        if abs(t) > self.limit:
+            return 0.0
+        if self.kind == "positive":
+            return math.exp(t)
+        frac = _logistic(t)
+        return (self.hi - self.lo) * frac * (1.0 - frac)
+
+
+def _logistic(t: float) -> float:
+    return 1.0 / (1.0 + math.exp(-t))
 
 
 # tunable parameter name -> the range the tuner searches: the closed hull of
@@ -425,7 +476,7 @@ class KernelFamily:
         self._check_tree(values)  # out-of-domain values raise here, not at evaluation
 
         def herm(z, w):
-            return self._hermitian(z, w)(values)
+            return self._hermitian(z, w)(values)[0]
 
         def comp(z, w):
             return herm(z, np.conj(w))
@@ -438,18 +489,27 @@ class KernelFamily:
         Binding checks the sites against the kernel domain and computes what
         does not depend on the hyperparameters once (see ``_hermitian``).  The
         bound ``gram(values)`` then equals ``gram(self(values), sites,
-        "hermitian", noise_var)`` bit for bit.  A family without tunable
-        parameters returns one read-only Gram at every call.
+        "hermitian", noise_var)`` bit for bit, and so does the Gram that
+        ``gram_with_derivatives(values)`` returns next to its derivatives.  A
+        family without tunable parameters returns one read-only Gram at
+        every call.
         """
         pts = np.asarray(sites, dtype=complex)
         _check_sites(pts, noise_var)
         hermitian = self._hermitian(pts[:, None], pts[None, :])
         if not self.tunable:
-            hermitian({}).flags.writeable = False
-        if noise_var > 0.0:
-            noise = noise_var * np.eye(pts.size)
-            return BoundFamily(self, pts, noise_var, lambda values: hermitian(self._checked(values)) + noise)
-        return BoundFamily(self, pts, noise_var, lambda values: hermitian(self._checked(values)))
+            hermitian({})[0].flags.writeable = False
+        noise = noise_var * np.eye(pts.size) if noise_var > 0.0 else None
+
+        def gram(values):
+            k = hermitian(self._checked(values))[0]
+            return k if noise is None else k + noise
+
+        def gram_with_derivatives(values):
+            k, derivatives = hermitian(self._checked(values), True)
+            return k if noise is None else k + noise, [derivatives[path] for path in self.tunable]
+
+        return BoundFamily(self, pts, noise_var, gram, gram_with_derivatives)
 
     def _checked(self, values: Mapping[str, float]) -> Mapping[str, float]:
         unknown = set(values).difference(self.tunable)
@@ -477,18 +537,26 @@ class KernelFamily:
         return check(*[self._value(values, n) for n in names])
 
     def _hermitian(self, z, w):
-        """values -> k(z, w), this node's Hermitian covariance at the hyperparameters ``values``.
+        """(values, grad) -> (k(z, w), derivatives), this node's Hermitian
+        covariance at the hyperparameters ``values``.
 
-        What does not depend on ``values`` is computed here, once per (z, w):
-        the product zw* (series families), the reciprocals 1/z and 1/w*
-        (cozine), the children's parts, and the whole value of a node
-        without tunable parameters.
+        With ``grad``, the derivatives are a {path: dk/d value} map over the
+        node's tunable paths; without it the map is empty and nothing beyond
+        k is formed.  What does not depend on ``values`` is computed here,
+        once per (z, w): the product zw* (series families), the reciprocals
+        1/z and 1/w* (cozine), the children's parts, and the whole value of a
+        node without tunable parameters.
         """
         if self.name == "cozine":
             zi, wi = 1.0 / np.asarray(z, dtype=complex), 1.0 / np.conj(w)
 
-            def herm(values):
-                return _cozine(*self._numbers(values), zi, wi)
+            def herm(values, grad=False):
+                a, c = self._numbers(values)
+                if not grad:
+                    return _cozine(a, c, zi, wi), {}
+                k, d_a, d_c = _d_cozine(a, c, zi, wi)
+                # through c = cos omega0
+                return k, self._by_path(a=d_a, omega0=-math.sin(self._value(values, "omega0")) * d_c)
 
         elif self.children:  # mixture or circular
             parts = [child._hermitian(z, w) for child in self.children]
@@ -496,16 +564,23 @@ class KernelFamily:
                 herm = parts[0]
             else:
 
-                def herm(values):
+                def herm(values, grad=False):
                     w1, w2 = self._numbers(values)
-                    return _mixture(w1, parts[0], w2, parts[1], values)
+                    if not grad:
+                        return _mixture(w1, parts[0], w2, parts[1], values), {}
+                    (k1, d1), (k2, d2) = (part(values, True) for part in parts)
+                    derivatives = {path: w1 * d for path, d in d1.items()}
+                    derivatives.update((path, w2 * d) for path, d in d2.items())
+                    derivatives.update(self._by_path(weight1=k1, weight2=k2))
+                    return w1 * k1 + w2 * k2, derivatives
 
         else:  # a series in p = zw*
             p = np.multiply(z, np.conj(w))
             if self.name == "geometric":
 
-                def herm(values):
-                    return _geometric(p, *self._numbers(values))
+                def herm(values, grad=False):
+                    (alpha,) = self._numbers(values)
+                    return _geometric(p, alpha), (self._by_path(alpha=_d_geometric(p, alpha)) if grad else {})
 
             elif self.name == "exponential":
                 herm = _constant(_exponential(p))
@@ -513,11 +588,15 @@ class KernelFamily:
                 herm = _constant(_h2(p))
             else:
                 herm = _constant(_power_series(np.asarray(self.params["coefficients"], dtype=float), p))
-        return herm if self.tunable else _constant(herm({}))
+        return herm if self.tunable else _constant(herm({})[0])
+
+    def _by_path(self, **derivatives):
+        """The derivatives named by parameter, keyed by path, for the tunable ones."""
+        return {path: derivatives[name] for name, path in self.slots.items()}
 
 
 def _constant(value):
-    return lambda values: value
+    return lambda values, grad=False: (value, {})
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,13 +604,16 @@ class BoundFamily:
     """A kernel family bound to sites and a noise variance (see :meth:`KernelFamily.bind`).
 
     ``gram(values)`` is K_yy = [k(z_i, z_j)] + noise_var I at the
-    hyperparameters ``values``.
+    hyperparameters ``values``.  ``gram_with_derivatives(values)`` is the
+    same K_yy with the list of its derivatives dK_yy/d theta, one per path of
+    ``family.tunable``, in that order.
     """
 
     family: KernelFamily
     sites: np.ndarray
     noise_var: float
     gram: Callable[[Mapping[str, float]], np.ndarray]
+    gram_with_derivatives: Callable[[Mapping[str, float]], tuple[np.ndarray, list]]
 
 
 def _is_real(value) -> bool:

@@ -28,9 +28,10 @@ noise of variance sigma_e^2, this module provides
   which cover the true response with probability >= 1 - 1/eta^2 (Markov bound,
   no Gaussianity needed), summarized as magnitude/phase intervals;
 
-* the log marginal likelihood and a derivative-free hyperparameter search
-  (``log_marginal_likelihood`` / ``optimize_hyperparameters``) over a kernel
-  family (``hinfgp.kernels.KernelFamily``), bound once to the data's sites.
+* the log marginal likelihood and a gradient-based hyperparameter search
+  (``log_marginal_likelihood`` / ``optimize_hyperparameters``: L-BFGS-B on
+  the likelihood's analytic gradient) over a kernel family
+  (``hinfgp.kernels.KernelFamily``), bound once to the data's sites.
 """
 
 from __future__ import annotations
@@ -344,22 +345,48 @@ def log_marginal_likelihood(
     fails, a non-finite Gram, or a solve K_yy^{-1} y that overflows (a Gram
     that factors but is nearly zero) returns -inf, which the optimizer treats
     as the worst possible value.  Values outside a family's domain raise
-    ``ValueError``.
+    ``ValueError``.  This is the value of the evaluator the tuner calls,
+    which also gives the gradient.
+    """
+    return _likelihood(_bind(kernel_family, data), dict(theta), data)[0]
+
+
+def _likelihood(
+    bound: BoundFamily, values: Mapping[str, float], data: FrequencyDataset
+) -> tuple[float, np.ndarray]:
+    """L at ``values`` and its gradient along ``bound.family.tunable``.
+
+    dL/d theta = 1/2 tr((a a^H - K_yy^{-1}) dK_yy/d theta) with a = K_yy^{-1} y
+    (Rasmussen & Williams, *GPML* 2006, section 5.4.1), from the factor that
+    gives L.  A family without tunable paths forms no inverse and no
+    derivative.  A value of -inf comes with a zero gradient.
     """
     n = len(data)
     if n == 0:
         raise ValueError("cannot evaluate the likelihood of an empty dataset")
-    gram_yy = _bind(kernel_family, data).gram(dict(theta))
-    try:
-        factor = chol_factor_with_jitter(gram_yy)
-    except (ConditioningError, ValueError):
-        return -math.inf
-    solution = chol_solve(factor, data.responses)
-    if not np.isfinite(solution).all():
-        return -math.inf
-    quad = float(np.real(np.conj(data.responses) @ solution))
-    logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor)))))
-    return -0.5 * (quad + logdet + n * math.log(2.0 * math.pi))
+    # the search reaches extreme values, where K_yy or its derivatives
+    # overflow: that is the -inf or the non-finite gradient, not a warning
+    with np.errstate(all="ignore"):
+        gram_yy, derivatives = bound.gram_with_derivatives(values)
+        gradient = np.zeros(len(derivatives))
+        try:
+            factor = chol_factor_with_jitter(gram_yy)
+        except (ConditioningError, ValueError):
+            return -math.inf, gradient
+        solution = chol_solve(factor, data.responses)
+        if not np.isfinite(solution).all():
+            return -math.inf, gradient
+        quad = float(np.real(np.conj(data.responses) @ solution))
+        logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor)))))
+        if derivatives:
+            weights = np.outer(solution, np.conj(solution)) - chol_solve(factor, np.eye(n))
+            # tr(W D) = vdot(W, D) for a Hermitian W
+            gradient = 0.5 * np.array([np.vdot(weights, d).real for d in derivatives])
+        return -0.5 * (quad + logdet + n * math.log(2.0 * math.pi)), gradient
+
+
+class _BudgetSpent(Exception):
+    """Raised by the tuner's objective to end a start whose share is spent."""
 
 
 def optimize_hyperparameters(
@@ -368,19 +395,21 @@ def optimize_hyperparameters(
     budget: int = 2000,
     seed: int = 0,
 ) -> tuple[dict[str, float], float]:
-    """Maximize the marginal likelihood with Nelder-Mead in transformed coordinates.
+    """Maximize the marginal likelihood with L-BFGS-B on its analytic gradient.
 
     The family declares the search: its tunable paths (``family.tunable``),
     each path's range (``family.domains``) and the starting point
     (``family.unconstrained_start()``, whose ``ValueError`` names a path
-    that starts on its range's boundary).  The search runs from that point
-    plus 4 jittered restarts (Philox stream keyed by ``seed``, unit-scale jitter in
-    unconstrained coordinates), splitting a total budget of likelihood
-    evaluations across the starts.  ``budget=1`` evaluates and returns the
-    starting values.  Returns the best {path: value} map and its likelihood;
-    raises if every evaluation is -inf.  The family is bound to the data's
-    sites once, and every evaluation goes through ``log_marginal_likelihood``
-    with the bound family.
+    that starts on its range's boundary).  The search runs in unconstrained
+    coordinates, with the gradient chained through the domains' maps (whose
+    slope is 0 beyond their clamps).  It runs from the starting point plus 4
+    jittered restarts (Philox stream keyed by ``seed``, unit-scale jitter in
+    unconstrained coordinates), splitting a total ``budget`` of likelihood
+    evaluations across the starts; each evaluation gives the likelihood and
+    its gradient, and a -inf one counts too.  ``budget=1`` evaluates and
+    returns the starting values.  Returns the best {path: value} map and its
+    likelihood; raises if every evaluation is -inf.  The family is bound to
+    the data's sites once.
     """
     import scipy.optimize  # here, not at module level: verify and sample never tune
 
@@ -391,27 +420,25 @@ def optimize_hyperparameters(
         raise ValueError("the kernel family declares no tunable hyperparameter")
     domains = [family.domains[name] for name in names]
     bound = _bind(family, data)
+    evals, limit = 0, 1  # evaluations spent, and where the current start must stop
+    best_score, best_values = -math.inf, None
 
-    def unpack(vec: np.ndarray) -> dict[str, float]:
-        return {n: d.from_unconstrained(t) for n, d, t in zip(names, domains, vec.tolist())}
-
-    evals = 0
-    best: dict = {"L": -math.inf}
-
-    def objective(vec: np.ndarray) -> float:
-        nonlocal evals
-        if evals >= budget:
-            return math.inf
-        values = unpack(vec)
-        try:
-            score = log_marginal_likelihood(bound, values, data)
-        except ValueError:
-            score = -math.inf
+    def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
+        """-L and its gradient in unconstrained coordinates.  A -inf value or
+        an overflowed gradient reads as (+inf, 0), which the search backs
+        away from."""
+        nonlocal evals, best_score, best_values
+        if evals >= limit:
+            raise _BudgetSpent
+        ts = vec.tolist()
+        values = {n: d.from_unconstrained(t) for n, d, t in zip(names, domains, ts)}
+        score, gradient = _likelihood(bound, values, data)
         evals += 1
-        if score > best["L"]:
-            best["L"] = score
-            best["values"] = values
-        return -score if math.isfinite(score) else math.inf
+        if score > best_score:
+            best_score, best_values = score, values
+        if not (math.isfinite(score) and np.isfinite(gradient).all()):
+            return math.inf, np.zeros(vec.size)
+        return -score, -gradient * [d.slope(t) for d, t in zip(domains, ts)]
 
     start = family.unconstrained_start()
     objective(start)  # budget=1 stops here, with the starting values as the incumbent
@@ -420,15 +447,17 @@ def optimize_hyperparameters(
     starts = [start] + [start + rng.standard_normal(start.size) for _ in range(4)]
     share = max(1, (budget - 1) // len(starts))
     for point in starts:
-        remaining = budget - evals
-        if remaining < 1:
+        if evals >= budget:
             break
-        scipy.optimize.minimize(
-            objective,
-            point,
-            method="Nelder-Mead",
-            options={"maxfev": min(share, remaining), "xatol": 1e-6, "fatol": 1e-9},
-        )
-    if best["L"] == -math.inf:
+        limit = evals + min(share, budget - evals)
+        # No bounds: with every coordinate boxed, L-BFGS-B's first step is
+        # the whole gradient (its curvature model starts as the identity),
+        # which at the |dL/dt| of 1e3 that poor starting values give leaps
+        # to the box's corners; unbounded, the first step has unit length.
+        try:
+            scipy.optimize.minimize(objective, point, jac=True, method="L-BFGS-B")
+        except _BudgetSpent:
+            pass
+    if best_score == -math.inf:
         raise RuntimeError("hyperparameter optimization failed: every evaluation was -inf")
-    return best["values"], float(best["L"])
+    return best_values, float(best_score)

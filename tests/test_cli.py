@@ -527,13 +527,28 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("max_paths_saved", -1), ("max_paths_saved", -3999), ("count", -1), ("trunc", 0)],
-        ids=["max_paths_saved-minus-one", "max_paths_saved-minus-3999", "negative-count", "zero-trunc"],
+        [
+            ("max_paths_saved", -1),
+            ("max_paths_saved", -3999),
+            ("count", -1),
+            ("trunc", 0),
+            ("count", 10**12),
+            ("trunc", 10**12),
+        ],
+        ids=[
+            "max_paths_saved-minus-one",
+            "max_paths_saved-minus-3999",
+            "negative-count",
+            "zero-trunc",
+            "huge-count",
+            "huge-trunc",
+        ],
     )
     def test_sample_rejects(self, tmp_path, capsys, key, value):
         """A negative ``max_paths_saved`` would slice the saved paths from the
         end (-1 keeps all but one): it is refused while parsing, like the other
-        sample sizes."""
+        sample sizes.  A path matrix past 2**24 entries is refused while
+        parsing too, naming ``count`` and, for a stationary family, ``trunc``."""
         out = tmp_path / "out"
         cfg = {**self._command_config("sample", {"name": "geometric", "params": {"alpha": 0.5}}, out), key: value}
         assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 1
@@ -801,7 +816,9 @@ class TestSamplePipeline:
     )
     def test_oversized_path_matrix_refused(self, tmp_path, capsys, kernel, count):
         """A draw above 2**24 entries is refused before anything is allocated
-        or written: cozine at a = 0.999999 needs 29 million columns."""
+        or written: cozine at a = 0.999999 needs 29 million columns.  A count
+        past the cap is refused while parsing, naming ``count``; cozine's
+        truncation is known only once it draws."""
         out = tmp_path / "out"
         path = write_config(tmp_path, self._config(out, kernel=kernel, count=count))
         tracemalloc.start()
@@ -813,6 +830,7 @@ class TestSamplePipeline:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "path matrix" in err
+        assert ("'count' in config" in err) == (count > 4)
         assert not out.exists()
         assert peak < 2**20  # bytes: far below one refused row block
 

@@ -21,7 +21,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hinfgp import cli
@@ -94,6 +94,7 @@ def _mutated(cfg, path, mutation):
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(case=st.sampled_from(CASES), mutation=st.sampled_from(MUTATIONS))
+@example(case=(len(BASES) - 1, ("count",)), mutation=("set", 10**12))  # sample's path matrix
 def test_one_changed_key_exits_cleanly(case, mutation):
     index, path = case
     command, base = BASES[index]

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -261,8 +262,9 @@ def test_circular_family_tunes_the_wrapped_parameters():
 
 
 def test_one_tune_parses_the_record_once(monkeypatch, tmp_path):
-    """Every evaluation goes through log_marginal_likelihood, and none of them
-    parses the record or assembles the Gram through ``gram``."""
+    """Every evaluation the search asks for is one call of the likelihood
+    evaluator, and none of them parses the record or assembles the Gram
+    through ``gram``."""
     counts = Counter()
 
     def counting(name, fn):
@@ -279,14 +281,23 @@ def test_one_tune_parses_the_record_once(monkeypatch, tmp_path):
     counted_gram = counting("gram", kernels.gram)
     for module in (kernels, regression):
         monkeypatch.setattr(module, "gram", counted_gram)
-    monkeypatch.setattr(
-        regression,
-        "log_marginal_likelihood",
-        counting("lml", regression.log_marginal_likelihood),
-    )
+    monkeypatch.setattr(regression, "_likelihood", counting("lml", regression._likelihood))
+    minimize = scipy.optimize.minimize
+
+    def searching(fun, x0, **kwargs):
+        # the tuner's own count: the objective calls that return a value
+        def objective(vec):
+            value = fun(vec)
+            counts["searched"] += 1
+            return value
+
+        return minimize(objective, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", searching)
     raw = json.loads((REPO / "configs" / "resonant.json").read_text(encoding="utf-8"))
     raw["budget"] = 300
     cli.run_identify(cli.parse_identify_config(cli.resolve_config(raw, None, str(tmp_path))))
-    assert 250 < counts["lml"] <= 300  # Nelder-Mead may stop a start before its share
+    assert counts["lml"] == counts["searched"] + 1  # + the starting point's evaluation
+    assert counts["lml"] <= 300
     assert counts["from_config"] == 1  # parse_identify_config; run_identify reuses its family
     assert counts["gram"] <= 2  # fit and the impropriety diagnostic

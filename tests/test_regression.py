@@ -1,5 +1,5 @@
 """Regression tests: frozen hand/CAS-computed posteriors, augmented-solve oracle,
-ellipsoids, likelihood values, and the derivative-free tuner."""
+ellipsoids, likelihood values and gradients, and the L-BFGS-B tuner."""
 
 import math
 
@@ -56,7 +56,9 @@ def augmented_solve(kernel, data, z):
     return mean, var, comp
 
 
-# The resonant mixture at its tuned values (test_acceptance.GOLDEN_TUNED).
+# The resonant mixture at the former Nelder-Mead optimum of
+# configs/resonant.json: the values perfbench's identify-wide fixes
+# (TUNED_RESONANT); today's tuned values are test_acceptance.GOLDEN_TUNED.
 TUNED_MIXTURE = {
     "name": "mixture",
     "params": {"weight1": 0.02198313451245096, "weight2": 0.35829538298079183},
@@ -506,6 +508,19 @@ class TestDomain:
         assert 0.0 < box.from_unconstrained(1e9) <= 1.0
         assert 0.0 < box.from_unconstrained(-1e9) < 1.0
 
+    @pytest.mark.parametrize(
+        "domain", [Domain.positive(), Domain.interval(0.0, math.pi)], ids=["positive", "interval"]
+    )
+    def test_slope_is_the_maps_derivative(self, domain):
+        """Central differences inside the clamp; 0 beyond it, where the map
+        is constant."""
+        step = 1e-6
+        for t in (-8.0, -2.0, 0.0, 0.7, 5.0):
+            central = (domain.from_unconstrained(t + step) - domain.from_unconstrained(t - step)) / (2.0 * step)
+            assert domain.slope(t) == pytest.approx(central, rel=1e-6, abs=1e-300)
+        for t in (domain.limit + 1.0, -domain.limit - 1.0, 1e9):
+            assert domain.slope(t) == 0.0
+
     def test_contains(self):
         assert Domain.positive().contains(0.0)
         assert not Domain.positive().contains(-0.1)
@@ -543,6 +558,19 @@ def geometric_data():
     return FrequencyDataset(sites, y, 1e-4)
 
 
+def _count_evaluations(monkeypatch) -> list:
+    """Record every call of the evaluator the tuner calls."""
+    calls = []
+    evaluate = regression._likelihood
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(regression, "_likelihood", counting)
+    return calls
+
+
 class TestOptimizer:
     def _family(self, alpha):
         return KernelFamily.from_config({"name": "geometric", "params": {"alpha": alpha}}, ["alpha"])
@@ -560,16 +588,20 @@ class TestOptimizer:
         assert 0.0 < values["alpha"] < 1.0
 
     def test_respects_budget(self, monkeypatch):
-        calls = []
-        evaluate = regression.log_marginal_likelihood
-
-        def counting(*args):
-            calls.append(args)
-            return evaluate(*args)
-
-        monkeypatch.setattr(regression, "log_marginal_likelihood", counting)
+        calls = _count_evaluations(monkeypatch)
         optimize_hyperparameters(self._family(0.3), geometric_data(), budget=50, seed=1)
         assert 0 < len(calls) <= 50
+
+    @pytest.mark.parametrize("budget", [2, 6, 11])
+    def test_small_budget_is_spent_exactly(self, monkeypatch, budget):
+        """The starting point, then five starts with (budget - 1) // 5
+        evaluations each: fewer than a start of the five-path mixture
+        needs, so each start spends its share to the last evaluation and no
+        further."""
+        calls = _count_evaluations(monkeypatch)
+        family = KernelFamily.from_config(MIXTURE, TUNED_PATHS[-1][1])
+        optimize_hyperparameters(family, geometric_data(), budget=budget, seed=1)
+        assert len(calls) == budget
 
     def test_deterministic_given_seed(self):
         out1 = optimize_hyperparameters(self._family(0.25), geometric_data(), budget=120, seed=9)
@@ -632,6 +664,39 @@ class TestDomainTable:
         values, _ = optimize_hyperparameters(family, geometric_data(), budget=50, seed=5)
         for path in tunable:
             assert family.domains[path].contains(values[path]), path
+
+    @pytest.mark.parametrize("base", [-1.0, 0.5, 2.0])
+    def test_gradient_matches_central_differences(self, record, tunable, base):
+        """The evaluator's gradient, chained through the domains' maps, is
+        the derivative of its value in the tuner's coordinates; its Gram is
+        the bound ``gram`` and its value the likelihood, both exactly.  Noise
+        1e-2 keeps K_yy well conditioned, so the differences' rounding stays
+        near 1e-7 of the gradient's largest entry."""
+        family = KernelFamily.from_config(record, tunable)
+        drawn = geometric_data()
+        data = FrequencyDataset(drawn.sites, drawn.responses, 1e-2)
+        bound = family.bind(data.sites, data.noise_var)
+        domains = [family.domains[path] for path in tunable]
+
+        def values_at(t):
+            return {path: d.from_unconstrained(x) for path, d, x in zip(tunable, domains, t)}
+
+        t = base + 0.37 * np.arange(len(tunable))
+        values = values_at(t)
+        gram_yy, derivatives = bound.gram_with_derivatives(values)
+        assert np.array_equal(gram_yy, bound.gram(values))
+        assert len(derivatives) == len(tunable)
+        score, gradient = regression._likelihood(bound, values, data)
+        assert score == log_marginal_likelihood(family, values, data)
+        analytic = gradient * [d.slope(x) for d, x in zip(domains, t)]
+        step = 1e-5
+        central = []
+        for i in range(len(tunable)):
+            shift = step * np.eye(len(tunable))[i]
+            up = regression._likelihood(bound, values_at(t + shift), data)[0]
+            down = regression._likelihood(bound, values_at(t - shift), data)[0]
+            central.append((up - down) / (2.0 * step))
+        np.testing.assert_allclose(central, analytic, rtol=0, atol=1e-5 * np.max(np.abs(analytic)))
 
     @pytest.mark.parametrize("t", [-1e3, 0.0, 1e3])  # +-1e3: the transforms' clamps
     def test_search_space_passes_the_kernel_checks(self, record, tunable, t):
