@@ -563,7 +563,8 @@ def parse_sample_config(resolved: Mapping) -> dict:
     parsed = {
         **_provenance(cfg),
         "count": cfg.integer("count", minimum=0),
-        "trunc": cfg.integer("trunc", 200, minimum=1),
+        # one path of trunc + 1 entries must fit a path matrix, even at count 0
+        "trunc": cfg.integer("trunc", 200, minimum=1, maximum=_MAX_ENTRIES - 1),
         "max_paths_saved": cfg.integer("max_paths_saved", 100, minimum=0),
     }
     kernel = cfg.section("kernel").mapping

@@ -361,16 +361,21 @@ class TestMainExitCodes:
         assert "n_max" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("path", ["weight1", "component2.omega0"], ids=["zero_weight", "zero_omega0"])
-    def test_untransformable_start_fails_before_writing(self, tmp_path, capsys, path):
+    @pytest.mark.parametrize(
+        "path, value",
+        [("weight1", 0.0), ("component2.omega0", 0.0), ("component1.alpha", 0.97)],
+        ids=["zero_weight", "zero_omega0", "alpha_past_search_range"],
+    )
+    def test_untransformable_start_fails_before_writing(self, tmp_path, capsys, path, value):
         """A tunable value on its domain's boundary is a valid kernel but no
-        starting point for the log/logit search: parsing names the path."""
+        starting point for the log/logit search, and nor is an alpha past
+        0.95, where the search for alpha stops: parsing names the path."""
         cfg = load_config(CONFIG_DIR / "resonant.json")
         *parents, leaf = path.split(".")
         node = cfg["kernel"]
         for part in parents:
             node = node[part]
-        node["params"][leaf] = 0.0
+        node["params"][leaf] = value
         out = tmp_path / "out"
         assert cli.main(["identify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         assert f"'{path}'" in capsys.readouterr().err
@@ -526,14 +531,15 @@ class TestMainExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key,value",
+        "key,changes",
         [
-            ("max_paths_saved", -1),
-            ("max_paths_saved", -3999),
-            ("count", -1),
-            ("trunc", 0),
-            ("count", 10**12),
-            ("trunc", 10**12),
+            ("max_paths_saved", {"max_paths_saved": -1}),
+            ("max_paths_saved", {"max_paths_saved": -3999}),
+            ("count", {"count": -1}),
+            ("trunc", {"trunc": 0}),
+            ("count", {"count": 10**12}),
+            ("trunc", {"trunc": 10**12}),
+            ("trunc", {"count": 0, "trunc": 10**12}),
         ],
         ids=[
             "max_paths_saved-minus-one",
@@ -542,15 +548,17 @@ class TestMainExitCodes:
             "zero-trunc",
             "huge-count",
             "huge-trunc",
+            "huge-trunc-zero-count",
         ],
     )
-    def test_sample_rejects(self, tmp_path, capsys, key, value):
+    def test_sample_rejects(self, tmp_path, capsys, key, changes):
         """A negative ``max_paths_saved`` would slice the saved paths from the
         end (-1 keeps all but one): it is refused while parsing, like the other
         sample sizes.  A path matrix past 2**24 entries is refused while
-        parsing too, naming ``count`` and, for a stationary family, ``trunc``."""
+        parsing too, naming ``count`` and, for a stationary family, ``trunc``;
+        a single path past it (count 0 still draws one row) names ``trunc``."""
         out = tmp_path / "out"
-        cfg = {**self._command_config("sample", {"name": "geometric", "params": {"alpha": 0.5}}, out), key: value}
+        cfg = {**self._command_config("sample", {"name": "geometric", "params": {"alpha": 0.5}}, out), **changes}
         assert cli.main(["sample", "--config", write_config(tmp_path, cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{key}'" in err
