@@ -35,15 +35,15 @@ from . import kernels
 from .kernels import ComplexKernel
 from .regression import (
     _disk_bounds,
+    _log_likelihood,
     fit,
-    log_marginal_likelihood,
     optimize_hyperparameters,
     predict_sl_many,
     predict_wl,
     schur_P,
 )
 from .sampling import _MAX_ENTRIES, path_law, sample_paths
-from .sysid import DiscreteTF, FilterBankSpec, TimeTrace, estimate_noise_var, etfe, make_allpass, make_resonant_system, simulate
+from .sysid import DiscreteTF, FilterBankSpec, TimeTrace, etfe, make_allpass, make_resonant_system, simulate
 from .verify import MIN_N_MAX, dense_spiral, driscoll_parts, symmetry_test
 
 __all__ = ["ConfigError", "main", "run_identify", "run_verify", "run_sample"]
@@ -330,18 +330,13 @@ def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
     return parsed
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
+def _csv(columns: Sequence[str], row_format: str, rows) -> str:
+    """A table: the header, then one ``row_format % row`` line per row.
 
-
-def _csv(columns: Sequence[str], rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    Each real is ``%.17g`` of a Python float (so -0, inf and nan read as
+    such) and each flag ``%d`` of a bool, 1 or 0.
+    """
+    return "\n".join([",".join(columns), *(row_format % row for row in rows)]) + "\n"
 
 
 def _publish(out_dir: str, sha: str, seed: int, files: Mapping[str, dict | str]) -> None:
@@ -412,19 +407,17 @@ def run_identify(cfg: ExperimentConfig) -> dict:
         fs,
     )
 
-    if cfg.noise_var == "auto":
-        noise_var = estimate_noise_var(u_obs, y_trace, cfg.bank)
-    else:
-        noise_var = float(cfg.noise_var)
-    data = etfe(u_obs, y_trace, cfg.bank, noise_var)
+    # the filter bank lives only inside etfe, so it is freed before regression
+    data = etfe(u_obs, y_trace, cfg.bank, cfg.noise_var)
     site_freqs = np.angle(data.sites)
 
     if cfg.kernel.tunable:
         values, likelihood = optimize_hyperparameters(cfg.kernel, data, cfg.budget, tuner_seed)
-    else:
-        values, likelihood = {}, log_marginal_likelihood(cfg.kernel, {}, data)
-    kernel = cfg.kernel(values)
-    post = fit(kernel, data)
+        post = fit(cfg.kernel(values), data)
+    else:  # the likelihood from fit's factor: K_yy is assembled and factored once
+        values, post = {}, fit(cfg.kernel({}), data)
+        likelihood = _log_likelihood(post.factorization, post.alpha_vec, data.responses)
+    kernel = post.kernel
 
     grid = math.pi * (np.arange(PREDICTION_GRID_SIZE) + 1.0) / (PREDICTION_GRID_SIZE + 1.0)
     grid_z = np.exp(1j * grid)
@@ -457,7 +450,7 @@ def run_identify(cfg: ExperimentConfig) -> dict:
         "estimator": cfg.estimator,
         "eta": cfg.eta,
         "n_data": len(data),
-        "noise_var": noise_var,
+        "noise_var": data.noise_var,
         "hyperparameters": values,
         "log_marginal_likelihood": likelihood,
         "median_rel_error": median_rel_error,
@@ -477,7 +470,8 @@ def run_identify(cfg: ExperimentConfig) -> dict:
         {
             "etfe_data.csv": _csv(
                 ("omega", "re_y", "im_y"),
-                ((w, y.real, y.imag) for w, y in zip(site_freqs, data.responses)),
+                "%.17g,%.17g,%.17g",
+                zip(site_freqs.tolist(), data.responses.real.tolist(), data.responses.imag.tolist()),
             ),
             "predictions.csv": _csv(
                 (
@@ -493,6 +487,7 @@ def run_identify(cfg: ExperimentConfig) -> dict:
                     "phase_hi",
                     "phase_full",
                 ),
+                "%.17g," * 10 + "%d",
                 (
                     (
                         w,
@@ -501,13 +496,11 @@ def run_identify(cfg: ExperimentConfig) -> dict:
                         b.center.real,
                         b.center.imag,
                         s,
-                        b.mag_interval[0],
-                        b.mag_interval[1],
-                        b.phase_interval[0] if b.phase_interval else -math.pi,
-                        b.phase_interval[1] if b.phase_interval else math.pi,
+                        *b.mag_interval,
+                        *(b.phase_interval or (-math.pi, math.pi)),
                         b.phase_interval is None,
                     )
-                    for w, t, s, b in zip(grid, true_grid, sigmas, bounds)
+                    for w, t, s, b in zip(grid.tolist(), true_grid.tolist(), sigmas.tolist(), bounds)
                 ),
             ),
             "hyperparameters.json": {

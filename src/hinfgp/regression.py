@@ -65,6 +65,12 @@ __all__ = [
 ]
 
 _WL_BLOCK = 64  # query rows per widely linear block: bounds the working set at large n
+# Lanczos for lambda_max: a step cap past which the dense eigensolver answers
+# (about 5 ms at n = 400, against its 25-40 ms), the start vector's angle and
+# the stopping rule's rounding unit.
+_LANCZOS_STEPS = 32
+_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +140,10 @@ class Posterior:
 
         S is left unfactored (the widely linear fallback) when its largest
         eigenvalue is at most 1e-14 times A's; otherwise it is factored with
-        the one jitter retry, or raises ``ConditioningError``.
+        the one jitter retry, or raises ``ConditioningError``.  Both largest
+        eigenvalues come from ``_largest_eigenvalue`` (Lanczos, a few
+        matrix-vector products at K_yy's decaying spectrum), which also gives
+        the impropriety lambda_max(S) / lambda_max(A).
         """
         comp = gram(self.kernel, self.dataset.sites, "complementary")
         l21_h = scipy.linalg.solve_triangular(self.factorization, comp, lower=True)
@@ -152,8 +161,41 @@ class Posterior:
 
 
 def _largest_eigenvalue(mat: np.ndarray) -> float:
-    """Largest eigenvalue of a Hermitian matrix, read from its lower triangle."""
+    """Largest eigenvalue of a Hermitian matrix, by Lanczos with full reorthogonalization.
+
+    The Krylov basis starts from the fixed vector cos(g i), i = 1..n, with g
+    the golden angle: no random draw, and no all-ones vector, which
+    structured matrices can make orthogonal to the top eigenvector.  Each
+    step projects the new direction out of the whole basis twice, then takes
+    the Ritz values of the tridiagonal T_k.  It stops when the top Ritz
+    pair's residual bound beta_k |s_k[-1]|, which bounds its distance to an
+    eigenvalue, is at most eps times the largest |Ritz value| (Golub & Van
+    Loan, *Matrix Computations*, ch. 10).  A spectrum with no dominant
+    eigenvalue (a flat or noise-dominated one) may not converge within
+    ``_LANCZOS_STEPS`` steps; its answer is then the dense one from
+    ``scipy.linalg.eigvalsh``, read from the lower triangle.
+    """
     n = mat.shape[0]
+    steps = min(n, _LANCZOS_STEPS)
+    basis = np.empty((steps, n), dtype=np.result_type(mat.dtype, float))
+    tridiagonal = np.zeros((steps, steps))  # lower triangle of T
+    start = np.cos(_GOLDEN_ANGLE * np.arange(1, n + 1))
+    q = start / np.linalg.norm(start)
+    for k in range(steps):
+        basis[k] = q
+        w = mat @ q
+        tridiagonal[k, k] = np.vdot(q, w).real
+        done = basis[: k + 1]
+        for _ in range(2):  # twice is enough (Kahan-Parlett)
+            w -= done.T @ (done.conj() @ w)
+        beta = float(np.linalg.norm(w))
+        ritz, vectors = np.linalg.eigh(tridiagonal[: k + 1, : k + 1])
+        scale = max(abs(ritz[0]), abs(ritz[-1]))
+        if beta * abs(vectors[-1, -1]) <= _EPS * scale:
+            return float(ritz[-1])
+        if k + 1 < steps:
+            tridiagonal[k + 1, k] = beta
+            q = w / beta
     return float(scipy.linalg.eigvalsh(mat, subset_by_index=[n - 1, n - 1])[0])
 
 
@@ -166,7 +208,11 @@ class WidelyLinearPrediction(NamedTuple):
 
 @dataclass(frozen=True)
 class SchurComplement:
-    """P = K_yy - Kt_yy (K_yy*)^{-1} Kt_yy* and the impropriety diagnostic ||P||_2/||K_yy||_2."""
+    """P = K_yy - Kt_yy (K_yy*)^{-1} Kt_yy* and the impropriety diagnostic ||P||_2/||K_yy||_2.
+
+    Both norms are largest eigenvalues of PSD matrices, found by Lanczos to
+    rounding (``_largest_eigenvalue``).
+    """
 
     matrix: np.ndarray
     impropriety: float
@@ -236,7 +282,10 @@ def schur_P(post: Posterior) -> SchurComplement:
     P is Hermitian PSD, and conj(P) is S, the block that ``predict_wl``
     factors.  Its spectral norm relative to ||K_yy||_2 measures how much the
     widely linear estimator can improve on the strictly linear one (P = 0 is
-    the maximally improper case: y* is perfectly predictable from y).
+    the maximally improper case: y* is perfectly predictable from y).  The
+    norms are lambda_max(S) and lambda_max(K_yy) by Lanczos, which agree with
+    a dense eigensolver to about 1e-15 relative; a spectrum on which Lanczos
+    does not converge within its step cap takes the dense answer.
     """
     state = post._augmented
     return SchurComplement(np.conj(state.s_mat), state.impropriety)
@@ -346,7 +395,8 @@ def log_marginal_likelihood(
     that factors but is nearly zero) returns -inf, which the optimizer treats
     as the worst possible value.  Values outside a family's domain raise
     ``ValueError``.  This is the value of the evaluator the tuner calls,
-    which also gives the gradient.
+    which also gives the gradient; an untuned ``identify`` run reads the same
+    formula (``_log_likelihood``) from ``fit``'s factor.
     """
     return _likelihood(_bind(kernel_family, data), dict(theta), data)[0]
 
@@ -374,15 +424,27 @@ def _likelihood(
         except (ConditioningError, ValueError):
             return -math.inf, gradient
         solution = chol_solve(factor, data.responses)
-        if not np.isfinite(solution).all():
-            return -math.inf, gradient
-        quad = float(np.real(np.conj(data.responses) @ solution))
-        logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor)))))
-        if derivatives:
+        value = _log_likelihood(factor, solution, data.responses)
+        if derivatives and value > -math.inf:
             weights = np.outer(solution, np.conj(solution)) - chol_solve(factor, np.eye(n))
             # tr(W D) = vdot(W, D) for a Hermitian W
             gradient = 0.5 * np.array([np.vdot(weights, d).real for d in derivatives])
-        return -0.5 * (quad + logdet + n * math.log(2.0 * math.pi)), gradient
+        return value, gradient
+
+
+def _log_likelihood(factor: np.ndarray, solution: np.ndarray, responses: np.ndarray) -> float:
+    """L = -1/2 (y^H a + 2 sum log diag(L) + n log 2 pi) from K_yy's lower
+    factor L and a = K_yy^{-1} y; -inf when the solve a is not finite.
+
+    The one formula for L: the tuner's evaluator and an untuned run's
+    ``fit`` (``Posterior.factorization`` and ``alpha_vec``) both read it.
+    """
+    if not np.isfinite(solution).all():
+        return -math.inf
+    with np.errstate(all="ignore"):
+        quad = float(np.real(np.conj(responses) @ solution))
+        logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor)))))
+        return -0.5 * (quad + logdet + responses.size * math.log(2.0 * math.pi))
 
 
 class _BudgetSpent(Exception):

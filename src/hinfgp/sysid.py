@@ -269,23 +269,31 @@ def _segment_outputs(samples: np.ndarray, bank: np.ndarray, taps: int, segment: 
     return bank @ window
 
 
-def etfe(u: TimeTrace, y: TimeTrace, spec: FilterBankSpec, noise_var: float = 0.0) -> FrequencyDataset:
+def etfe(
+    u: TimeTrace, y: TimeTrace, spec: FilterBankSpec, noise_var: float | str = 0.0
+) -> FrequencyDataset:
     """Empirical transfer function estimate from one input/output record pair.
 
     Both records are convolved with each filter h_i(n) = e^{j w_i n} w(n) and
     the ratio (filtered y)/(filtered u) at the first tap-complete sample
     N = taps - 1 estimates g(e^{j w_i}).  Frequencies whose filtered input
     magnitude falls below 1e-9 ||u|| are dropped with a warning (the ratio
-    would blow up).  ``noise_var`` is recorded for the regression stage; see
-    :func:`estimate_noise_var` for a data-driven choice.
+    would blow up).  ``noise_var`` is recorded for the regression stage;
+    ``"auto"`` records :func:`estimate_noise_var`'s pooled estimate, equal to
+    it bit for bit, from the filter bank built here once (the estimate's
+    first segment is this estimate's).
     """
     if len(u) < spec.taps or len(y) < spec.taps:
         raise ValueError(
             f"traces must be at least taps={spec.taps} samples long, got {len(u)} and {len(y)}"
         )
+    if isinstance(noise_var, str) and noise_var != "auto":
+        raise ValueError(f'noise_var must be a number or "auto", got {noise_var!r}')
     bank = _filter_bank(spec)
     u_f = _segment_outputs(u.samples, bank, spec.taps, 0)
     y_f = _segment_outputs(y.samples, bank, spec.taps, 0)
+    if noise_var == "auto":
+        noise_var = _pooled_noise_var(u, y, spec, bank, (u_f, y_f))
     floor = 1e-9 * float(np.linalg.norm(u.samples))
     keep = np.abs(u_f) >= floor
     if not np.all(keep):
@@ -307,21 +315,36 @@ def estimate_noise_var(u: TimeTrace, y: TimeTrace, spec: FilterBankSpec) -> floa
     samples; each block yields one transfer estimate per frequency, read at
     its own tap-complete sample.  The per-frequency sample variance (complex,
     ddof=1) over blocks is pooled by the median across frequencies, a robust
-    single noise figure for the regression stage.
+    single noise figure for the regression stage.  ``etfe(u, y, spec,
+    "auto")`` records the same value from its own filter bank.
     """
+    return _pooled_noise_var(u, y, spec, _filter_bank(spec))
+
+
+def _pooled_noise_var(
+    u: TimeTrace,
+    y: TimeTrace,
+    spec: FilterBankSpec,
+    bank: np.ndarray,
+    first: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
+    """:func:`estimate_noise_var` with the filter bank built, and segment 0's
+    filtered (u, y) when ``first`` gives them."""
     segments = min(len(u), len(y)) // spec.taps
     if segments < 2:
         raise ValueError(
             f"need at least 2 full segments of {spec.taps} samples to estimate the "
             f"noise variance, got {segments}"
         )
-    bank = _filter_bank(spec)
     floor = 1e-9 * float(np.linalg.norm(u.samples))
     estimates = np.empty((segments, spec.num_filters), dtype=complex)
     valid = np.ones(spec.num_filters, dtype=bool)
     for s in range(segments):
-        u_f = _segment_outputs(u.samples, bank, spec.taps, s)
-        y_f = _segment_outputs(y.samples, bank, spec.taps, s)
+        if s == 0 and first is not None:
+            u_f, y_f = first
+        else:
+            u_f = _segment_outputs(u.samples, bank, spec.taps, s)
+            y_f = _segment_outputs(y.samples, bank, spec.taps, s)
         valid &= np.abs(u_f) >= floor
         with np.errstate(divide="ignore", invalid="ignore"):
             estimates[s] = y_f / u_f

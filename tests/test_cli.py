@@ -966,3 +966,94 @@ class TestIdentifyPipeline:
         assert hyper["tunable"] == ["alpha"]
         assert 0.0 < hyper["values"]["alpha"] < 1.0
         assert math.isfinite(hyper["log_marginal_likelihood"])
+
+
+class TestSharedWork:
+    """One identify run builds one filter bank, and an untuned run assembles
+    and factors K_yy once."""
+
+    def _run(self, tmp_path, **overrides):
+        cfg = identify_config(tmp_path / "out", **overrides)
+        return cli.run_identify(parse_identify_config(cfg))
+
+    def test_one_filter_bank_per_run(self, tmp_path, monkeypatch):
+        from hinfgp import sysid
+
+        calls = []
+        build = sysid._filter_bank
+
+        def counting(spec):
+            calls.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(sysid, "_filter_bank", counting)
+        summary = self._run(tmp_path, noise_var="auto")
+        assert len(calls) == 1
+        assert summary["noise_var"] > 0.0
+
+    def test_untuned_likelihood_from_fit_factor(self, tmp_path, monkeypatch):
+        from hinfgp import regression
+
+        calls = {"hermitian": 0, "factor": 0}
+        fitted = []
+        real_gram, real_likelihood, real_factor, real_fit = (
+            regression.gram,
+            regression._likelihood,
+            regression.chol_factor_with_jitter,
+            cli.fit,
+        )
+
+        def counting_gram(kernel, points, part="hermitian", noise_var=0.0):
+            calls["hermitian"] += part == "hermitian"
+            return real_gram(kernel, points, part, noise_var)
+
+        def counting_likelihood(bound, values, data):  # assembles its own K_yy
+            calls["hermitian"] += 1
+            return real_likelihood(bound, values, data)
+
+        def counting_factor(*args, **kwargs):
+            calls["factor"] += 1
+            return real_factor(*args, **kwargs)
+
+        def capturing_fit(kernel, data):
+            fitted.append(data)
+            return real_fit(kernel, data)
+
+        monkeypatch.setattr(regression, "gram", counting_gram)
+        monkeypatch.setattr(regression, "_likelihood", counting_likelihood)
+        monkeypatch.setattr(regression, "chol_factor_with_jitter", counting_factor)
+        monkeypatch.setattr(cli, "fit", capturing_fit)
+        kernel = mixture_record()
+        summary = self._run(tmp_path, kernel=kernel, noise_var="auto")
+        assert calls == {"hermitian": 1, "factor": 1}
+        expected = regression.log_marginal_likelihood(parse_kernel(kernel), {}, fitted[0])
+        assert summary["log_marginal_likelihood"] == expected
+
+
+def _old_csv(columns, rows):
+    """The per-value renderer that ``cli._csv`` replaced, kept as its oracle."""
+
+    def fmt(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return "%.17g" % float(value)
+
+    return "\n".join([",".join(columns), *(",".join(fmt(v) for v in row) for row in rows)]) + "\n"
+
+
+def test_csv_rendering_matches_the_per_value_renderer():
+    values = [
+        -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1e-300,
+        1.7976931348623157e308, -1e300, 0.1, 1.0 / 3.0, -math.pi, 2.0**53 + 2.0, 123456789.0,
+    ]
+    rng = np.random.default_rng(5)
+    rows = [
+        (*rng.choice(values, 4).tolist(), bool(flag))
+        for flag in (True, False)
+        for _ in range(40)
+    ]
+    rows += [(v, -v, v * 0.5, np.float64(v), v > 0) for v in values]
+    columns = ("a", "b", "c", "d", "flag")
+    assert cli._csv(columns, "%.17g," * 4 + "%d", rows) == _old_csv(columns, rows)

@@ -396,6 +396,116 @@ class TestWidelyLinear:
             assert eigvals.min() >= -1e-8 * max(1.0, eigvals.max())
 
 
+def _hermitian_with_spectrum(rng, eigenvalues):
+    """A dense complex Hermitian matrix with the given eigenvalues."""
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    mat = (q * np.asarray(eigenvalues, dtype=float)) @ q.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
+def _dense_largest(mat):
+    n = mat.shape[0]
+    return float(scipy.linalg.eigvalsh(mat, subset_by_index=[n - 1, n - 1])[0])
+
+
+def _spectra(n):
+    return {
+        "decaying": 0.5 ** np.arange(n),
+        "clustered": np.r_[1.0, 1.0 - 1e-10, 0.5 ** np.arange(1, n)][:n],
+        "flat": np.linspace(0.9, 1.0, n),
+        "rank1": np.r_[3.0, np.zeros(n - 1)],
+        "zero": np.zeros(n),
+        "roundoff": 1e-17 * 0.7 ** np.arange(n),
+    }
+
+
+@pytest.fixture(scope="module")
+def wide_shape():
+    """The identify-wide shape: the fixed resonant mixture on 400 unit-circle
+    sites, with a resonant plant's noisy response and its estimated noise."""
+    from hinfgp.sysid import make_resonant_system
+
+    freqs = np.arange(1, 401) * math.pi / 401
+    rng = np.random.default_rng(8101)
+    noise = 0.02 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
+    response = make_resonant_system(20.0 * math.pi, 0.1, 100.0).freq_response(freqs) + noise
+    return FrequencyDataset(np.exp(1j * freqs), response, 0.0012), KernelFamily.from_config(TUNED_MIXTURE)({})
+
+
+class TestLargestEigenvalue:
+    """Lanczos against the dense eigensolver, to 1e-12 relative (exactly 0
+    for the zero matrix)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 25, 400])
+    @pytest.mark.parametrize("spectrum", list(_spectra(3)))
+    def test_matches_eigvalsh(self, n, spectrum):
+        rng = np.random.default_rng(n)
+        mat = _hermitian_with_spectrum(rng, _spectra(n)[spectrum])
+        expected = _dense_largest(mat)
+        got = regression._largest_eigenvalue(mat)
+        if spectrum == "zero":
+            assert got == 0.0 == expected
+        else:
+            assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    def test_structured_matrices(self):
+        """Real symmetric matrices with structured eigenvectors.  The
+        circulant's top eigenvector alternates in sign, so it is orthogonal
+        to the all-ones vector, itself the eigenvector of the smallest
+        eigenvalue: started there, Lanczos would stop at once on 0.1.  The
+        Toeplitz matrix's eigenvectors are symmetric or antisymmetric."""
+        idx = np.arange(60)
+        shift = np.roll(np.eye(16), 1, axis=1)
+        for mat in (np.eye(16) - 0.45 * (shift + shift.T), 0.8 ** np.abs(idx[:, None] - idx[None, :])):
+            expected = _dense_largest(mat)
+            assert abs(regression._largest_eigenvalue(mat) - expected) <= 1e-12 * expected
+
+    def test_flat_spectrum_takes_the_capped_fallback(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        mat = _hermitian_with_spectrum(rng, _spectra(400)["flat"])
+        expected = _dense_largest(mat)
+        calls = []
+        dense = scipy.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return dense(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", counting)
+        assert regression._largest_eigenvalue(mat) == expected
+        assert calls == [(400, 400)]
+
+    def test_fallback_threshold_decided_as_by_eigvalsh(self):
+        """lambda_max(S) within 1e-9 of 1e-14 lambda_max(A), on both sides:
+        the fallback test reads the same from Lanczos as from eigvalsh."""
+        rng = np.random.default_rng(11)
+        a_mat = _hermitian_with_spectrum(rng, 10.0 * 0.6 ** np.arange(25))
+        lam_a = regression._largest_eigenvalue(a_mat)
+        assert abs(lam_a - _dense_largest(a_mat)) <= 1e-12 * lam_a
+        base = _hermitian_with_spectrum(rng, 0.5 ** np.arange(25))
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+            s_mat = base * (factor * 1e-14 * _dense_largest(a_mat) / _dense_largest(base))
+            lam_s = regression._largest_eigenvalue(s_mat)
+            assert abs(lam_s - _dense_largest(s_mat)) <= 1e-12 * lam_s
+            assert (lam_s <= 1e-14 * lam_a) == (factor < 1.0)
+
+    def test_wide_shape_takes_no_dense_eigensolve(self, wide_shape, monkeypatch):
+        """At the identify-wide shape both A and S converge, and the
+        impropriety stays within 1e-12 of the dense eigensolver's ratio."""
+        data, kernel = wide_shape
+        post = fit(kernel, data)
+        state = post._augmented
+        expected = _dense_largest(state.s_mat) / _dense_largest(post.gram_yy)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", refuse)
+        result = schur_P(fit(kernel, data))
+        assert abs(result.impropriety - expected) <= 1e-12 * expected
+
+
 class TestEllipsoid:
     def test_disk_geometry_frozen(self):
         bound = EllipsoidBound(4.0 + 0j, 3.0, 2.0, (1.0, 7.0), (-0.8480620789814810, 0.8480620789814810))
@@ -478,6 +588,24 @@ class TestLikelihood:
         val = log_marginal_likelihood(family, {}, data)
         assert math.isfinite(val)
         assert val == expected
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_solve_through_fit_factor_is_minus_inf(self):
+        """A subnormal Gram factors, but K_yy^{-1} y overflows: the shared
+        formula gives -inf from fit's factor as from the evaluator."""
+        family = one_term_family(1e-320)
+        data = FrequencyDataset(np.array([2.0]), np.array([1.0 + 0j]), 0.0)
+        post = fit(family({}), data)
+        assert not np.isfinite(post.alpha_vec).all()
+        assert regression._log_likelihood(post.factorization, post.alpha_vec, data.responses) == -math.inf
+        assert log_marginal_likelihood(family, {}, data) == -math.inf
+
+    def test_fit_factor_gives_the_evaluator_value(self, wide_shape):
+        data, _ = wide_shape
+        family = KernelFamily.from_config(TUNED_MIXTURE)
+        post = fit(family({}), data)
+        value = regression._log_likelihood(post.factorization, post.alpha_vec, data.responses)
+        assert value == log_marginal_likelihood(family, {}, data)
 
     def test_higher_likelihood_for_better_matched_scale(self):
         """y of unit size: the unit-variance kernel should beat a grossly

@@ -431,3 +431,46 @@ class TestEstimateNoiseVar:
         u = TimeTrace(np.concatenate(blocks), 1.0)
         with pytest.raises(ValueError, match="usable"):
             estimate_noise_var(u, TimeTrace(2.0 * u.samples, 1.0), spec)
+
+
+class TestEtfeAutoNoise:
+    """``etfe(..., "auto")`` records estimate_noise_var's value from its own bank."""
+
+    def _traces(self, seed):
+        rng = np.random.default_rng(seed)
+        u = TimeTrace(rng.standard_normal(4096), 100.0)
+        tf = make_resonant_system(20.0 * math.pi, 0.1, 100.0)
+        return u, simulate(tf, u, seed=seed, noise_var=1e-3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spec", [FilterBankSpec(num_filters=25, taps=1000), FilterBankSpec(num_filters=7, taps=512)])
+    def test_equals_estimate_noise_var(self, seed, spec):
+        u, y = self._traces(seed)
+        data = etfe(u, y, spec, "auto")
+        assert data.noise_var == estimate_noise_var(u, y, spec)
+        fixed = etfe(u, y, spec, data.noise_var)
+        np.testing.assert_array_equal(data.responses, fixed.responses)
+        np.testing.assert_array_equal(data.sites, fixed.sites)
+
+    def test_builds_one_bank(self, monkeypatch):
+        from hinfgp import sysid
+
+        u, y = self._traces(0)
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return _filter_bank(spec)
+
+        monkeypatch.setattr(sysid, "_filter_bank", counting)
+        etfe(u, y, FilterBankSpec(num_filters=5, taps=1000), "auto")
+        assert len(calls) == 1
+
+    def test_errors_as_estimate_noise_var(self):
+        rng = np.random.default_rng(1)
+        u = TimeTrace(rng.standard_normal(700), 1.0)
+        spec = FilterBankSpec(num_filters=3, taps=512)
+        with pytest.raises(ValueError, match="segments"):
+            etfe(u, u, spec, "auto")
+        with pytest.raises(ValueError, match='"auto"'):
+            etfe(u, u, spec, "automatic")
