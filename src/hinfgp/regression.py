@@ -66,8 +66,8 @@ __all__ = [
 
 _WL_BLOCK = 64  # query rows per widely linear block: bounds the working set at large n
 # Lanczos for lambda_max: a step cap past which the dense eigensolver answers
-# (about 5 ms at n = 400, against its 25-40 ms), the start vector's angle and
-# the stopping rule's rounding unit.
+# (32 steps take about 8 ms at n = 400, the dense solve 30-40 ms), the start
+# vector's angle and the stopping rule's rounding unit.
 _LANCZOS_STEPS = 32
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _EPS = float(np.finfo(float).eps)

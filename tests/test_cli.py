@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hinfgp import cli
+from hinfgp import cli, regression, sysid
 from hinfgp._linalg import ConditioningError
 from hinfgp.cli import (
     ConfigError,
@@ -977,8 +977,6 @@ class TestSharedWork:
         return cli.run_identify(parse_identify_config(cfg))
 
     def test_one_filter_bank_per_run(self, tmp_path, monkeypatch):
-        from hinfgp import sysid
-
         calls = []
         build = sysid._filter_bank
 
@@ -992,8 +990,6 @@ class TestSharedWork:
         assert summary["noise_var"] > 0.0
 
     def test_untuned_likelihood_from_fit_factor(self, tmp_path, monkeypatch):
-        from hinfgp import regression
-
         calls = {"hermitian": 0, "factor": 0}
         fitted = []
         real_gram, real_likelihood, real_factor, real_fit = (

@@ -29,6 +29,7 @@ from hinfgp.regression import (
     predict_wl,
     schur_P,
 )
+from hinfgp.sysid import make_resonant_system
 
 
 def augmented_solve(kernel, data, z):
@@ -424,8 +425,6 @@ def _spectra(n):
 def wide_shape():
     """The identify-wide shape: the fixed resonant mixture on 400 unit-circle
     sites, with a resonant plant's noisy response and its estimated noise."""
-    from hinfgp.sysid import make_resonant_system
-
     freqs = np.arange(1, 401) * math.pi / 401
     rng = np.random.default_rng(8101)
     noise = 0.02 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
@@ -438,7 +437,7 @@ class TestLargestEigenvalue:
     for the zero matrix)."""
 
     @pytest.mark.parametrize("n", [1, 2, 25, 400])
-    @pytest.mark.parametrize("spectrum", list(_spectra(3)))
+    @pytest.mark.parametrize("spectrum", ["decaying", "clustered", "flat", "rank1", "zero", "roundoff"])
     def test_matches_eigvalsh(self, n, spectrum):
         rng = np.random.default_rng(n)
         mat = _hermitian_with_spectrum(rng, _spectra(n)[spectrum])

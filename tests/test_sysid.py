@@ -452,21 +452,7 @@ class TestEtfeAutoNoise:
         np.testing.assert_array_equal(data.responses, fixed.responses)
         np.testing.assert_array_equal(data.sites, fixed.sites)
 
-    def test_builds_one_bank(self, monkeypatch):
-        from hinfgp import sysid
-
-        u, y = self._traces(0)
-        calls = []
-
-        def counting(spec):
-            calls.append(spec)
-            return _filter_bank(spec)
-
-        monkeypatch.setattr(sysid, "_filter_bank", counting)
-        etfe(u, y, FilterBankSpec(num_filters=5, taps=1000), "auto")
-        assert len(calls) == 1
-
-    def test_errors_as_estimate_noise_var(self):
+    def test_short_record_and_unknown_string_rejected(self):
         rng = np.random.default_rng(1)
         u = TimeTrace(rng.standard_normal(700), 1.0)
         spec = FilterBankSpec(num_filters=3, taps=512)
