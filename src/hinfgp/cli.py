@@ -33,15 +33,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import ComplexKernel
-from .regression import (
-    _disk_bounds,
-    _log_likelihood,
-    fit,
-    optimize_hyperparameters,
-    predict_sl_many,
-    predict_wl,
-    schur_P,
-)
+from .regression import _log_likelihood, ellipsoid, fit, optimize_hyperparameters, predict_sl, predict_wl, schur_P
 from .sampling import _MAX_ENTRIES, path_law, sample_paths
 from .sysid import DiscreteTF, FilterBankSpec, TimeTrace, etfe, make_allpass, make_resonant_system, simulate
 from .verify import MIN_N_MAX, dense_spiral, driscoll_parts, symmetry_test
@@ -423,8 +415,8 @@ def run_identify(cfg: ExperimentConfig) -> dict:
     grid_z = np.exp(1j * grid)
     wl_fallback = False
     if cfg.estimator == "strict":
-        means, variances = predict_sl_many(post, grid_z)
-        site_means, site_vars = predict_sl_many(post, data.sites)
+        means, variances = predict_sl(post, grid_z)
+        site_means, site_vars = predict_sl(post, data.sites)
     else:
         means, variances, _, wl_fallback = predict_wl(post, grid_z)
         site_means, site_vars, _, _ = predict_wl(post, data.sites)
@@ -432,7 +424,7 @@ def run_identify(cfg: ExperimentConfig) -> dict:
     true_grid = cfg.system.freq_response(grid)
     true_sites = cfg.system.response(data.sites)
     sigmas = np.sqrt(variances)
-    bounds = [_disk_bounds(complex(m), cfg.eta * s, cfg.eta) for m, s in zip(means, sigmas)]
+    bounds = [ellipsoid(m, v, cfg.eta) for m, v in zip(means.tolist(), variances.tolist())]
 
     site_radii = cfg.eta * np.sqrt(site_vars)
     sites_inside = int(np.sum(np.abs(true_sites - site_means) <= site_radii))
@@ -461,7 +453,7 @@ def run_identify(cfg: ExperimentConfig) -> dict:
     if cfg.estimator == "wide":
         summary["wl_fallback"] = wl_fallback
     if cfg.impropriety_diag or cfg.estimator == "wide":
-        summary["impropriety"] = schur_P(post).impropriety
+        summary["impropriety"] = schur_P(post)
 
     _publish(
         cfg.out_dir,

@@ -5,7 +5,7 @@ z_i on or outside the unit circle, with a ComplexKernel prior on g and proper
 noise of variance sigma_e^2, this module provides
 
 * the strictly linear posterior (``fit`` / ``predict_sl``): the complex LMMSE
-  estimator using y only,
+  estimator using y only, at a scalar or a 1-D array of query points,
     mean(z) = sum_i k(z, z_i) [K_yy^{-1} y]_i,
     var(z)  = k(z, z) - u K_yy^{-1} u^H,   u_i = k(z, z_i),
   with K_yy = k(z_i, z_j) + sigma_e^2 I;
@@ -24,9 +24,10 @@ noise of variance sigma_e^2, this module provides
   ``predict_wl`` takes a scalar or a 1-D array of query points, evaluated in
   blocks of 64 rows;
 
-* confidence ellipsoids (``ellipsoid``): disks |w - mean(z)| <= eta * sigma(z)
-  which cover the true response with probability >= 1 - 1/eta^2 (Markov bound,
-  no Gaussianity needed), summarized as magnitude/phase intervals;
+* confidence ellipsoids (``ellipsoid``): the disk |w - mean| <= eta * sigma
+  around a posterior mean and variance from either predictor, which covers
+  the true response with probability >= 1 - 1/eta^2 (Markov bound, no
+  Gaussianity needed), summarized as magnitude/phase intervals;
 
 * the log marginal likelihood and a gradient-based hyperparameter search
   (``log_marginal_likelihood`` / ``optimize_hyperparameters``: L-BFGS-B on
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -51,12 +52,10 @@ __all__ = [
     "FrequencyDataset",
     "Posterior",
     "EllipsoidBound",
-    "SchurComplement",
     "WidelyLinearPrediction",
     "ConditioningError",
     "fit",
     "predict_sl",
-    "predict_sl_many",
     "schur_P",
     "predict_wl",
     "ellipsoid",
@@ -207,18 +206,6 @@ class WidelyLinearPrediction(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SchurComplement:
-    """P = K_yy - Kt_yy (K_yy*)^{-1} Kt_yy* and the impropriety diagnostic ||P||_2/||K_yy||_2.
-
-    Both norms are largest eigenvalues of PSD matrices, found by Lanczos to
-    rounding (``_largest_eigenvalue``).
-    """
-
-    matrix: np.ndarray
-    impropriety: float
-
-
-@dataclass(frozen=True)
 class EllipsoidBound:
     """Disk |w - center| <= radius summarized as magnitude and phase intervals.
 
@@ -256,15 +243,15 @@ def fit(kernel: ComplexKernel, data: FrequencyDataset) -> Posterior:
     return Posterior(kernel, data, gram_yy, factorization, alpha_vec)
 
 
-def predict_sl(post: Posterior, z: complex) -> tuple[complex, float]:
-    """Strictly linear posterior mean and (clamped nonnegative) variance at z."""
-    means, variances = predict_sl_many(post, [z])
-    return complex(means[0]), float(variances[0])
+def predict_sl(post: Posterior, z):
+    """Strictly linear posterior mean and (clamped nonnegative) variance at z.
 
-
-def predict_sl_many(post: Posterior, zs: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly linear posterior means and (clamped nonnegative) variances over a grid."""
-    pts = np.asarray(zs, dtype=complex)
+    ``z`` is a scalar, which gives a (complex, float) pair, or a 1-D array,
+    which gives a pair of arrays.
+    """
+    pts = np.asarray(z, dtype=complex)
+    scalar = pts.ndim == 0
+    pts = pts.reshape(-1)
     _check_sites(pts)
     cross = np.asarray(
         post.kernel.hermitian_eval(pts[:, None], post.dataset.sites[None, :]), dtype=complex
@@ -273,22 +260,29 @@ def predict_sl_many(post: Posterior, zs: Sequence[complex]) -> tuple[np.ndarray,
     solved = chol_solve(post.factorization, np.conj(cross).T)
     quad = np.real(np.einsum("ij,ji->i", cross, solved))
     prior = np.real(np.asarray(post.kernel.hermitian_eval(pts, pts)))
-    return means, np.maximum(prior - quad, 0.0)
+    variances = np.maximum(prior - quad, 0.0)
+    if scalar:
+        return complex(means[0]), float(variances[0])
+    return means, variances
 
 
-def schur_P(post: Posterior) -> SchurComplement:
-    """Schur complement P = A - B (A*)^{-1} B* of the augmented covariance.
+# perfbench/tracing.py's LAYER_FUNCTIONS table wraps this name too
+predict_sl_many = predict_sl
 
-    P is Hermitian PSD, and conj(P) is S, the block that ``predict_wl``
-    factors.  Its spectral norm relative to ||K_yy||_2 measures how much the
-    widely linear estimator can improve on the strictly linear one (P = 0 is
-    the maximally improper case: y* is perfectly predictable from y).  The
-    norms are lambda_max(S) and lambda_max(K_yy) by Lanczos, which agree with
-    a dense eigensolver to about 1e-15 relative; a spectrum on which Lanczos
-    does not converge within its step cap takes the dense answer.
+
+def schur_P(post: Posterior) -> float:
+    """The impropriety ||P||_2 / ||K_yy||_2 of the augmented covariance.
+
+    P = A - B (A*)^{-1} B* is the Schur complement of Gamma: Hermitian PSD,
+    with conj(P) = S the block that ``predict_wl`` factors.  Its spectral
+    norm relative to ||K_yy||_2 measures how much the widely linear estimator
+    can improve on the strictly linear one (P = 0 is the maximally improper
+    case: y* is perfectly predictable from y).  The norms are lambda_max(S)
+    and lambda_max(K_yy) by Lanczos, which agree with a dense eigensolver to
+    about 1e-15 relative; a spectrum on which Lanczos does not converge
+    within its step cap takes the dense answer.
     """
-    state = post._augmented
-    return SchurComplement(np.conj(state.s_mat), state.impropriety)
+    return post._augmented.impropriety
 
 
 def predict_wl(post: Posterior, z) -> WidelyLinearPrediction:
@@ -307,7 +301,7 @@ def predict_wl(post: Posterior, z) -> WidelyLinearPrediction:
     state = post._augmented
     fallback = state.l22 is None
     if fallback:
-        mean, herm_var = predict_sl_many(post, pts)
+        mean, herm_var = predict_sl(post, pts)
         comp_var = np.full(pts.size, complex(math.nan, math.nan))
     else:
         mean, herm_var, comp_var = (np.empty(pts.size, kind) for kind in (complex, float, complex))
@@ -342,21 +336,22 @@ def _wl_block(post: Posterior, state: _AugmentedFactor, pts: np.ndarray):
     return mean, hermitian_var, prior_comp - np.sum(x.conj() * w, axis=0)
 
 
-def ellipsoid(post: Posterior, z: complex, eta: float) -> EllipsoidBound:
-    """Confidence disk of radius eta * sigma_g(z) around the strictly linear mean.
+def ellipsoid(mean: complex, var: float, eta: float) -> EllipsoidBound:
+    """Confidence disk of radius eta * sqrt(var) around a posterior mean.
 
-    By the Markov bound the true response lies inside with probability at
-    least 1 - 1/eta^2.  The magnitude interval is [max(0, |c| - r), |c| + r];
-    the phase interval has half-width asin(r/|c|) unless the disk contains the
-    origin, in which case every phase is possible.
+    ``mean`` and ``var`` are one point's posterior mean and (Hermitian)
+    variance from ``predict_sl`` or ``predict_wl``.  By the Markov bound the
+    true response lies inside with probability at least 1 - 1/eta^2.  The
+    magnitude interval is [max(0, |c| - r), |c| + r]; the phase interval has
+    half-width asin(r/|c|) unless the disk contains the origin, in which case
+    every phase is possible.  The arithmetic is on Python floats, one point
+    per call (numpy's ``abs``, ``arcsin`` and ``arctan2`` can differ from
+    them in the last bit).
     """
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    mean, var = predict_sl(post, z)
-    return _disk_bounds(mean, eta * math.sqrt(var), eta)
-
-
-def _disk_bounds(center: complex, radius: float, eta: float) -> EllipsoidBound:
+    center = complex(mean)
+    radius = eta * math.sqrt(var)
     mag = abs(center)
     mag_interval = (max(0.0, mag - radius), mag + radius)
     if radius < mag:

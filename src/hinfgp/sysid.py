@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -98,14 +97,6 @@ class TimeTrace:
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    def save(self, path) -> None:
-        """Write the samples as single-column plain text (17 significant digits)."""
-        np.savetxt(path, self.samples, fmt="%.17g")
-
-    @classmethod
-    def load(cls, path, sample_rate: float) -> "TimeTrace":
-        return cls(np.atleast_1d(np.loadtxt(path, dtype=float)), sample_rate)
 
 
 @dataclass(frozen=True)

@@ -2,22 +2,20 @@
 
 Whether the sample paths of a Gaussian process are almost surely bounded
 analytic functions outside the unit disk is a zero-one property.  Sufficient
-conditions come in two parts, and this module probes both numerically:
-
-1. a boundary continuity condition on the real/imaginary-part kernels
-   (``continuity_probe``), and
-2. Driscoll's RKHS criterion (``driscoll_test``): the paths of a GP with real
-   kernel k lie in the reproducing kernel Hilbert space of a reference kernel
-   r exactly when traces of K_n R_n^{-1} over growing Gram matrices stay
-   bounded.  Here the reference space is the Hardy space H2, whose kernel is
-   r(z, w) = zw*/(zw* - 1).
+conditions come in two parts: a boundary continuity condition on the
+real/imaginary-part kernels, which this module does not probe, and
+Driscoll's RKHS criterion (``driscoll_test``): the paths of a GP with real
+kernel k lie in the reproducing kernel Hilbert space of a reference kernel r
+exactly when traces of K_n R_n^{-1} over growing Gram matrices stay bounded.
+Here the reference space is the Hardy space H2, whose kernel is
+r(z, w) = zw*/(zw* - 1) (``hinfgp.kernels.h2_kernel``).
 
 ``symmetry_test`` checks the exact covariance identities k(z, z) = k(z*, z*)
 and k(z, z) = kt(z, z*) that characterize processes with real impulse
 responses.
 
-Candidate kernels fed to ``driscoll_test``/``continuity_probe`` are the *real*
-covariances of the real or imaginary part of the process (see
+Candidate kernels fed to ``driscoll_test`` are the *real* covariances of the
+real or imaginary part of the process (see
 :func:`hinfgp.kernels.real_imag_kernels`); ``driscoll_parts`` probes both parts
 of a complex kernel with one H2 factorization.  Gram matrices are assembled from the
 real part of the kernel values, matching the realified-space construction in
@@ -39,13 +37,10 @@ from .kernels import ComplexKernel, _check_sites, _part_values, h2_kernel
 __all__ = [
     "DriscollReport",
     "SymmetryReport",
-    "ContinuityReport",
-    "h2_kernel",
     "dense_spiral",
     "driscoll_test",
     "driscoll_parts",
     "symmetry_test",
-    "continuity_probe",
 ]
 
 # The smallest n_max whose trace sequence (n = 10, 20, ...) gives the tail
@@ -92,17 +87,6 @@ class SymmetryReport:
             "scale": self.scale,
             "grid_size": self.grid_size,
         }
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Outcome of the boundary-continuity bound check for one (C, alpha)."""
-
-    passed: bool
-    worst_margin: float
-    worst_pair: tuple[float, float]
-    C: float
-    alpha: float
 
 
 def dense_spiral(count: int, r_lo: float = 1.05, r_hi: float = 3.0) -> np.ndarray:
@@ -245,43 +229,3 @@ def symmetry_test(kernel: ComplexKernel, grid: Sequence[complex]) -> SymmetryRep
         float(np.max(np.abs(diag))),
         int(pts.size),
     )
-
-
-def continuity_probe(
-    k_real: Callable,
-    angle_pairs: Sequence[tuple[float, float]],
-    C: float,
-    alpha: float,
-) -> ContinuityReport:
-    """Check the boundary-continuity bound for one constant pair (C, alpha).
-
-    For every angle pair the variance increment of the real-part process on
-    the circle, k(e^{jt}, e^{jt}) + k(e^{js}, e^{js}) - 2 k(e^{jt}, e^{js}),
-    must stay below C / |log|t - s||^{1 + alpha}.  Pairs need 0 < |t - s| < 1.
-    Returns the worst (smallest) margin bound - increment.
-    """
-    pairs = [(float(t), float(s)) for t, s in angle_pairs]
-    if not pairs:
-        raise ValueError("angle_pairs must be nonempty")
-    worst = math.inf
-    worst_pair = pairs[0]
-    passed = True
-    for t, s in pairs:
-        gap = abs(t - s)
-        if gap == 0.0:
-            raise ValueError(f"degenerate pair (theta = phi = {t}) rejected")
-        if gap >= 1.0:
-            raise ValueError(f"angle pairs must satisfy |theta - phi| < 1, got {gap}")
-        zt = complex(math.cos(t), math.sin(t))
-        zs = complex(math.cos(s), math.sin(s))
-        increment = float(
-            np.real(k_real(zt, zt)) + np.real(k_real(zs, zs)) - 2.0 * np.real(k_real(zt, zs))
-        )
-        bound = C / abs(math.log(gap)) ** (1.0 + alpha)
-        margin = bound - increment
-        if margin < worst:
-            worst = margin
-            worst_pair = (t, s)
-        if margin < 0.0:
-            passed = False
-    return ContinuityReport(passed, worst, worst_pair, float(C), float(alpha))

@@ -24,18 +24,18 @@ from hinfgp.kernels import (
     exponential_kernel,
     from_config,
     geometric_kernel,
+    h2_kernel,
     real_imag_kernels,
 )
 from hinfgp.regression import (
     FrequencyDataset,
     fit,
     predict_sl,
-    predict_sl_many,
     predict_wl,
 )
 from hinfgp.sampling import sample_cozine_batch, sample_stationary_batch
 from hinfgp.sysid import TimeTrace, estimate_noise_var, etfe, simulate
-from hinfgp.verify import dense_spiral, driscoll_test, h2_kernel, symmetry_test
+from hinfgp.verify import dense_spiral, driscoll_test, symmetry_test
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO / "configs"
@@ -309,7 +309,7 @@ class TestAcceptanceCriteria:
                 + 1j * noise_rng.standard_normal(sites.size)
             )
             post = fit(kernel, FrequencyDataset(sites, y, noise))
-            means, variances = predict_sl_many(post, held)
+            means, variances = predict_sl(post, held)
             hits += int(np.sum(np.abs(f_held[i] - means) <= eta * np.sqrt(variances)))
             total += held.size
         freq = hits / total
@@ -377,7 +377,7 @@ class TestAcceptanceCriteria:
             logged[:, 1] + 1j * logged[:, 2], data.responses, rtol=0, atol=1e-15
         )
         grid_z = np.exp(1j * math.pi * (np.arange(512) + 1.0) / 513.0)
-        means_sl, _ = predict_sl_many(post, grid_z)
+        means_sl, _ = predict_sl(post, grid_z)
         means_wl = np.array([predict_wl(post, complex(z)).mean for z in grid_z])
         rms = float(
             np.sqrt(np.mean(np.abs(means_wl - means_sl) ** 2))

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hinfgp.kernels import KernelFamily, exponential_kernel, from_config, geometric_kernel, gram
-from hinfgp.regression import FrequencyDataset, fit, predict_sl_many, predict_wl
+from hinfgp.regression import FrequencyDataset, fit, predict_sl, predict_wl
 from hinfgp.sampling import sample_cozine_batch, sample_stationary_batch
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
@@ -78,7 +78,7 @@ def test_variance_is_conjugate_symmetric(kernel, pts):
 @PROPERTY_SETTINGS
 @given(post=noisy_posteriors(), queries=exterior_points(max_size=10))
 def test_widely_linear_variance_below_strictly_linear(post, queries):
-    _, var_sl = predict_sl_many(post, queries)
+    _, var_sl = predict_sl(post, queries)
     wl = predict_wl(post, queries)
     assert np.all(wl.hermitian_var <= var_sl + 1e-10)
 
@@ -86,6 +86,13 @@ def test_widely_linear_variance_below_strictly_linear(post, queries):
 @PROPERTY_SETTINGS
 @given(post=noisy_posteriors(), queries=exterior_points(max_size=10))
 def test_array_widely_linear_matches_scalar_calls(post, queries):
+    """An array of queries gives what one call per point gives, to 1e-12,
+    for ``predict_wl`` and for ``predict_sl``."""
+    means, variances = predict_sl(post, queries)
+    for i, z in enumerate(queries):
+        mean, var = predict_sl(post, complex(z))
+        assert abs(means[i] - mean) <= 1e-12
+        assert abs(variances[i] - var) <= 1e-12
     batch = predict_wl(post, queries)
     for i, z in enumerate(queries):
         single = predict_wl(post, complex(z))
@@ -111,7 +118,7 @@ def test_interior_points_raise(post, pts, inner, angle, slot):
     with pytest.raises(ValueError, match="inside the kernel domain"):
         gram(post.kernel, pts)
     with pytest.raises(ValueError, match="inside the kernel domain"):
-        predict_sl_many(post, pts)
+        predict_sl(post, pts)
     with pytest.raises(ValueError, match="inside the kernel domain"):
         predict_wl(post, pts)
 
@@ -136,7 +143,7 @@ def test_zero_noise_posterior_interpolates(alpha, sites, data):
     kernel = geometric_kernel(alpha)
     post = fit(kernel, FrequencyDataset(sites, responses, 0.0))
     tol = 100.0 * np.linalg.cond(post.gram_yy) * np.finfo(float).eps
-    means, variances = predict_sl_many(post, sites)
+    means, variances = predict_sl(post, sites)
     assert np.max(np.abs(means - responses)) <= tol * max(1.0, np.max(np.abs(responses)))
     assert np.all(variances <= tol * np.real(kernel.hermitian_eval(sites, sites)))
 

@@ -25,7 +25,6 @@ from hinfgp.regression import (
     log_marginal_likelihood,
     optimize_hyperparameters,
     predict_sl,
-    predict_sl_many,
     predict_wl,
     schur_P,
 )
@@ -170,7 +169,7 @@ class TestStrictlyLinear:
         kernel, sites, y = random_instance(rng)
         post = fit(kernel, FrequencyDataset(sites, y, 0.05))
         zs = 1.5 * np.exp(1j * np.linspace(-2.0, 2.0, 7))
-        means, variances = predict_sl_many(post, zs)
+        means, variances = predict_sl(post, zs)
         for z, m, v in zip(zs, means, variances):
             m1, v1 = predict_sl(post, complex(z))
             assert abs(m - m1) < 1e-12
@@ -201,7 +200,7 @@ class TestStrictlyLinear:
         with pytest.raises(ValueError, match="inside"):
             predict_sl(post, 0.5)
         with pytest.raises(ValueError, match="domain"):
-            predict_sl_many(post, np.array([2.0, 0.5]))
+            predict_sl(post, np.array([2.0, 0.5]))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -301,7 +300,7 @@ class TestWidelyLinear:
         pseudo-inverse of P (eigenvalues below 1e-8 of the largest dropped)."""
         data = FrequencyDataset(np.array([2.0, 3.0, 1.5 + 1.0j]), np.array([1.0, 0.5, 0.2]) + 0j, 0.0)
         post = fit(geometric_kernel(0.5), data)
-        assert not _linalg._potrf(np.conj(schur_P(post).matrix))[1]
+        assert not _linalg._potrf(post._augmented.s_mat)[1]
         for z, mean in ((2.5, 0.667819279717027), (2.0 + 0.5j, 0.7375274166623034 - 0.3639058103689029j)):
             pred = predict_wl(post, z)
             assert not pred.used_fallback
@@ -382,9 +381,10 @@ class TestWidelyLinear:
         a_mat = gram(kernel, sites, "hermitian", 0.05)
         b_mat = gram(kernel, sites, "complementary")
         direct = a_mat - b_mat @ np.linalg.inv(np.conj(a_mat)) @ np.conj(b_mat)
-        result = schur_P(post)
-        assert np.max(np.abs(result.matrix - 0.5 * (direct + direct.conj().T))) < 1e-10
-        assert result.impropriety == pytest.approx(
+        impropriety = schur_P(post)
+        matrix = np.conj(post._augmented.s_mat)
+        assert np.max(np.abs(matrix - 0.5 * (direct + direct.conj().T))) < 1e-10
+        assert impropriety == pytest.approx(
             np.linalg.norm(direct, 2) / np.linalg.norm(a_mat, 2), rel=1e-8
         )
 
@@ -393,7 +393,7 @@ class TestWidelyLinear:
         for _ in range(10):
             kernel, sites, y = random_instance(rng)
             post = fit(kernel, FrequencyDataset(sites, y, 0.05))
-            eigvals = np.linalg.eigvalsh(schur_P(post).matrix)
+            eigvals = np.linalg.eigvalsh(np.conj(post._augmented.s_mat))
             assert eigvals.min() >= -1e-8 * max(1.0, eigvals.max())
 
 
@@ -501,8 +501,8 @@ class TestLargestEigenvalue:
             raise AssertionError("dense eigensolve")
 
         monkeypatch.setattr(scipy.linalg, "eigvalsh", refuse)
-        result = schur_P(fit(kernel, data))
-        assert abs(result.impropriety - expected) <= 1e-12 * expected
+        impropriety = schur_P(fit(kernel, data))
+        assert abs(impropriety - expected) <= 1e-12 * expected
 
 
 class TestEllipsoid:
@@ -517,8 +517,8 @@ class TestEllipsoid:
     def test_posterior_disk(self):
         post = fit(geometric_kernel(0.5), FrequencyDataset(np.array([2.0]), np.array([1.0 + 0j])))
         eta = 2.0
-        bound = ellipsoid(post, 3.0, eta)
         mean, var = predict_sl(post, 3.0)
+        bound = ellipsoid(mean, var, eta)
         assert bound.center == pytest.approx(mean, abs=1e-14)
         assert bound.radius == pytest.approx(eta * math.sqrt(var), abs=1e-14)
         assert bound.mag_interval[0] == pytest.approx(abs(mean) - bound.radius, abs=1e-14)
@@ -533,9 +533,8 @@ class TestEllipsoid:
         assert not bound.contains(2.0 + 2.0j)
 
     def test_eta_validation(self):
-        post = fit(geometric_kernel(0.5), FrequencyDataset(np.array([2.0]), np.array([1.0 + 0j])))
         with pytest.raises(ValueError, match="eta"):
-            ellipsoid(post, 3.0, 0.0)
+            ellipsoid(1.0 + 0j, 0.25, 0.0)
 
     def test_markov_coverage_on_gaussian_draws(self):
         """|w - c| <= eta sigma holds with frequency well above 1 - 1/eta^2

@@ -243,19 +243,6 @@ class TestScipySignalReference:
 
 
 class TestTimeTrace:
-    def test_save_load_round_trip(self, tmp_path):
-        trace = TimeTrace(np.random.default_rng(3).standard_normal(40), 50.0)
-        path = tmp_path / "trace.txt"
-        trace.save(path)
-        loaded = TimeTrace.load(path, 50.0)
-        np.testing.assert_array_equal(loaded.samples, trace.samples)
-        assert loaded.sample_rate == 50.0
-
-    def test_single_sample_file(self, tmp_path):
-        path = tmp_path / "one.txt"
-        TimeTrace(np.array([1.5]), 1.0).save(path)
-        assert len(TimeTrace.load(path, 1.0)) == 1
-
     def test_validation(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             TimeTrace(np.ones((2, 2)), 1.0)

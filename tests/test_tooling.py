@@ -1,5 +1,6 @@
-"""The names that tooling and users look up in the package still resolve, and
-the CLI starts without the SciPy subpackages it does not need.
+"""The names that tooling and users look up in the package still resolve, the
+README's library example runs, and the CLI starts without the SciPy
+subpackages it does not need.
 
 Public names live in the submodules: each module's ``__all__`` lists what it
 exports, and the package itself exports only ``__version__``.
@@ -24,6 +25,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +67,17 @@ PUBLIC = [
 @pytest.mark.parametrize("module, name", PUBLIC, ids=[name for _, name in PUBLIC])
 def test_public_name_resolves(module, name):
     assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_readme_library_example_runs():
+    """The README's "Library example" block runs as written, and its disk is
+    centred on its posterior mean."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["bound"].center == namespace["mean"]
 
 
 def fresh_stdout(code):

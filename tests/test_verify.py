@@ -1,4 +1,4 @@
-"""Symmetry, membership-probe, and continuity tests for the verification module."""
+"""Symmetry and membership-probe tests for the verification module."""
 
 import math
 
@@ -16,17 +16,10 @@ from hinfgp.kernels import (
     exponential_kernel,
     from_config,
     geometric_kernel,
+    h2_kernel,
     real_imag_kernels,
 )
-from hinfgp.verify import (
-    _real_gram,
-    continuity_probe,
-    dense_spiral,
-    driscoll_parts,
-    driscoll_test,
-    h2_kernel,
-    symmetry_test,
-)
+from hinfgp.verify import _real_gram, dense_spiral, driscoll_parts, driscoll_test, symmetry_test
 
 
 def circular_variant(kernel):
@@ -405,34 +398,3 @@ class TestSymmetry:
     def test_record_reports_grid_size(self):
         record = symmetry_test(geometric_kernel(0.5), dense_spiral(30)).to_record()
         assert record["grid_size"] == 30
-
-
-class TestContinuity:
-    def _pairs(self):
-        gaps = np.geomspace(1e-8, 0.5, 40)
-        return [(0.3, 0.3 + g) for g in gaps]
-
-    def test_geometric_satisfies_some_bound(self):
-        k_r, _ = real_imag_kernels(geometric_kernel(0.5))
-        assert continuity_probe(k_r, self._pairs(), C=1.0, alpha=1.0).passed
-
-    def test_probe_fails_for_tiny_constant(self):
-        k_r, _ = real_imag_kernels(geometric_kernel(0.5))
-        report = continuity_probe(k_r, self._pairs(), C=1e-9, alpha=2.0)
-        assert not report.passed
-        assert report.worst_margin < 0.0
-
-    def test_degenerate_pair_rejected(self):
-        k_r, _ = real_imag_kernels(geometric_kernel(0.5))
-        with pytest.raises(ValueError, match="degenerate"):
-            continuity_probe(k_r, [(0.3, 0.3)], C=1.0, alpha=1.0)
-
-    def test_wide_pair_rejected(self):
-        k_r, _ = real_imag_kernels(geometric_kernel(0.5))
-        with pytest.raises(ValueError, match="theta"):
-            continuity_probe(k_r, [(0.0, 1.5)], C=1.0, alpha=1.0)
-
-    def test_empty_pairs_rejected(self):
-        k_r, _ = real_imag_kernels(geometric_kernel(0.5))
-        with pytest.raises(ValueError, match="nonempty"):
-            continuity_probe(k_r, [], C=1.0, alpha=1.0)
