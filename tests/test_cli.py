@@ -977,6 +977,28 @@ class TestIdentifyPipeline:
             want = [mean.real, mean.imag, math.sqrt(var), *bound.mag_interval, *phase, bound.phase_is_full_circle]
             assert row[3:] == want
 
+    def test_strict_bounds_are_credible_disks(self, tmp_path, monkeypatch):
+        """On the strict estimator, each row's bound columns are ``ellipsoid``
+        of the strictly linear mean and variance at that row's frequency."""
+        fitted = []
+        real_fit = cli.fit
+
+        def capturing_fit(kernel, data):
+            fitted.append(real_fit(kernel, data))
+            return fitted[-1]
+
+        monkeypatch.setattr(cli, "fit", capturing_fit)
+        out = tmp_path / "strict"
+        cfg = identify_config(out)
+        assert cli.main(["identify", "--config", write_config(tmp_path, cfg)]) == 0
+        rows = np.loadtxt(out / "predictions.csv", delimiter=",", skiprows=3)
+        means, variances = regression.predict_sl(fitted[0], np.exp(1j * rows[:, 0]))
+        for row, mean, var in zip(rows.tolist(), means.tolist(), variances.tolist()):
+            bound = regression.ellipsoid(mean, var, cfg["eta"])
+            phase = bound.phase_interval or (-math.pi, math.pi)
+            want = [mean.real, mean.imag, math.sqrt(var), *bound.mag_interval, *phase, bound.phase_is_full_circle]
+            assert row[3:] == want
+
     def test_tuned_run_records_values(self, tmp_path):
         out = tmp_path / "tuned"
         cfg = identify_config(

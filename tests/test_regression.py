@@ -195,6 +195,17 @@ class TestStrictlyLinear:
                     assert abs(batch.complementary_var[i] - single.complementary_var) < 1e-12
         assert predict_wl(fit(base, real_sites), zs).used_fallback
 
+    def test_scalar_gives_floats_and_array_gives_arrays(self):
+        """A scalar query, a Python or a 0-d array one, gives a (complex,
+        float) pair; a 1-D array gives arrays of its length."""
+        post = fit(geometric_kernel(0.5), FrequencyDataset(np.array([2.0, 3.0]), np.array([1.0, 0.5 + 0.5j])))
+        for z in (3.0, 2.0 + 1.0j, np.array(3.0)):
+            mean, var = predict_sl(post, z)
+            assert type(mean) is complex and type(var) is float
+        means, variances = predict_sl(post, np.array([3.0]))
+        assert means.shape == variances.shape == (1,)
+        assert (means[0], variances[0]) == predict_sl(post, 3.0)
+
     def test_query_inside_domain_rejected(self):
         post = fit(geometric_kernel(0.5), FrequencyDataset(np.array([2.0]), np.array([1.0 + 0j])))
         with pytest.raises(ValueError, match="inside"):
@@ -373,6 +384,16 @@ class TestWidelyLinear:
         predict_wl(other, 3.0)
         assert calls == {"complementary": 2, "factor": 2}
 
+    def test_proper_kernel_impropriety_is_one(self):
+        """With a zero complementary covariance B = 0, so P = A = K_yy and
+        the impropriety ||P||_2 / ||K_yy||_2 is 1, returned as a float."""
+        rng = np.random.default_rng(53)
+        kernel, sites, y = random_instance(rng)
+        circ = ComplexKernel(kernel.hermitian_eval, lambda z, w: 0.0 * np.multiply(z, w))
+        impropriety = schur_P(fit(circ, FrequencyDataset(sites, y, 0.05)))
+        assert type(impropriety) is float
+        assert impropriety == pytest.approx(1.0, abs=1e-12)
+
     def test_schur_complement_against_dense_inverse(self):
         rng = np.random.default_rng(49)
         kernel, sites, y = random_instance(rng)
@@ -535,6 +556,46 @@ class TestEllipsoid:
     def test_eta_validation(self):
         with pytest.raises(ValueError, match="eta"):
             ellipsoid(1.0 + 0j, 0.25, 0.0)
+
+    def test_negative_eta_rejected(self):
+        with pytest.raises(ValueError, match="eta"):
+            ellipsoid(1.0 + 0j, 0.25, -1.0)
+
+    def test_zero_variance_is_a_point(self):
+        bound = ellipsoid(3.0 + 4.0j, 0.0, 3.0)
+        assert bound.radius == 0.0
+        assert bound.mag_interval == (5.0, 5.0)
+        phase = math.atan2(4.0, 3.0)
+        assert bound.phase_interval == (phase, phase)
+        assert bound.contains(3.0 + 4.0j)
+
+    def test_disk_over_origin_takes_every_phase(self):
+        bound = ellipsoid(0.1 + 0.1j, 1.0, 3.0)
+        assert bound.phase_is_full_circle
+        assert bound.mag_interval == (0.0, abs(0.1 + 0.1j) + 3.0)
+        assert bound.contains(0.0)
+
+    def test_disk_touching_origin_takes_every_phase(self):
+        """radius == |center|: the closed disk holds the origin, so no phase
+        interval, and the magnitude interval starts at 0."""
+        bound = ellipsoid(3.0 + 4.0j, 25.0, 1.0)
+        assert bound.radius == abs(bound.center) == 5.0
+        assert bound.phase_is_full_circle
+        assert bound.mag_interval == (0.0, 10.0)
+
+    def test_phase_interval_may_cross_the_branch_cut(self):
+        """A disk around a negative real mean is centred on phase pi, so its
+        upper endpoint lies above pi."""
+        bound = ellipsoid(-2.0 + 0j, 1.0, 1.0)
+        lo, hi = bound.phase_interval
+        assert (lo, hi) == (math.pi - math.asin(0.5), math.pi + math.asin(0.5))
+        assert hi > math.pi
+
+    def test_numpy_scalars_give_the_same_disk(self):
+        """Elements of ``predict_sl``'s or ``predict_wl``'s arrays give the
+        disk their Python-float values give, bit for bit."""
+        mean, var = np.complex128(0.6 - 0.3j), np.float64(0.02)
+        assert ellipsoid(mean, var, 3.0) == ellipsoid(complex(mean), float(var), 3.0)
 
     def test_markov_coverage_on_gaussian_draws(self):
         """|w - c| <= eta sigma holds with frequency well above 1 - 1/eta^2

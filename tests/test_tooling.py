@@ -69,6 +69,20 @@ def test_public_name_resolves(module, name):
     assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_tracer_alias_is_not_public():
+    """``predict_sl_many`` stays only as the tracer's name for ``predict_sl``;
+    the retired entry points are out of every ``__all__``."""
+    assert regression.predict_sl_many is regression.predict_sl
+    for module, name in (
+        (regression, "predict_sl_many"),
+        (regression, "SchurComplement"),
+        (verify, "ContinuityReport"),
+        (verify, "continuity_probe"),
+        (verify, "h2_kernel"),
+    ):
+        assert name not in module.__all__, f"{module.__name__}.{name}"
+
+
 def test_readme_library_example_runs():
     """The README's "Library example" block runs as written, and its disk is
     centred on its posterior mean."""
