@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
+from ._config import _REQUIRED, _TOP, ConfigError, _is_real, _Section
 from .kernels import ComplexKernel
 from .regression import _log_likelihood, ellipsoid, fit, optimize_hyperparameters, predict_sl, predict_wl, schur_P
 from .sampling import _MAX_ENTRIES, path_law, sample_paths
@@ -50,10 +51,6 @@ _R_LO, _R_HI = 1.1, 3.0
 # Allocation caps, checked while parsing: no array a run allocates exceeds
 # _MAX_ENTRIES entries, so a size whose square is a Gram is at most _MAX_SIDE.
 _MAX_SIDE = math.isqrt(_MAX_ENTRIES)
-
-
-class ConfigError(ValueError):
-    """A config document failed validation."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,81 +85,6 @@ def config_hash(resolved: Mapping) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_REQUIRED = object()
-
-
-class _Section:
-    """One config mapping, read key by key.
-
-    Each accessor reads one key, checks it and names the key and ``where``
-    in its error.  An absent key takes its ``default``, or is an error
-    without one.  ``close()`` refuses every key that nothing read, so the
-    keys a parser reads are the keys it allows.
-    """
-
-    def __init__(self, mapping: Mapping, where: str):
-        self.mapping, self.where, self._read = mapping, where, set()
-
-    def get(self, key: str, default=_REQUIRED, valid=None, rule: str = ""):
-        """The value at ``key``; a given value must pass ``valid``, which ``rule`` describes."""
-        self._read.add(key)
-        if key not in self.mapping:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key '{key}' in {self.where}")
-            return default
-        value = self.mapping[key]
-        if valid is not None:
-            self.bound(key, value, valid(value), rule)
-        return value
-
-    def bound(self, key: str, value, ok: bool, rule: str) -> None:
-        """Refuse ``value`` at ``key`` unless ``ok``: it must be ``rule``."""
-        if not ok:
-            raise ConfigError(f"'{key}' in {self.where} must be {rule}, got {value!r}")
-
-    def number(self, key: str, default=_REQUIRED, minimum=None, above=None) -> float:
-        """A finite real number (not a bool), >= ``minimum`` and > ``above`` when given."""
-        value = self.get(key, default, kernels._is_real, "a finite number")
-        self.bound(key, value, minimum is None or value >= minimum, f">= {minimum}")
-        self.bound(key, value, above is None or value > above, f"> {above}")
-        return float(value)
-
-    def integer(self, key: str, default=_REQUIRED, minimum=None, maximum=None) -> int:
-        """An integer (not a bool), >= ``minimum`` and <= ``maximum`` when given."""
-        value = self.get(key, default, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-        self.bound(key, value, minimum is None or value >= minimum, f">= {minimum}")
-        self.bound(key, value, maximum is None or value <= maximum, f"<= {maximum}")
-        return value
-
-    def reals(self, key: str, default=_REQUIRED, length=None):
-        """A non-empty list of finite reals (not bools), ``length`` of them when
-        given, as a tuple of floats."""
-        value = self.get(
-            key,
-            default,
-            lambda v: isinstance(v, list)
-            and bool(v)
-            and len(v) == (length or len(v))
-            and all(map(kernels._is_real, v)),
-            f"a list of {length or 'one or more'} finite numbers",
-        )
-        return value if value is default else tuple(map(float, value))
-
-    def choice(self, key: str, options: tuple, default=_REQUIRED) -> str:
-        """One of the strings ``options``."""
-        return self.get(key, default, lambda v: isinstance(v, str) and v in options, f"one of {list(options)}")
-
-    def section(self, key: str, required: bool = True) -> "_Section":
-        """The mapping at ``key`` (empty when absent and not ``required``)."""
-        value = self.get(key, _REQUIRED if required else {}, lambda v: isinstance(v, Mapping), "a mapping")
-        return _Section(value, key)
-
-    def close(self) -> None:
-        unknown = set(self.mapping) - self._read
-        if unknown:
-            raise ConfigError(f"unknown key(s) {sorted(unknown)} in {self.where}")
-
-
 def _provenance(cfg: _Section, seed_default=_REQUIRED) -> dict:
     """The ``seed``, ``out_dir`` and config ``sha256`` that every run records."""
     seed = cfg.integer("seed", seed_default, minimum=0)
@@ -191,15 +113,20 @@ def parse_kernel(
 
     ``tunable`` lists the paths ``identify`` tunes (the section's own
     ``tunable`` key removed); ``verify`` also admits the ``{"name": "h2"}``
-    Hardy space kernel and a ``"circular": true`` flag (see
+    Hardy space kernel and the boolean ``circular`` flag (see
     :meth:`~hinfgp.kernels.KernelFamily.from_config`).  Every error is a
-    ConfigError starting ``kernel:``, including a tunable starting value on
-    its range's boundary, such as a weight or an angle of 0, which names its
-    path (see :meth:`~hinfgp.kernels.KernelFamily.unconstrained_start`).
+    ConfigError naming its key.  The config reader names a refused record
+    key by its path (``'omega0' in kernel.component2.params``); the
+    family's own checks start ``kernel:``: a value out of its family's
+    range, a tunable path that does not resolve, and a tunable starting
+    value on its range's boundary, such as a weight or an angle of 0 (see
+    :meth:`~hinfgp.kernels.KernelFamily.unconstrained_start`).
     """
     try:
         family = kernels.KernelFamily.from_config(section, tunable, verify)
         family.unconstrained_start()
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
     return family
@@ -268,7 +195,7 @@ def _parse_filter_bank(bank: _Section) -> FilterBankSpec:
 
 
 def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
-    cfg = _Section(resolved, "config")
+    cfg = _Section(resolved, _TOP)
     provenance = _provenance(cfg)
     system, system_type = _parse_system(cfg.section("system"))
     noise = cfg.section("noise")
@@ -310,7 +237,7 @@ def parse_identify_config(resolved: Mapping) -> ExperimentConfig:
         noise_var=cfg.get(
             "noise_var",
             "auto",
-            lambda v: v == "auto" or kernels._is_real(v) and v >= 0,
+            lambda v: v == "auto" or _is_real(v) and v >= 0,
             '"auto" or a finite number >= 0',
         ),
         budget=cfg.integer("budget", 2000, minimum=1),
@@ -513,7 +440,7 @@ def run_identify(cfg: ExperimentConfig) -> dict:
 
 
 def parse_verify_config(resolved: Mapping) -> dict:
-    cfg = _Section(resolved, "config")
+    cfg = _Section(resolved, _TOP)
     grid = cfg.section("grid", required=False)
     n_max, grid_count = _probe_sizes(cfg, grid, "count")
     parsed = {
@@ -544,7 +471,7 @@ def run_verify(cfg: Mapping) -> dict:
 
 
 def parse_sample_config(resolved: Mapping) -> dict:
-    cfg = _Section(resolved, "config")
+    cfg = _Section(resolved, _TOP)
     parsed = {
         **_provenance(cfg),
         "count": cfg.integer("count", minimum=0),

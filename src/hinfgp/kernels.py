@@ -18,22 +18,26 @@ This module provides the covariance families, each a node of a config record
 * ``mixture`` — a nonnegative combination of two records,
 
 with the constructors ``geometric_kernel``, ``exponential_kernel`` and
-``cozine_kernel`` for the families set by scalars alone.  It also holds
-Gram-matrix assembly, the real/imaginary part decomposition used by the
-H-infinity membership checks, and ``KernelFamily``: a config record parsed
-once into a map from tunable hyperparameters to kernels, which binds to
-fixed sites for repeated Gram evaluation.
+``cozine_kernel`` for the families set by scalars alone.  A verify record
+may also name ``h2``, the Hardy space kernel, and set the boolean
+``circular`` flag of its top node, which zeroes the complementary part.
+Records are read by the same reader as every other config section
+(``hinfgp._config``).  It also holds Gram-matrix assembly, the
+real/imaginary part decomposition used by the H-infinity membership checks,
+and ``KernelFamily``: a config record parsed once into a map from tunable
+hyperparameters to kernels, which binds to fixed sites for repeated Gram
+evaluation.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
+from ._config import _REQUIRED, _TOP, _is_real, _Section
 
 __all__ = [
     "ComplexKernel",
@@ -168,12 +172,18 @@ def _weights(w1, w2) -> tuple[float, float]:
     return float(w1), float(w2)
 
 
-# family name -> (its scalar parameters, in order, and their check)
+# family name -> (its parameters, in order, and the check of their values;
+# None for a family without scalar parameters).  Only verify records may name
+# ``h2``.
 _CHECKS = {
     "geometric": (("alpha",), _alpha),
+    "exponential": ((), None),
     "cozine": (("a", "omega0"), _resonance),
+    "stationary_list": (("coefficients",), None),
     "mixture": (("weight1", "weight2"), _weights),
+    "h2": ((), None),
 }
+_COMPONENTS = ("component1", "component2")
 
 
 @dataclass(frozen=True)
@@ -205,11 +215,6 @@ class Domain:
     @classmethod
     def interval(cls, lo: float, hi: float) -> "Domain":
         return cls("interval", float(lo), float(hi))
-
-    def contains(self, x: float) -> bool:
-        if self.kind == "positive":
-            return x >= 0.0
-        return self.lo <= x <= self.hi
 
     def to_unconstrained(self, x: float) -> float:
         if self.kind == "positive":
@@ -265,7 +270,7 @@ _DOMAINS = {
 
 def _node(name: str, **params) -> ComplexKernel:
     """The kernel of the record ``{"name": name, "params": params}``."""
-    return _parse_family({"name": name, "params": params}, "", (), False)({})
+    return KernelFamily.from_config({"name": name, "params": params})({})
 
 
 def geometric_kernel(alpha: float) -> ComplexKernel:
@@ -381,16 +386,6 @@ def gram(
     raise ValueError(f"part must be 'hermitian' or 'complementary', got {part!r}")
 
 
-_CONFIG_PARAMS = {
-    "geometric": {"alpha"},
-    "exponential": set(),
-    "cozine": {"a", "omega0"},
-    "stationary_list": {"coefficients"},
-    "mixture": {"weight1", "weight2"},
-}
-_COMPONENTS = ("component1", "component2")
-
-
 class KernelFamily:
     """A kernel family parsed once from a config record, with named tunable parameters.
 
@@ -408,18 +403,21 @@ class KernelFamily:
 
     Every family's prior has a real impulse response, so its complementary
     part is kt(z, w) = k(z, w*): each node evaluates only its Hermitian
-    covariance (``_hermitian``), and the ``circular`` member zeroes kt.
+    covariance (``_hermitian``).  A family whose ``circular`` flag is set
+    (verify records only) zeroes kt instead.
 
     Build one with :meth:`from_config`.  Each instance is a node of the
-    record's tree (``name``, ``params``, ``children``).
+    record's tree (``name``, ``params``, ``children``, and ``circular``,
+    which only a top node may set).
     """
 
-    def __init__(self, name: str, params: Mapping, prefix: str, tunable: tuple, children=()):
+    def __init__(self, name: str, params: Mapping, prefix: str, tunable: tuple, children=(), circular=False):
         self.name = name
         self.params = params
         self.children = tuple(children)
-        # parameter name -> hyperparameter path, for the tunable ones
-        self.slots = {n: prefix + n for n in _CONFIG_PARAMS.get(name, ()) if prefix + n in tunable}
+        self.circular = circular
+        # scalar parameter name -> hyperparameter path, for the tunable ones
+        self.slots = {n: prefix + n for n in _CHECKS[name][0] if n in _DOMAINS and prefix + n in tunable}
         mapped = set(self.slots.values()).union(*(c.tunable for c in self.children))
         self.tunable = tuple(path for path in tunable if path in mapped)
         self.domains = {path: _DOMAINS[path.rsplit(".", 1)[-1]] for path in self.tunable}
@@ -435,11 +433,15 @@ class KernelFamily:
         must name a scalar parameter with a value in the record.  ``verify``
         also accepts the verify-only members: ``{"name": "h2"}`` (the Hardy
         space kernel, a natural diverging candidate) and a boolean top-level
-        ``circular`` key, which zeroes the complementary part (a deliberate
-        symmetry-breaking counterexample).
+        ``circular`` key, which sets the flag of the same name: it zeroes the
+        complementary part (a deliberate symmetry-breaking counterexample).
+        The record is read by the config reader, so a refused key raises
+        :class:`~hinfgp.cli.ConfigError` naming its path, such as
+        ``'omega0' in kernel.component2.params``.
         """
         tunable = tuple(tunable)
-        family = _parse_family(record, "", tunable, verify)
+        # read as a config's ``kernel`` section, which must be a mapping
+        family = _parse_family(_Section({"kernel": record}, _TOP).section("kernel"), "", tunable, verify)
         if len(set(tunable)) != len(tunable):
             raise ValueError(f"duplicate tunable path in {tunable}")
         for path in tunable:
@@ -447,14 +449,11 @@ class KernelFamily:
         return family
 
     def record_value(self, path: str) -> float:
-        """The record's value of the tunable parameter at ``path``.
-
-        Paths of a ``circular`` family name the parameters of the kernel it wraps.
-        """
+        """The record's value of the tunable parameter at ``path``."""
         *parents, leaf = path.split(".")
         if leaf not in _DOMAINS:
             raise ValueError(f"parameter '{path}' is not tunable")
-        node = self.children[0] if self.name == "circular" else self
+        node = self
         for part in parents:
             if part not in _COMPONENTS or node.name != "mixture":
                 raise ValueError(f"tunable path '{path}' does not resolve in the kernel record")
@@ -488,18 +487,17 @@ class KernelFamily:
         def comp(z, w):
             return herm(z, np.conj(w))
 
-        return ComplexKernel(herm, _zero_complementary if self.name == "circular" else comp)
+        return ComplexKernel(herm, _zero_complementary if self.circular else comp)
 
     def bind(self, sites: Sequence[complex], noise_var: float = 0.0) -> "BoundFamily":
         """This family at fixed sites z_i with observation noise ``noise_var``.
 
         Binding checks the sites against the kernel domain and computes what
         does not depend on the hyperparameters once (see ``_hermitian``).  The
-        bound ``gram(values)`` then equals ``gram(self(values), sites,
-        "hermitian", noise_var)`` bit for bit, and so does the Gram that
-        ``gram_with_derivatives(values)`` returns next to its derivatives.  A
-        family without tunable parameters returns one read-only Gram at
-        every call.
+        Gram that the bound ``gram_with_derivatives(values)`` returns next to
+        its derivatives then equals ``gram(self(values), sites, "hermitian",
+        noise_var)`` bit for bit.  A family without tunable parameters
+        returns one read-only Gram at every call.
         """
         pts = np.asarray(sites, dtype=complex)
         _check_sites(pts, noise_var)
@@ -508,15 +506,11 @@ class KernelFamily:
             hermitian({})[0].flags.writeable = False
         noise = noise_var * np.eye(pts.size) if noise_var > 0.0 else None
 
-        def gram(values):
-            k = hermitian(self._checked(values))[0]
-            return k if noise is None else k + noise
-
         def gram_with_derivatives(values):
             k, derivatives = hermitian(self._checked(values), True)
             return k if noise is None else k + noise, [derivatives[path] for path in self.tunable]
 
-        return BoundFamily(self, pts, noise_var, gram, gram_with_derivatives)
+        return BoundFamily(self, pts, noise_var, gram_with_derivatives)
 
     def _checked(self, values: Mapping[str, float]) -> Mapping[str, float]:
         unknown = set(values).difference(self.tunable)
@@ -540,8 +534,8 @@ class KernelFamily:
     def _numbers(self, values: Mapping[str, float]) -> tuple:
         """This node's validated numbers at ``values``: (alpha,), (a, cos omega0),
         (weight1, weight2), or () for a node without scalar parameters."""
-        names, check = _CHECKS.get(self.name, ((), lambda: ()))
-        return check(*[self._value(values, n) for n in names])
+        names, check = _CHECKS[self.name]
+        return check(*[self._value(values, n) for n in names]) if check else ()
 
     def _hermitian(self, z, w):
         """(values, grad) -> (k(z, w), derivatives), this node's Hermitian
@@ -565,19 +559,16 @@ class KernelFamily:
                 # through c = cos omega0
                 return k, self._by_path(a=d_a, omega0=-math.sin(self._value(values, "omega0")) * d_c)
 
-        elif self.children:  # mixture or circular
+        elif self.children:  # mixture
             parts = [child._hermitian(z, w) for child in self.children]
-            if self.name == "circular":
-                herm = parts[0]
-            else:
 
-                def herm(values, grad=False):
-                    w1, w2 = self._numbers(values)
-                    part1, part2 = (part(values, grad) for part in parts)
-                    k, derivatives = _mixture(w1, part1, w2, part2)
-                    if grad:
-                        derivatives.update(self._by_path(weight1=part1[0], weight2=part2[0]))
-                    return k, derivatives
+            def herm(values, grad=False):
+                w1, w2 = self._numbers(values)
+                part1, part2 = (part(values, grad) for part in parts)
+                k, derivatives = _mixture(w1, part1, w2, part2)
+                if grad:
+                    derivatives.update(self._by_path(weight1=part1[0], weight2=part2[0]))
+                return k, derivatives
 
         else:  # a series in p = zw*
             p = np.multiply(z, np.conj(w))
@@ -608,82 +599,43 @@ def _constant(value):
 class BoundFamily:
     """A kernel family bound to sites and a noise variance (see :meth:`KernelFamily.bind`).
 
-    ``gram(values)`` is K_yy = [k(z_i, z_j)] + noise_var I at the
-    hyperparameters ``values``.  ``gram_with_derivatives(values)`` is the
-    same K_yy with the list of its derivatives dK_yy/d theta, one per path of
-    ``family.tunable``, in that order.
+    ``gram_with_derivatives(values)`` is K_yy = [k(z_i, z_j)] + noise_var I
+    at the hyperparameters ``values``, with the list of its derivatives
+    dK_yy/d theta, one per path of ``family.tunable``, in that order.
     """
 
     family: KernelFamily
     sites: np.ndarray
     noise_var: float
-    gram: Callable[[Mapping[str, float]], np.ndarray]
     gram_with_derivatives: Callable[[Mapping[str, float]], tuple[np.ndarray, list]]
 
 
-def _is_real(value) -> bool:
-    """Whether a record value is a real number with a finite float value
-    (booleans are not; nor is an integer too large for a float)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
-def _parse_family(record: Mapping, prefix: str, tunable: tuple, verify: bool) -> KernelFamily:
-    if not isinstance(record, Mapping):
-        raise ValueError(f"kernel config must be a mapping, got {type(record).__name__}")
-    if verify:
-        record = dict(record)
-        circular = record.pop("circular", False)
-        if not isinstance(circular, bool):
-            raise ValueError(f"'circular' must be a boolean, got {circular!r}")
-        if circular:
-            return KernelFamily("circular", {}, prefix, tunable, [_parse_family(record, prefix, tunable, True)])
-        if record.get("name") == "h2":
-            unknown = set(record) - {"name"}
-            if unknown:
-                raise ValueError(f"unknown key(s) {sorted(unknown)} in h2 kernel record")
-            return KernelFamily("h2", {}, prefix, tunable)
-    name = record.get("name")
-    if not isinstance(name, str) or name not in _CONFIG_PARAMS:
-        raise ValueError(
-            f"unknown kernel name {name!r}; expected one of {sorted(_CONFIG_PARAMS)}"
-        )
-    allowed_keys = {"name", "params"} | (set(_COMPONENTS) if name == "mixture" else set())
-    unknown = set(record) - allowed_keys
-    if unknown:
-        raise ValueError(f"unknown kernel config key(s) {sorted(unknown)} for kernel {name!r}")
-    params = record.get("params", {})
-    if not isinstance(params, Mapping):
-        raise ValueError(f"'params' of kernel {name!r} must be a mapping, got {params!r}")
-    params = dict(params)
-    unknown_params = set(params) - _CONFIG_PARAMS[name]
-    if unknown_params:
-        raise ValueError(f"unknown parameter(s) {sorted(unknown_params)} for kernel {name!r}")
-    for key, value in params.items():
-        if key != "coefficients" and not _is_real(value):
-            raise ValueError(f"parameter '{key}' of kernel {name!r} must be a finite number, got {value!r}")
-    if name == "geometric" and "alpha" not in params:
-        raise ValueError("'params' of kernel 'geometric' requires 'alpha'")
-    if name == "cozine":
-        missing = {"a", "omega0"} - set(params)
-        if missing:
-            raise ValueError(f"'params' of kernel 'cozine' requires {sorted(missing)}")
-    if name == "stationary_list":
-        if "coefficients" not in params:
-            raise ValueError("'params' of kernel 'stationary_list' requires 'coefficients'")
-        a_sq = params["coefficients"]
-        if not isinstance(a_sq, (list, tuple)) or not a_sq or not all(_is_real(c) and c >= 0.0 for c in a_sq):
-            raise ValueError(
-                "'coefficients' of kernel 'stationary_list' must be a non-empty list of "
-                f"finite nonnegative numbers, got {a_sq!r}"
-            )
-        params["coefficients"] = tuple(float(c) for c in a_sq)
-    children = []
-    if name == "mixture":
-        for key in _COMPONENTS:
-            if not isinstance(record.get(key), Mapping):
-                raise ValueError(f"mixture kernel config requires a nested record {key!r}, got {record.get(key)!r}")
-        children = [_parse_family(record[key], f"{prefix}{key}.", tunable, False) for key in _COMPONENTS]
-    return KernelFamily(name, params, prefix, tunable, children)
+def _parse_family(record: _Section, prefix: str, tunable: tuple, verify: bool) -> KernelFamily:
+    """The family of the kernel record ``record``, whose tunable paths start with
+    ``prefix``; ``verify`` admits the verify-only ``h2`` and ``circular``."""
+    name = record.choice("name", tuple(n for n in _CHECKS if verify or n != "h2"))
+    circular = verify and record.get("circular", False, lambda v: isinstance(v, bool), "a boolean")
+    params = {}
+    if name != "h2":  # h2 takes no params key, not even an empty one
+        section = record.section("params", required=False)
+        for key in _CHECKS[name][0]:
+            if key == "coefficients":
+                value = section.get(
+                    key,
+                    valid=lambda v: isinstance(v, (list, tuple)) and bool(v) and all(_is_real(c) and c >= 0 for c in v),
+                    rule="a non-empty list of finite nonnegative numbers",
+                )
+                params[key] = tuple(map(float, value))
+                continue
+            # only mixture weights are optional: ``_value`` takes 1 for an absent one
+            value = section.get(key, None if name == "mixture" else _REQUIRED, _is_real, "a finite number")
+            if value is not None:
+                params[key] = value
+        section.close()
+    keys = _COMPONENTS if name == "mixture" else ()
+    children = [_parse_family(record.section(key), f"{prefix}{key}.", tunable, False) for key in keys]
+    record.close()
+    return KernelFamily(name, params, prefix, tunable, children, circular)
 
 
 def from_config(record: Mapping) -> ComplexKernel:

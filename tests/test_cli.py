@@ -143,9 +143,12 @@ class TestKernelFamilyFromRecord:
         assert family.domains == {}
 
     def test_non_tunable_leaf(self):
-        record = {"name": "geometric", "params": {"alpha": 0.5}}
-        with pytest.raises(ConfigError, match="not tunable"):
-            parse_kernel(record, ["coefficients"])
+        for record in (
+            {"name": "geometric", "params": {"alpha": 0.5}},
+            {"name": "stationary_list", "params": {"coefficients": [1.0, 0.5]}},  # a list is a parameter, not a scalar
+        ):
+            with pytest.raises(ConfigError, match="^kernel: parameter 'coefficients' is not tunable$"):
+                parse_kernel(record, ["coefficients"])
 
     def test_duplicate_path(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}}
@@ -177,8 +180,17 @@ class TestKernelFromVerifyRecord:
         assert abs(kernel.complementary_eval(z, w) - want) < 1e-14
 
     def test_h2_extra_keys_rejected(self):
-        with pytest.raises(ConfigError, match="h2"):
-            parse_kernel({"name": "h2", "params": {"alpha": 0.5}}, verify=True)
+        for params in ({"alpha": 0.5}, {}):  # h2 takes no params key, not even an empty one
+            with pytest.raises(ConfigError, match=r"^unknown key\(s\) \['params'\] in kernel$"):
+                parse_kernel({"name": "h2", "params": params}, verify=True)
+
+    def test_circular_false_accepted_only_in_verify(self):
+        geometric = {"name": "geometric", "params": {"alpha": 0.5}, "circular": False}
+        for record in ({"name": "h2", "circular": False}, geometric):
+            family = parse_kernel(record, verify=True)
+            assert family.circular is False and family({}).complementary_eval(2.0, 2.0) != 0.0
+        with pytest.raises(ConfigError, match=r"^unknown key\(s\) \['circular'\] in kernel$"):
+            parse_kernel(geometric)
 
     def test_circular_flag_zeroes_complementary(self):
         record = {"name": "geometric", "params": {"alpha": 0.5}, "circular": True}
@@ -196,7 +208,7 @@ class TestKernelFromVerifyRecord:
             )
 
     def test_unknown_family(self):
-        with pytest.raises(ConfigError, match="unknown kernel"):
+        with pytest.raises(ConfigError, match=r"^'name' in kernel must be one of .*'h2'\], got 'sobolev'$"):
             parse_kernel({"name": "sobolev"}, verify=True)
 
 
@@ -428,7 +440,7 @@ class TestMainExitCodes:
         cfg = self._command_config(command, kernel, out)
         assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"parameter '{param}'" in err
+        assert err.startswith(f"error: '{param}' in kernel.params must be a finite number, got ")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["identify", "verify"])
@@ -444,7 +456,7 @@ class TestMainExitCodes:
         cfg = self._command_config(command, kernel, out)
         assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "parameter 'weight1'" in err
+        assert err.startswith("error: 'weight1' in kernel.params must be a finite number, got ")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ PARSERS = {
     "sample": cli.parse_sample_config,
 }
 SIBLING = "unknown_sibling"
+LIST_KERNEL = {"name": "stationary_list", "params": {"coefficients": [1.0, 0.5, 0.25]}, "circular": True}
 
 
 def _shipped(name, **overrides):
@@ -54,6 +55,8 @@ def _bases():
     for cfg in identify:
         cfg["kernel"]["tunable"] = []
     verify = [_shipped(name, n_max=20) for name in ("verify_geometric.json", "verify_h2.json")]
+    # no shipped config has a circular flag or a coefficient list
+    verify.append(_shipped("verify_geometric.json", n_max=20, kernel=LIST_KERNEL))
     for cfg in verify:
         cfg["grid"] = {**cfg.get("grid", {}), "count": 20}
     sample = _shipped("sample_geometric.json", count=20)
@@ -69,6 +72,7 @@ def _paths(node, prefix=()):
 
 
 BASES = _bases()
+LIST_BASE = next(index for index, (_, cfg) in enumerate(BASES) if cfg["kernel"] == LIST_KERNEL)
 CASES = [(index, path) for index, (_, cfg) in enumerate(BASES) for path in _paths(cfg)]
 MUTATIONS = [("remove", None), ("sibling", None)] + [
     ("set", value) for value in (0, -1, 10**12, math.nan, True, "x", [], None)
@@ -95,6 +99,8 @@ def _mutated(cfg, path, mutation):
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(case=st.sampled_from(CASES), mutation=st.sampled_from(MUTATIONS))
 @example(case=(len(BASES) - 1, ("count",)), mutation=("set", 10**12))  # sample's path matrix
+@example(case=(LIST_BASE, ("kernel", "circular")), mutation=("set", 0))
+@example(case=(LIST_BASE, ("kernel", "params", "coefficients")), mutation=("set", [True]))
 def test_one_changed_key_exits_cleanly(case, mutation):
     index, path = case
     command, base = BASES[index]

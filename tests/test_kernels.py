@@ -1,6 +1,7 @@
 """Kernel-module tests: frozen closed-form values, series cross-checks, structure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,7 @@ class TestFromConfig:
             ({"name": "exponential"}, 1.2840254166877414),
             ({"name": "cozine", "params": {"a": 0.5, "omega0": math.pi / 2.0}}, 16.0 / 17.0),
             ({"name": "stationary_list", "params": {"coefficients": [1.0, 0.5, 0.25]}}, 1.140625),
+            ({"name": "exponential", "params": {}}, 1.2840254166877414),
         ],
     )
     def test_builds_each_family(self, record, probe):
@@ -285,16 +287,22 @@ class TestFromConfig:
         k = from_config(record)
         assert complex(k.hermitian_eval(2.0, 2.0)) == pytest.approx(1.0016806722689076, abs=1e-13)
 
+    def test_mixture_without_params_weighs_each_component_one(self):
+        record = {"name": "mixture", "component1": geometric(0.5), "component2": cozine(0.5, 1.0)}
+        z, w = 2.0, 1.5 * np.exp(0.4j)
+        want = geometric_kernel(0.5).hermitian_eval(z, w) + cozine_kernel(0.5, 1.0).hermitian_eval(z, w)
+        assert from_config(record).hermitian_eval(z, w) == want
+
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown kernel name"):
+        with pytest.raises(ValueError, match=r"'name' in kernel must be one of .*, got 'matern'"):
             from_config({"name": "matern"})
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ValueError, match="unknown kernel config key"):
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['extra'\] in kernel$"):
             from_config({"name": "geometric", "params": {"alpha": 0.5}, "extra": 1})
 
     def test_unknown_parameter(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['beta'\] in kernel\.params$"):
             from_config({"name": "geometric", "params": {"alpha": 0.5, "beta": 1.0}})
 
     def test_missing_required_parameter(self):
@@ -310,11 +318,11 @@ class TestFromConfig:
             from_config(["geometric"])
 
     def test_non_string_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel name"):
+        with pytest.raises(ValueError, match=r"'name' in kernel must be one of .*, got \['geometric'\]"):
             from_config({"name": ["geometric"], "params": {"alpha": 0.5}})
 
     def test_non_mapping_params_rejected(self):
-        with pytest.raises(ValueError, match="'params' of kernel 'geometric' must be a mapping"):
+        with pytest.raises(ValueError, match=r"'params' in kernel must be a mapping, got \[0\.5\]"):
             from_config({"name": "geometric", "params": [0.5]})
 
 
@@ -339,8 +347,10 @@ class TestParameterChecks:
         ],
     )
     def test_non_numeric_scalar_rejected(self, record, param, kernel):
-        message = f"parameter '{param}' of kernel '{kernel}' must be a finite number"
-        with pytest.raises(ValueError, match=message):
+        # the key's path: the top node's params, or those of the component whose family is ``kernel``
+        where = "kernel.params" if record["name"] == kernel else "kernel.component2.params"
+        message = f"'{param}' in {where} must be a finite number"
+        with pytest.raises(ValueError, match=re.escape(message)):
             from_config(record)
 
     def test_numpy_scalars_accepted(self):
@@ -348,7 +358,7 @@ class TestParameterChecks:
         assert complex(k.hermitian_eval(2.0, 2.0)) == complex(geometric_kernel(0.5).hermitian_eval(2.0, 2.0))
 
     def test_constructor_rejects_non_numeric(self):
-        with pytest.raises(ValueError, match="parameter 'omega0' of kernel 'cozine'"):
+        with pytest.raises(ValueError, match=r"'omega0' in kernel\.params must be a finite number, got '1\.0'"):
             cozine_kernel(0.5, "1.0")
 
     @pytest.mark.parametrize(
