@@ -345,8 +345,8 @@ def run_identify(cfg: ExperimentConfig) -> dict:
         means, variances = predict_sl(post, grid_z)
         site_means, site_vars = predict_sl(post, data.sites)
     else:
-        means, variances, _, wl_fallback = predict_wl(post, grid_z)
-        site_means, site_vars, _, _ = predict_wl(post, data.sites)
+        means, variances, wl_fallback = predict_wl(post, grid_z)
+        site_means, site_vars, _ = predict_wl(post, data.sites)
 
     true_grid = cfg.system.freq_response(grid)
     true_sites = cfg.system.response(data.sites)

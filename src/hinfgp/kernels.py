@@ -347,11 +347,15 @@ def _part_values(herm, comp, imag: bool):
 
 
 def _check_sites(pts: np.ndarray, noise_var: float = 0.0) -> None:
-    """The one check of the kernel domain |z| >= 1, for sites and query points alike."""
+    """The one check of the kernel domain |z| >= 1, for sites and query points
+    alike: a NaN or infinite point is outside it too."""
     if pts.ndim != 1:
         raise ValueError("points must be a one-dimensional sequence of complex numbers")
     if noise_var < 0.0:
         raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
+    bad = np.flatnonzero(~np.isfinite(pts))
+    if bad.size:
+        raise ValueError(f"point {pts[bad[0]]} at index {bad[0]} is not finite")
     inside = np.abs(pts) < 1.0 - 1e-12
     if np.any(inside):
         raise ValueError(f"point {pts[inside][0]} lies inside the kernel domain (|z| >= 1)")

@@ -21,7 +21,9 @@ noise of variance sigma_e^2, this module provides
   with P = A - B (A*)^{-1} B* the Schur complement (``schur_P``).  For the
   cross row r = [u, v], u_i = k(z, z_i), v_i = kt(z, z_i), x = L^{-1} r^H and
   c = L^{-1} [y; y*], mean_wl(z) = x^H c and var_wl(z) = k(z, z) - ||x||^2.
-  ``predict_wl`` takes a scalar or a 1-D array of query points, evaluated in
+  The complementary error variance kt(z, z) - x^H w, w = L^{-1} [v, u]^T, is
+  its own function (``complementary_var``), so a prediction solves for x
+  alone.  Both take a scalar or a 1-D array of query points, evaluated in
   blocks of 64 rows;
 
 * confidence ellipsoids (``ellipsoid``): the disk |w - mean| <= eta * sigma
@@ -58,6 +60,7 @@ __all__ = [
     "predict_sl",
     "schur_P",
     "predict_wl",
+    "complementary_var",
     "ellipsoid",
     "log_marginal_likelihood",
     "optimize_hyperparameters",
@@ -145,7 +148,7 @@ class Posterior:
         the impropriety lambda_max(S) / lambda_max(A).
         """
         comp = gram(self.kernel, self.dataset.sites, "complementary")
-        l21_h = scipy.linalg.solve_triangular(self.factorization, comp, lower=True)
+        l21_h = scipy.linalg.solve_triangular(self.factorization, comp, lower=True, check_finite=False)
         l21 = l21_h.conj().T
         s_mat = np.conj(self.gram_yy) - l21 @ l21_h
         s_mat = 0.5 * (s_mat + s_mat.conj().T)
@@ -154,9 +157,21 @@ class Posterior:
             return _AugmentedFactor(l21, s_mat, lam_s / lam_a, None, None)
         l22 = chol_factor_with_jitter(s_mat)
         responses = self.dataset.responses
-        c1 = scipy.linalg.solve_triangular(self.factorization, responses, lower=True)
-        c2 = scipy.linalg.solve_triangular(l22, np.conj(responses) - l21 @ c1, lower=True)
-        return _AugmentedFactor(l21, s_mat, lam_s / lam_a, l22, np.concatenate([c1, c2]))
+        coeffs = _forward_solve(self.factorization, l21, l22, responses, np.conj(responses))
+        return _AugmentedFactor(l21, s_mat, lam_s / lam_a, l22, coeffs)
+
+
+def _forward_solve(l11, l21, l22, top, bottom) -> np.ndarray:
+    """L^{-1} [top; bottom] for Gamma's factor L = [[L11, 0], [L21, L22]],
+    by block forward substitution: two triangular solves and one product.
+
+    The factors and the right-hand sides are built by this module, so the
+    solves skip scipy's ``check_finite`` scan; non-finite query points are
+    refused before (``_check_sites``).
+    """
+    upper = scipy.linalg.solve_triangular(l11, top, lower=True, check_finite=False)
+    lower = scipy.linalg.solve_triangular(l22, bottom - l21 @ upper, lower=True, check_finite=False)
+    return np.concatenate([upper, lower])
 
 
 def _largest_eigenvalue(mat: np.ndarray) -> float:
@@ -199,9 +214,12 @@ def _largest_eigenvalue(mat: np.ndarray) -> float:
 
 
 class WidelyLinearPrediction(NamedTuple):
+    """``predict_wl``'s posterior mean and Hermitian error variance, scalars
+    or arrays as the query was, and whether S = conj(P) was numerically zero
+    (the strictly linear fallback)."""
+
     mean: complex
     hermitian_var: float
-    complementary_var: complex
     used_fallback: bool
 
 
@@ -249,10 +267,7 @@ def predict_sl(post: Posterior, z):
     ``z`` is a scalar, which gives a (complex, float) pair, or a 1-D array,
     which gives a pair of arrays.
     """
-    pts = np.asarray(z, dtype=complex)
-    scalar = pts.ndim == 0
-    pts = pts.reshape(-1)
-    _check_sites(pts)
+    pts, scalar = _query_points(z)
     cross = np.asarray(
         post.kernel.hermitian_eval(pts[:, None], post.dataset.sites[None, :]), dtype=complex
     )
@@ -286,54 +301,85 @@ def schur_P(post: Posterior) -> float:
 
 
 def predict_wl(post: Posterior, z) -> WidelyLinearPrediction:
-    """Widely linear posterior at z: mean, Hermitian variance, complementary variance.
+    """Widely linear posterior at z: mean, Hermitian variance, fallback state.
 
     ``z`` is a scalar or a 1-D array; an array gives a prediction of arrays.
     S = conj(P) is factored with one jitter retry, then ``ConditioningError``.
     When S is numerically zero (largest eigenvalue at most 1e-14 times
     K_yy's), the strictly linear prediction is returned with
-    ``used_fallback=True`` and a NaN complementary variance.
+    ``used_fallback=True``.  The complementary variance is
+    ``complementary_var``'s.
     """
-    pts = np.asarray(z, dtype=complex)
-    scalar = pts.ndim == 0
-    pts = pts.reshape(-1)
-    _check_sites(pts)
+    pts, scalar = _query_points(z)
     state = post._augmented
     fallback = state.l22 is None
     if fallback:
         mean, herm_var = predict_sl(post, pts)
-        comp_var = np.full(pts.size, complex(math.nan, math.nan))
     else:
-        mean, herm_var, comp_var = (np.empty(pts.size, kind) for kind in (complex, float, complex))
+        mean, herm_var = np.empty(pts.size, complex), np.empty(pts.size)
         for start in range(0, pts.size, _WL_BLOCK):
             rows = slice(start, start + _WL_BLOCK)
-            mean[rows], herm_var[rows], comp_var[rows] = _wl_block(post, state, pts[rows])
+            mean[rows], herm_var[rows] = _wl_block(post, state, pts[rows])
     if scalar:
-        mean, herm_var, comp_var = complex(mean[0]), float(herm_var[0]), complex(comp_var[0])
-    return WidelyLinearPrediction(mean, herm_var, comp_var, fallback)
+        mean, herm_var = complex(mean[0]), float(herm_var[0])
+    return WidelyLinearPrediction(mean, herm_var, fallback)
+
+
+def complementary_var(post: Posterior, z):
+    """Widely linear complementary error variance E[(g(z) - mean_wl(z))^2] at z.
+
+    It is kt(z, z) - x^H w with x = L^{-1} [u, v]^H and w = L^{-1} [v, u]^T,
+    from the factor of Gamma that ``predict_wl`` uses.  ``z`` is a scalar,
+    which gives a complex, or a 1-D array, which gives an array; it is NaN
+    where ``predict_wl`` falls back to the strictly linear prediction.
+    """
+    pts, scalar = _query_points(z)
+    state = post._augmented
+    comp_var = np.full(pts.size, complex(math.nan, math.nan))
+    if state.l22 is not None:
+        for start in range(0, pts.size, _WL_BLOCK):
+            rows = slice(start, start + _WL_BLOCK)
+            u, v = _cross_covariances(post, pts[rows])
+            q = u.shape[0]
+            solved = _forward_solve(
+                post.factorization, state.l21, state.l22,
+                np.hstack([u.conj().T, v.T]), np.hstack([v.conj().T, u.T]),
+            )
+            x, w = solved[:, :q], solved[:, q:]
+            prior = np.asarray(post.kernel.complementary_eval(pts[rows], pts[rows]), dtype=complex)
+            comp_var[rows] = prior - np.sum(x.conj() * w, axis=0)
+    return complex(comp_var[0]) if scalar else comp_var
+
+
+def _query_points(z) -> tuple[np.ndarray, bool]:
+    """Query points as a checked 1-D complex array, and whether z was a scalar."""
+    pts = np.asarray(z, dtype=complex)
+    scalar = pts.ndim == 0
+    pts = pts.reshape(-1)
+    _check_sites(pts)
+    return pts, scalar
+
+
+def _cross_covariances(post: Posterior, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = k(z, z_i) and v = kt(z, z_i): one row per query point."""
+    sites = post.dataset.sites[None, :]
+    u = np.asarray(post.kernel.hermitian_eval(pts[:, None], sites), dtype=complex)
+    v = np.asarray(post.kernel.complementary_eval(pts[:, None], sites), dtype=complex)
+    return u, v
 
 
 def _wl_block(post: Posterior, state: _AugmentedFactor, pts: np.ndarray):
-    """Widely linear mean and variances at one block of query points.
+    """Widely linear mean and Hermitian variance at one block of query points.
 
-    One triangular solve with L11 and one with L22 give, side by side,
-    x = L^{-1} [u, v]^H and w = L^{-1} [v, u]^T, so that the mean is x^H c,
-    the Hermitian variance k(z, z) - ||x||^2 and the complementary variance
-    kt(z, z) - x^H w.
+    One triangular solve with L11 and one with L22 give x = L^{-1} [u, v]^H,
+    one column per query point, so that the mean is x^H c and the Hermitian
+    variance k(z, z) - ||x||^2.
     """
-    sites, q = post.dataset.sites[None, :], pts.size
-    u = np.asarray(post.kernel.hermitian_eval(pts[:, None], sites), dtype=complex)
-    v = np.asarray(post.kernel.complementary_eval(pts[:, None], sites), dtype=complex)
-    top = scipy.linalg.solve_triangular(post.factorization, np.hstack([u.conj().T, v.T]), lower=True)
-    rhs = np.hstack([v.conj().T, u.T]) - state.l21 @ top
-    bottom = scipy.linalg.solve_triangular(state.l22, rhs, lower=True)
-    solved = np.vstack([top, bottom])
-    x, w = solved[:, :q], solved[:, q:]
+    u, v = _cross_covariances(post, pts)
+    x = _forward_solve(post.factorization, state.l21, state.l22, u.conj().T, v.conj().T)
     mean = x.conj().T @ state.coeffs
     prior = np.real(np.asarray(post.kernel.hermitian_eval(pts, pts)))
-    hermitian_var = np.maximum(prior - np.sum(np.abs(x) ** 2, axis=0), 0.0)
-    prior_comp = np.asarray(post.kernel.complementary_eval(pts, pts), dtype=complex)
-    return mean, hermitian_var, prior_comp - np.sum(x.conj() * w, axis=0)
+    return mean, np.maximum(prior - np.sum(np.abs(x) ** 2, axis=0), 0.0)
 
 
 def ellipsoid(mean: complex, var: float, eta: float) -> EllipsoidBound:

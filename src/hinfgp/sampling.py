@@ -88,7 +88,7 @@ _LAWS = {
     "cozine": _Law(
         None,
         lambda p: _HALF_NORMAL_MEAN / (1.0 - p["a"]),
-        lambda p: f"cozine(a={p['a']}, omega0={p['omega0']})",
+        lambda p: f"cozine(a={float(p['a'])}, omega0={float(p['omega0'])})",
     ),
 }
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hinfgp.kernels import KernelFamily, exponential_kernel, from_config, geometric_kernel, gram
-from hinfgp.regression import FrequencyDataset, fit, predict_sl, predict_wl
+from hinfgp.regression import FrequencyDataset, complementary_var, fit, predict_sl, predict_wl
 from hinfgp.sampling import sample_cozine_batch, sample_stationary_batch
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
@@ -87,20 +87,21 @@ def test_widely_linear_variance_below_strictly_linear(post, queries):
 @given(post=noisy_posteriors(), queries=exterior_points(max_size=10))
 def test_array_widely_linear_matches_scalar_calls(post, queries):
     """An array of queries gives what one call per point gives, to 1e-12,
-    for ``predict_wl`` and for ``predict_sl``."""
+    for ``predict_wl``, ``complementary_var`` and ``predict_sl``."""
     means, variances = predict_sl(post, queries)
     for i, z in enumerate(queries):
         mean, var = predict_sl(post, complex(z))
         assert abs(means[i] - mean) <= 1e-12
         assert abs(variances[i] - var) <= 1e-12
     batch = predict_wl(post, queries)
+    comps = complementary_var(post, queries)
     for i, z in enumerate(queries):
         single = predict_wl(post, complex(z))
         assert single.used_fallback == batch.used_fallback
         assert abs(batch.mean[i] - single.mean) <= 1e-12
         assert abs(batch.hermitian_var[i] - single.hermitian_var) <= 1e-12
         if not batch.used_fallback:
-            assert abs(batch.complementary_var[i] - single.complementary_var) <= 1e-12
+            assert abs(comps[i] - complementary_var(post, complex(z))) <= 1e-12
 
 
 @PROPERTY_SETTINGS

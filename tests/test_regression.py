@@ -20,6 +20,8 @@ from hinfgp.kernels import (
 from hinfgp.regression import (
     EllipsoidBound,
     FrequencyDataset,
+    WidelyLinearPrediction,
+    complementary_var,
     ellipsoid,
     fit,
     log_marginal_likelihood,
@@ -182,17 +184,19 @@ class TestStrictlyLinear:
         zs = (1.1 + np.linspace(0.0, 2.0, 130)) * np.exp(1j * np.linspace(-3.0, 3.0, 130))
         for wl_post in (post, fit(base, real_sites), fit(circ, FrequencyDataset(sites, y, 0.05))):
             batch = predict_wl(wl_post, zs)
-            assert batch.mean.shape == batch.hermitian_var.shape == batch.complementary_var.shape == (130,)
+            comp_batch = complementary_var(wl_post, zs)
+            assert batch.mean.shape == batch.hermitian_var.shape == comp_batch.shape == (130,)
             for i, z in enumerate(zs):
                 single = predict_wl(wl_post, complex(z))
+                comp_single = complementary_var(wl_post, complex(z))
                 assert single.used_fallback == batch.used_fallback
                 assert abs(batch.mean[i] - single.mean) < 1e-12
                 assert abs(batch.hermitian_var[i] - single.hermitian_var) < 1e-12
                 if batch.used_fallback:
-                    assert math.isnan(batch.complementary_var[i].real)
-                    assert math.isnan(complex(single.complementary_var).real)
+                    assert math.isnan(comp_batch[i].real)
+                    assert math.isnan(comp_single.real)
                 else:
-                    assert abs(batch.complementary_var[i] - single.complementary_var) < 1e-12
+                    assert abs(comp_batch[i] - comp_single) < 1e-12
         assert predict_wl(fit(base, real_sites), zs).used_fallback
 
     def test_scalar_gives_floats_and_array_gives_arrays(self):
@@ -246,7 +250,7 @@ class TestWidelyLinear:
         assert pred.mean.real == pytest.approx(0.82299957978198233, abs=1e-12)
         assert pred.mean.imag == pytest.approx(0.0, abs=1e-12)
         assert pred.hermitian_var == pytest.approx(0.05240337747707735, abs=1e-12)
-        assert complex(pred.complementary_var).real == pytest.approx(
+        assert complementary_var(post, 3.0).real == pytest.approx(
             0.05240337747707735, abs=1e-12
         )
 
@@ -259,10 +263,9 @@ class TestWidelyLinear:
             pred = predict_wl(post, z)
             assert abs(pred.mean.imag) < 1e-10
             # at a real query the error is real, so both variances coincide
-            assert complex(pred.complementary_var).real == pytest.approx(
-                pred.hermitian_var, abs=1e-10
-            )
-            assert abs(complex(pred.complementary_var).imag) < 1e-10
+            comp = complementary_var(post, z)
+            assert comp.real == pytest.approx(pred.hermitian_var, abs=1e-10)
+            assert abs(comp.imag) < 1e-10
 
     def test_matches_augmented_solve(self):
         """The blockwise factor of Gamma against the dense 2n x 2n oracle."""
@@ -278,10 +281,11 @@ class TestWidelyLinear:
                 pred = predict_wl(post, z)
                 assert abs(pred.mean - mean_o) < 1e-9
                 assert abs(pred.hermitian_var - var_o) < 1e-9
-                assert abs(complex(pred.complementary_var) - comp_o) < 1e-9
+                assert abs(complementary_var(post, z) - comp_o) < 1e-9
                 queries.append(z)
             batch = predict_wl(post, np.array(queries))
-            for z, mean, var, comp in zip(queries, *batch[:3]):
+            comps = complementary_var(post, np.array(queries))
+            for z, mean, var, comp in zip(queries, batch.mean, batch.hermitian_var, comps):
                 mean_o, var_o, comp_o = augmented_solve(kernel_fn, data, z)
                 assert abs(mean - mean_o) < 1e-9
                 assert abs(var - var_o) < 1e-9
@@ -299,9 +303,11 @@ class TestWidelyLinear:
         data = FrequencyDataset(sites, kernel.hermitian_eval(sites, 1.05) + 0.06 * noise, 3.6e-3)
         off_circle = rng.uniform(1.0, 1.5, 30) * np.exp(1j * rng.uniform(0.0, math.pi, 30))
         queries = np.concatenate([np.exp(1j * rng.uniform(-math.pi, math.pi, 100)), off_circle])
-        pred = predict_wl(fit(kernel, data), queries)
+        post = fit(kernel, data)
+        pred = predict_wl(post, queries)
         assert not pred.used_fallback
-        for got, want in zip(pred[:3], augmented_solve(kernel, data, queries)):
+        got_all = (pred.mean, pred.hermitian_var, complementary_var(post, queries))
+        for got, want in zip(got_all, augmented_solve(kernel, data, queries)):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_rank_deficient_schur_complement_takes_jitter(self):
@@ -334,7 +340,7 @@ class TestWidelyLinear:
         post = fit(geometric_kernel(0.5), data)
         pred = predict_wl(post, 2.5)
         assert pred.used_fallback
-        assert math.isnan(complex(pred.complementary_var).real)
+        assert math.isnan(complementary_var(post, 2.5).real)
         mean_sl, var_sl = predict_sl(post, 2.5)
         assert pred.mean == pytest.approx(mean_sl, abs=1e-14)
         assert pred.hermitian_var == pytest.approx(var_sl, abs=1e-14)
@@ -353,16 +359,16 @@ class TestWidelyLinear:
         assert not pred.used_fallback
         assert abs(pred.mean - mean_sl) < 1e-12
         assert abs(pred.hermitian_var - var_sl) < 1e-12
-        assert abs(complex(pred.complementary_var)) < 1e-12
+        assert abs(complementary_var(post, z)) < 1e-12
 
     def test_wide_state_built_once(self, monkeypatch):
         """The complementary Gram and the factor L22 of S = conj(P) are
-        computed once per posterior, by whichever of ``predict_wl`` and
-        ``schur_P`` comes first."""
+        computed once per posterior, by whichever of ``predict_wl``,
+        ``complementary_var`` and ``schur_P`` comes first."""
         rng = np.random.default_rng(52)
         kernel, sites, y = random_instance(rng)
         data = FrequencyDataset(sites, y, 0.05)
-        post, other = fit(kernel, data), fit(kernel, data)  # K_yy's factors are not counted
+        post, other, third = (fit(kernel, data) for _ in range(3))  # K_yy's factors are not counted
         calls = {"complementary": 0, "factor": 0}
         real_gram, real_factor = regression.gram, regression.chol_factor_with_jitter
 
@@ -378,11 +384,51 @@ class TestWidelyLinear:
         monkeypatch.setattr(regression, "chol_factor_with_jitter", counting_factor)
         predict_wl(post, np.array([2.0 + 1.0j, 1.5 - 0.5j]))
         predict_wl(post, 3.0)
+        complementary_var(post, 3.0)
         schur_P(post)
         assert calls == {"complementary": 1, "factor": 1}
         schur_P(other)
         predict_wl(other, 3.0)
         assert calls == {"complementary": 2, "factor": 2}
+        complementary_var(third, 3.0)
+        predict_wl(third, 3.0)
+        assert calls == {"complementary": 3, "factor": 3}
+
+    def test_prediction_solves_only_x(self, monkeypatch):
+        """``predict_wl`` returns three fields and solves for x = L^{-1} [u, v]^H
+        alone: each block's two triangular solves take one right-hand-side
+        column per query point of the block, and the query diagonal kt(z, z),
+        which only the complementary variance reads, is never evaluated.
+        ``complementary_var`` does both, which shows that the records see it."""
+        assert WidelyLinearPrediction._fields == ("mean", "hermitian_var", "used_fallback")
+        base = geometric_kernel(0.5)
+        diagonal = []
+
+        def complementary(z, w):
+            diagonal.append(np.ndim(z) == np.ndim(w) == 1)
+            return base.complementary_eval(z, w)
+
+        _, sites, y = random_instance(np.random.default_rng(54))
+        post = fit(ComplexKernel(base.hermitian_eval, complementary), FrequencyDataset(sites, y, 0.05))
+        schur_P(post)  # builds the widely linear state, whose solves are not counted
+        widths = []
+        real_solve = scipy.linalg.solve_triangular
+
+        def recording_solve(a, b, **kwargs):
+            widths.append(np.shape(b)[1])
+            return real_solve(a, b, **kwargs)
+
+        monkeypatch.setattr(regression.scipy.linalg, "solve_triangular", recording_solve)
+        diagonal.clear()
+        zs = (1.1 + np.linspace(0.0, 2.0, 130)) * np.exp(1j * np.linspace(-3.0, 3.0, 130))
+        assert not predict_wl(post, zs).used_fallback
+        predict_wl(post, 3.0)
+        assert widths == [64, 64, 64, 64, 2, 2, 1, 1]
+        assert diagonal and not any(diagonal)
+        widths.clear()
+        complementary_var(post, zs[:3])
+        assert widths == [6, 6]
+        assert any(diagonal)
 
     def test_proper_kernel_impropriety_is_one(self):
         """With a zero complementary covariance B = 0, so P = A = K_yy and
@@ -451,6 +497,37 @@ def wide_shape():
     noise = 0.02 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
     response = make_resonant_system(20.0 * math.pi, 0.1, 100.0).freq_response(freqs) + noise
     return FrequencyDataset(np.exp(1j * freqs), response, 0.0012), KernelFamily.from_config(TUNED_MIXTURE)({})
+
+
+class TestNonFiniteQueries:
+    """A NaN or infinite query point is refused by the domain check, before
+    any solve: the predictors' triangular solves do not scan their inputs."""
+
+    BAD = [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0), complex(math.nan, math.nan)]
+
+    def _posteriors(self):
+        _, sites, y = random_instance(np.random.default_rng(55))
+        real_sites = FrequencyDataset(np.array([2.0, 3.0, 5.0]), np.array([1.0, 0.5, 0.2]) + 0j, 0.0)
+        noisy = fit(geometric_kernel(0.5), FrequencyDataset(sites, y, 0.05))
+        fallback = fit(geometric_kernel(0.5), real_sites)
+        assert not predict_wl(noisy, 3.0).used_fallback and predict_wl(fallback, 3.0).used_fallback
+        return noisy, fallback
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_every_predictor_refuses_the_point(self, bad):
+        for post in self._posteriors():
+            for predictor in (predict_sl, predict_wl, complementary_var):
+                with pytest.raises(ValueError, match="at index 0 is not finite"):
+                    predictor(post, bad)
+                with pytest.raises(ValueError, match="at index 1 is not finite"):
+                    predictor(post, np.array([2.0, bad, 3.0]))
+                with pytest.raises(ValueError, match="at index 70 is not finite"):
+                    predictor(post, np.append(np.full(70, 2.0 + 1.0j), bad))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_gram_refuses_the_point(self, bad):
+        with pytest.raises(ValueError, match="at index 1 is not finite"):
+            gram(geometric_kernel(0.5), [2.0, bad])
 
 
 class TestLargestEigenvalue:

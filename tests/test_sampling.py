@@ -106,7 +106,7 @@ class TestSamplingLaws:
 
     @pytest.mark.parametrize(
         "a,omega0,label",
-        [(0.45, math.pi / 2.0, "cozine(a=0.45, omega0=1.5707963267948966)"), (0.9, 1, "cozine(a=0.9, omega0=1)")],
+        [(0.45, math.pi / 2.0, "cozine(a=0.45, omega0=1.5707963267948966)"), (0.9, 1, "cozine(a=0.9, omega0=1.0)")],
     )
     def test_cozine(self, a, omega0, label):
         mat = sample_cozine_batch(cozine(a, omega0), seed=21, count=7)
