@@ -330,12 +330,12 @@ def run_identify(cfg: ExperimentConfig) -> dict:
     data = etfe(u_obs, y_trace, cfg.bank, cfg.noise_var)
     site_freqs = np.angle(data.sites)
 
+    values = {}
     if cfg.kernel.tunable:
-        values, likelihood = optimize_hyperparameters(cfg.kernel, data, cfg.budget, tuner_seed)
-        post = fit(cfg.kernel(values), data)
-    else:  # the likelihood from fit's factor: K_yy is assembled and factored once
-        values, post = {}, fit(cfg.kernel({}), data)
-        likelihood = _log_likelihood(post.factorization, post.alpha_vec, data.responses)
+        values, _ = optimize_hyperparameters(cfg.kernel, data, cfg.budget, tuner_seed)
+    post = fit(cfg.kernel(values), data)
+    # the tuner's best score is this value bit for bit: both factor the same K_yy
+    likelihood = _log_likelihood(post.factorization, post.alpha_vec, data.responses)
     kernel = post.kernel
 
     grid = math.pi * (np.arange(PREDICTION_GRID_SIZE) + 1.0) / (PREDICTION_GRID_SIZE + 1.0)
@@ -523,19 +523,14 @@ def run_sample(cfg: Mapping) -> dict:
             f_w = mat @ (w ** -powers)
             herm = f_z * np.conj(f_w)
             comp = f_z * f_w
+            k_zw, kt_zw = kernel.hermitian_eval(z, w), kernel.complementary_eval(z, w)
             probe = {
                 "z": [z.real, z.imag],
                 "w": [w.real, w.imag],
                 "sample_hermitian": [float(np.mean(herm.real)), float(np.mean(herm.imag))],
                 "sample_complementary": [float(np.mean(comp.real)), float(np.mean(comp.imag))],
-                "kernel_hermitian": [
-                    float(np.real(kernel.hermitian_eval(z, w))),
-                    float(np.imag(kernel.hermitian_eval(z, w))),
-                ],
-                "kernel_complementary": [
-                    float(np.real(kernel.complementary_eval(z, w))),
-                    float(np.imag(kernel.complementary_eval(z, w))),
-                ],
+                "kernel_hermitian": [float(np.real(k_zw)), float(np.imag(k_zw))],
+                "kernel_complementary": [float(np.real(kt_zw)), float(np.imag(kt_zw))],
             }
             if count > 1:
                 probe["se_hermitian"] = float(

@@ -49,7 +49,6 @@ __all__ = [
     "from_config",
     "Domain",
     "KernelFamily",
-    "BoundFamily",
 ]
 
 KernelFn = Callable[..., np.ndarray]
@@ -167,7 +166,7 @@ def _resonance(a, omega0) -> tuple[float, float]:
 
 
 def _weights(w1, w2) -> tuple[float, float]:
-    if w1 < 0.0 or w2 < 0.0:
+    if not (w1 >= 0.0 and w2 >= 0.0):
         raise ValueError(f"mixture weights 'weight1' and 'weight2' must be nonnegative, got {w1}, {w2}")
     return float(w1), float(w2)
 
@@ -348,11 +347,12 @@ def _part_values(herm, comp, imag: bool):
 
 def _check_sites(pts: np.ndarray, noise_var: float = 0.0) -> None:
     """The one check of the kernel domain |z| >= 1, for sites and query points
-    alike: a NaN or infinite point is outside it too."""
+    alike: a NaN or infinite point is outside it too.  ``noise_var`` must be
+    finite and nonnegative; a NaN one is refused, not read as zero."""
     if pts.ndim != 1:
         raise ValueError("points must be a one-dimensional sequence of complex numbers")
-    if noise_var < 0.0:
-        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
+    if not 0.0 <= noise_var < math.inf:
+        raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
     bad = np.flatnonzero(~np.isfinite(pts))
     if bad.size:
         raise ValueError(f"point {pts[bad[0]]} at index {bad[0]} is not finite")
@@ -493,15 +493,20 @@ class KernelFamily:
 
         return ComplexKernel(herm, _zero_complementary if self.circular else comp)
 
-    def bind(self, sites: Sequence[complex], noise_var: float = 0.0) -> "BoundFamily":
-        """This family at fixed sites z_i with observation noise ``noise_var``.
+    def bind(
+        self, sites: Sequence[complex], noise_var: float = 0.0
+    ) -> Callable[[Mapping[str, float]], tuple[np.ndarray, list]]:
+        """This family at fixed sites z_i with observation noise ``noise_var``,
+        as the function ``gram_with_derivatives``.
 
-        Binding checks the sites against the kernel domain and computes what
-        does not depend on the hyperparameters once (see ``_hermitian``).  The
-        Gram that the bound ``gram_with_derivatives(values)`` returns next to
-        its derivatives then equals ``gram(self(values), sites, "hermitian",
-        noise_var)`` bit for bit.  A family without tunable parameters
-        returns one read-only Gram at every call.
+        ``gram_with_derivatives(values)`` is K_yy = [k(z_i, z_j)] + noise_var I
+        at the hyperparameters ``values``, with the list of its derivatives
+        dK_yy/d theta, one per path of ``tunable``, in that order.  Binding
+        checks the sites against the kernel domain and computes what does not
+        depend on the hyperparameters once (see ``_hermitian``), and the Gram
+        equals ``gram(self(values), sites, "hermitian", noise_var)`` bit for
+        bit.  A family without tunable parameters returns one read-only Gram
+        at every call.
         """
         pts = np.asarray(sites, dtype=complex)
         _check_sites(pts, noise_var)
@@ -514,7 +519,7 @@ class KernelFamily:
             k, derivatives = hermitian(self._checked(values), True)
             return k if noise is None else k + noise, [derivatives[path] for path in self.tunable]
 
-        return BoundFamily(self, pts, noise_var, gram_with_derivatives)
+        return gram_with_derivatives
 
     def _checked(self, values: Mapping[str, float]) -> Mapping[str, float]:
         unknown = set(values).difference(self.tunable)
@@ -597,21 +602,6 @@ class KernelFamily:
 
 def _constant(value):
     return lambda values, grad=False: (value, {})
-
-
-@dataclass(frozen=True, eq=False)
-class BoundFamily:
-    """A kernel family bound to sites and a noise variance (see :meth:`KernelFamily.bind`).
-
-    ``gram_with_derivatives(values)`` is K_yy = [k(z_i, z_j)] + noise_var I
-    at the hyperparameters ``values``, with the list of its derivatives
-    dK_yy/d theta, one per path of ``family.tunable``, in that order.
-    """
-
-    family: KernelFamily
-    sites: np.ndarray
-    noise_var: float
-    gram_with_derivatives: Callable[[Mapping[str, float]], tuple[np.ndarray, list]]
 
 
 def _parse_family(record: _Section, prefix: str, tunable: tuple, verify: bool) -> KernelFamily:

@@ -48,7 +48,7 @@ import numpy as np
 import scipy.linalg
 
 from ._linalg import ConditioningError, chol_factor_with_jitter, chol_solve
-from .kernels import BoundFamily, ComplexKernel, KernelFamily, _check_sites, gram
+from .kernels import ComplexKernel, KernelFamily, _check_sites, gram
 
 __all__ = [
     "FrequencyDataset",
@@ -92,13 +92,12 @@ class FrequencyDataset:
             raise ValueError(
                 f"sites and responses disagree in length: {sites.size} vs {responses.size}"
             )
-        for name, values in (("sites", sites), ("responses", responses)):
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise ValueError(
-                    f"{bad.size} of {values.size} {name} are not finite (first: {values[bad[0]]} at index {bad[0]})"
-                )
-        _check_sites(sites, self.noise_var)
+        bad = np.flatnonzero(~np.isfinite(responses))
+        if bad.size:
+            raise ValueError(
+                f"{bad.size} of {responses.size} responses are not finite (first: {responses[bad[0]]} at index {bad[0]})"
+            )
+        _check_sites(sites, self.noise_var)  # also refuses non-finite sites
         if self.noise_var == 0.0 and sites.size != np.unique(sites).size:
             raise ConditioningError(
                 "duplicate observation sites with zero noise give a singular Gram matrix"
@@ -235,16 +234,8 @@ class EllipsoidBound:
 
     center: complex
     radius: float
-    eta: float
     mag_interval: tuple[float, float]
     phase_interval: tuple[float, float] | None
-
-    @property
-    def phase_is_full_circle(self) -> bool:
-        return self.phase_interval is None
-
-    def contains(self, value: complex) -> bool:
-        return abs(value - self.center) <= self.radius
 
 
 def fit(kernel: ComplexKernel, data: FrequencyDataset) -> Posterior:
@@ -394,7 +385,7 @@ def ellipsoid(mean: complex, var: float, eta: float) -> EllipsoidBound:
     per call (numpy's ``abs``, ``arcsin`` and ``arctan2`` can differ from
     them in the last bit).
     """
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     center = complex(mean)
     radius = eta * math.sqrt(var)
@@ -406,46 +397,36 @@ def ellipsoid(mean: complex, var: float, eta: float) -> EllipsoidBound:
         phase_interval = (phase - half_width, phase + half_width)
     else:
         phase_interval = None
-    return EllipsoidBound(center, radius, eta, mag_interval, phase_interval)
-
-
-def _bind(kernel_family: KernelFamily | BoundFamily, data: FrequencyDataset) -> BoundFamily:
-    """``kernel_family`` bound to the sites and noise of ``data``: a family
-    already bound to them is used as is, any other is bound here."""
-    if isinstance(kernel_family, BoundFamily):
-        if kernel_family.sites is data.sites and kernel_family.noise_var == data.noise_var:
-            return kernel_family
-        kernel_family = kernel_family.family
-    return kernel_family.bind(data.sites, data.noise_var)
+    return EllipsoidBound(center, radius, mag_interval, phase_interval)
 
 
 def log_marginal_likelihood(
-    kernel_family: KernelFamily | BoundFamily,
+    kernel_family: KernelFamily,
     theta: Mapping[str, float],
     data: FrequencyDataset,
 ) -> float:
     """L(theta) = -1/2 (y^H K_yy^{-1} y + log det K_yy + n log 2 pi).
 
-    ``kernel_family`` maps the hyperparameters ``theta`` to a kernel: a
-    :class:`~hinfgp.kernels.KernelFamily`, or the same family bound to the
-    data's sites (``optimize_hyperparameters`` binds once per search, so each
-    evaluation only assembles K_yy from precomputed site arrays).  Both give
-    the same K_yy bit for bit.  K_yy is factored exactly as ``fit``
-    factors it, with the same single jitter retry; a factorization that still
-    fails, a non-finite Gram, or a solve K_yy^{-1} y that overflows (a Gram
-    that factors but is nearly zero) returns -inf, which the optimizer treats
-    as the worst possible value.  Values outside a family's domain raise
-    ``ValueError``.  This is the value of the evaluator the tuner calls,
-    which also gives the gradient; an untuned ``identify`` run reads the same
-    formula (``_log_likelihood``) from ``fit``'s factor.
+    ``kernel_family`` maps the hyperparameters ``theta`` to a kernel; it is
+    bound to the data's sites (:meth:`~hinfgp.kernels.KernelFamily.bind`),
+    which gives K_yy bit for bit as ``gram`` assembles it.  K_yy is factored
+    exactly as ``fit`` factors it, with the same single jitter retry; a
+    factorization that still fails, a non-finite Gram, or a solve
+    K_yy^{-1} y that overflows (a Gram that factors but is nearly zero)
+    returns -inf, which the optimizer treats as the worst possible value.
+    Values outside a family's domain raise ``ValueError``.  This is the value
+    of the evaluator the tuner calls, which also gives the gradient;
+    ``identify`` reads the same formula (``_log_likelihood``) from ``fit``'s
+    factor.
     """
-    return _likelihood(_bind(kernel_family, data), dict(theta), data)[0]
+    return _likelihood(kernel_family.bind(data.sites, data.noise_var), dict(theta), data)[0]
 
 
 def _likelihood(
-    bound: BoundFamily, values: Mapping[str, float], data: FrequencyDataset
+    gram_with_derivatives, values: Mapping[str, float], data: FrequencyDataset
 ) -> tuple[float, np.ndarray]:
-    """L at ``values`` and its gradient along ``bound.family.tunable``.
+    """L at ``values`` and its gradient, from a bound family's
+    ``gram_with_derivatives`` (one entry per tunable path).
 
     dL/d theta = 1/2 tr((a a^H - K_yy^{-1}) dK_yy/d theta) with a = K_yy^{-1} y
     (Rasmussen & Williams, *GPML* 2006, section 5.4.1), from the factor that
@@ -458,7 +439,7 @@ def _likelihood(
     # the search reaches extreme values, where K_yy or its derivatives
     # overflow: that is the -inf or the non-finite gradient, not a warning
     with np.errstate(all="ignore"):
-        gram_yy, derivatives = bound.gram_with_derivatives(values)
+        gram_yy, derivatives = gram_with_derivatives(values)
         gradient = np.zeros(len(derivatives))
         try:
             factor = chol_factor_with_jitter(gram_yy)
@@ -477,8 +458,8 @@ def _log_likelihood(factor: np.ndarray, solution: np.ndarray, responses: np.ndar
     """L = -1/2 (y^H a + 2 sum log diag(L) + n log 2 pi) from K_yy's lower
     factor L and a = K_yy^{-1} y; -inf when the solve a is not finite.
 
-    The one formula for L: the tuner's evaluator and an untuned run's
-    ``fit`` (``Posterior.factorization`` and ``alpha_vec``) both read it.
+    The one formula for L: the tuner's evaluator and ``identify``'s ``fit``
+    (``Posterior.factorization`` and ``alpha_vec``) both read it.
     """
     if not np.isfinite(solution).all():
         return -math.inf
@@ -522,7 +503,7 @@ def optimize_hyperparameters(
     if not names:
         raise ValueError("the kernel family declares no tunable hyperparameter")
     domains = [family.domains[name] for name in names]
-    bound = _bind(family, data)
+    bound = family.bind(data.sites, data.noise_var)
     evals, limit = 0, 1  # evaluations spent, and where the current start must stop
     best_score, best_values = -math.inf, None
 

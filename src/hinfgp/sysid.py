@@ -63,10 +63,6 @@ class DiscreteTF:
         object.__setattr__(self, "den_coeffs", den)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
 
-    @property
-    def poles(self) -> np.ndarray:
-        return np.roots(self.den_coeffs)
-
     def response(self, z) -> np.ndarray:
         """g evaluated at complex points z (typically e^{j omega})."""
         x = 1.0 / np.asarray(z, dtype=complex)
@@ -205,7 +201,7 @@ def simulate(tf: DiscreteTF, input_trace: TimeTrace, seed: int = 0, noise_var: f
         raise ValueError(
             f"sample-rate mismatch: input {input_trace.sample_rate} Hz, system {tf.sample_rate} Hz"
         )
-    if noise_var < 0.0:
+    if not noise_var >= 0.0:
         raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
     out = _lfilter(tf.num_coeffs, tf.den_coeffs, input_trace.samples)
     if noise_var > 0.0:

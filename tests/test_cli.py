@@ -986,7 +986,7 @@ class TestIdentifyPipeline:
         for row, mean, var in zip(rows.tolist(), pred.mean.tolist(), pred.hermitian_var.tolist()):
             bound = regression.ellipsoid(mean, var, cfg["eta"])
             phase = bound.phase_interval or (-math.pi, math.pi)
-            want = [mean.real, mean.imag, math.sqrt(var), *bound.mag_interval, *phase, bound.phase_is_full_circle]
+            want = [mean.real, mean.imag, math.sqrt(var), *bound.mag_interval, *phase, bound.phase_interval is None]
             assert row[3:] == want
 
     def test_strict_bounds_are_credible_disks(self, tmp_path, monkeypatch):
@@ -1008,7 +1008,7 @@ class TestIdentifyPipeline:
         for row, mean, var in zip(rows.tolist(), means.tolist(), variances.tolist()):
             bound = regression.ellipsoid(mean, var, cfg["eta"])
             phase = bound.phase_interval or (-math.pi, math.pi)
-            want = [mean.real, mean.imag, math.sqrt(var), *bound.mag_interval, *phase, bound.phase_is_full_circle]
+            want = [mean.real, mean.imag, math.sqrt(var), *bound.mag_interval, *phase, bound.phase_interval is None]
             assert row[3:] == want
 
     def test_tuned_run_records_values(self, tmp_path):

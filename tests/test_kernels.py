@@ -167,8 +167,13 @@ class TestMixtureKernel:
         )
 
     def test_negative_weight_rejected(self):
+        """In the record, and as a tuned value; a NaN weight is refused like a
+        negative one."""
         with pytest.raises(ValueError, match="weight"):
             from_config(mixture(geometric(0.5), -1.0, geometric(0.5), 1.0))
+        family = KernelFamily.from_config(mixture(geometric(0.5), 1.0, geometric(0.5), 1.0), ["weight1"])
+        with pytest.raises(ValueError, match="weight"):
+            family({"weight1": math.nan})
 
     def test_weights_stored(self):
         k1, k2 = geometric_kernel(0.5), exponential_kernel()

@@ -79,6 +79,7 @@ def test_tracer_alias_is_not_public():
         (verify, "ContinuityReport"),
         (verify, "continuity_probe"),
         (verify, "h2_kernel"),
+        (kernels, "BoundFamily"),
     ):
         assert name not in module.__all__, f"{module.__name__}.{name}"
 
