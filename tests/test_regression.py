@@ -635,6 +635,27 @@ class TestEllipsoid:
         bound = EllipsoidBound(0.1 + 0j, 0.5, (0.0, 0.6), None)
         assert bound.phase_interval is None
 
+    def test_contains(self):
+        """Every point of the disk |w - center| <= radius lies in the
+        magnitude interval and, where there is one, in the phase interval;
+        a point beyond the radius is outside the disk."""
+        for mean, var, eta in ((1.0 + 1.0j, 0.0625, 2.0), (-2.0 + 0.1j, 1.0, 1.0), (0.1 + 0.1j, 1.0, 3.0)):
+            bound = ellipsoid(mean, var, eta)
+            for angle in np.linspace(0.0, 2.0 * math.pi, 37):
+                for scale in (0.0, 0.5, 1.0 - 1e-12):
+                    w = bound.center + scale * bound.radius * complex(math.cos(angle), math.sin(angle))
+                    assert abs(w - bound.center) <= bound.radius
+                    lo, hi = bound.mag_interval
+                    assert lo - 1e-12 <= abs(w) <= hi + 1e-12
+                    if bound.phase_interval is not None:
+                        lo, hi = bound.phase_interval
+                        # the interval may leave (-pi, pi]: compare on the branch nearest its centre
+                        phase = math.atan2(w.imag, w.real)
+                        phase += 2.0 * math.pi * round(((lo + hi) / 2.0 - phase) / (2.0 * math.pi))
+                        assert lo - 1e-12 <= phase <= hi + 1e-12
+            outside = bound.center + 1.01 * bound.radius
+            assert not abs(outside - bound.center) <= bound.radius
+
     def test_eta_validation(self):
         with pytest.raises(ValueError, match="eta"):
             ellipsoid(1.0 + 0j, 0.25, 0.0)
@@ -868,6 +889,16 @@ class TestOptimizer:
         family = KernelFamily.from_config(MIXTURE, TUNED_PATHS[-1][1])
         optimize_hyperparameters(family, geometric_data(), budget=budget, seed=1)
         assert len(calls) == budget
+
+    def test_best_score_is_the_fit_likelihood(self):
+        """The tuner's best score is, bit for bit, the likelihood that
+        ``fit``'s factor gives at the tuned values, which is what
+        ``identify`` reports on every run."""
+        data = geometric_data()
+        for family in (self._family(0.25), KernelFamily.from_config(MIXTURE, TUNED_PATHS[-1][1])):
+            values, score = optimize_hyperparameters(family, data, budget=60, seed=4)
+            post = fit(family(values), data)
+            assert score == regression._log_likelihood(post.factorization, post.alpha_vec, data.responses)
 
     def test_deterministic_given_seed(self):
         out1 = optimize_hyperparameters(self._family(0.25), geometric_data(), budget=120, seed=9)
