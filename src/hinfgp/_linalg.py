@@ -1,5 +1,5 @@
 """Shared dense linear-algebra helpers: the BLAS thread policy, jittered
-Cholesky factorization and its solve.
+Cholesky factorization, its solve and the inverse of its factor.
 
 Thread policy.  A pip-installed numpy and scipy each bundle their own
 OpenBLAS runtime with its own worker pool: numpy's
@@ -20,7 +20,8 @@ routines that :func:`scipy.linalg.cho_factor` and
 :func:`scipy.linalg.cho_solve` call, with the same arguments, so results are
 bit-identical without the wrappers' per-call validation overhead (which
 dominates at the small orders the likelihood search factors hundreds of
-times per tune, with two solves each).
+times per tune, with two solves each).  :func:`tri_inverse` calls
+``trtri`` the same way.
 """
 
 from __future__ import annotations
@@ -73,23 +74,26 @@ def _potrf(mat: np.ndarray):
     return factor, info == 0
 
 
-def chol_factor_with_jitter(mat: np.ndarray, rel_jitter: float = 1e-10):
+def chol_factor_with_jitter(mat: np.ndarray, rel_jitter: float = 1e-10) -> tuple[np.ndarray, float]:
     """Cholesky-factor a (near-)PSD matrix, retrying once with jitter on the diagonal.
 
-    Returns the lower factor as :func:`scipy.linalg.cho_factor` does with
-    ``lower=True`` (the upper triangle holds leftover input), for
-    :func:`chol_solve`.  A matrix with a NaN or infinite entry raises
-    ``ValueError``.  The retry policy is deliberately simple and documented so
-    downstream results stay reproducible: one bump of ``rel_jitter`` times the
-    mean diagonal, then :class:`ConditioningError`.  ``fit`` and
-    ``log_marginal_likelihood`` both use the default, so the tuner and the fit
-    agree on every hyperparameter value; the Driscoll probe factors its H2
-    Gram R_{n_max} with ``rel_jitter=1e-12``.
+    Returns ``(factor, jitter)``: the lower factor as
+    :func:`scipy.linalg.cho_factor` gives it with ``lower=True`` (the upper
+    triangle holds leftover input), for :func:`chol_solve`, and the jitter
+    that was added to the diagonal before it factored, 0.0 when none was.
+    So ``factor`` is the factor of ``mat + jitter * I``.  A matrix with a NaN
+    or infinite entry raises ``ValueError``.  The retry policy is
+    deliberately simple and documented so downstream results stay
+    reproducible: one bump of ``rel_jitter`` times the mean diagonal, then
+    :class:`ConditioningError`.  ``fit`` and ``log_marginal_likelihood`` both
+    use the default, so the tuner and the fit agree on every hyperparameter
+    value; the Driscoll probe factors its H2 Gram R_{n_max} with
+    ``rel_jitter=1e-12``.
     """
     mat = np.asarray(mat)
     factor, ok = _potrf(mat)
     if ok:
-        return factor
+        return factor, 0.0
     jitter = rel_jitter * float(np.mean(np.real(np.diag(mat))))
     factor, ok = _potrf(mat + jitter * np.eye(mat.shape[0], dtype=mat.dtype))
     if not ok:
@@ -97,7 +101,7 @@ def chol_factor_with_jitter(mat: np.ndarray, rel_jitter: float = 1e-10):
             f"matrix of order {mat.shape[0]} is not positive definite, "
             f"even after adding diagonal jitter {jitter:.3e}"
         )
-    return factor
+    return factor, jitter
 
 
 def chol_solve(factor: np.ndarray, rhs) -> np.ndarray:
@@ -111,3 +115,16 @@ def chol_solve(factor: np.ndarray, rhs) -> np.ndarray:
     if info != 0:
         raise ValueError(f"LAPACK potrs reported an illegal value in argument {-info}")
     return solution
+
+
+def tri_inverse(factor: np.ndarray) -> np.ndarray:
+    """L^{-1} for a lower factor L from :func:`chol_factor_with_jitter`, by LAPACK ``trtri``.
+
+    ``trtri`` writes only the lower triangle, and the factor's upper triangle
+    holds leftover input, so the upper triangle of the result is zeroed.
+    """
+    trtri, = get_lapack_funcs(("trtri",), (factor,))
+    inverse, info = trtri(factor, lower=True, overwrite_c=False)
+    if info != 0:
+        raise ValueError(f"LAPACK trtri reported info {info}")
+    return np.tril(inverse)

@@ -34,7 +34,9 @@ import numpy as np
 from . import kernels
 from ._config import _REQUIRED, _TOP, ConfigError, _is_real, _Section
 from .kernels import ComplexKernel
-from .regression import _log_likelihood, ellipsoid, fit, optimize_hyperparameters, predict_sl, predict_wl, schur_P
+from .regression import (
+    _at_sites, _log_likelihood, ellipsoid, fit, optimize_hyperparameters, predict_sl, predict_wl, schur_P,
+)
 from .sampling import _MAX_ENTRIES, path_law, sample_paths
 from .sysid import DiscreteTF, FilterBankSpec, TimeTrace, etfe, make_allpass, make_resonant_system, simulate
 from .verify import MIN_N_MAX, dense_spiral, driscoll_parts, symmetry_test
@@ -343,10 +345,9 @@ def run_identify(cfg: ExperimentConfig) -> dict:
     wl_fallback = False
     if cfg.estimator == "strict":
         means, variances = predict_sl(post, grid_z)
-        site_means, site_vars = predict_sl(post, data.sites)
     else:
         means, variances, wl_fallback = predict_wl(post, grid_z)
-        site_means, site_vars, _ = predict_wl(post, data.sites)
+    site_means, site_vars = _at_sites(post, cfg.estimator == "wide")
 
     true_grid = cfg.system.freq_response(grid)
     true_sites = cfg.system.response(data.sites)

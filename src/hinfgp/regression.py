@@ -26,6 +26,14 @@ noise of variance sigma_e^2, this module provides
   alone.  Both take a scalar or a 1-D array of query points, evaluated in
   blocks of 64 rows;
 
+* the posterior at the data sites themselves (``_at_sites``), read from the
+  factors above without a cross-covariance or a per-query solve.  At site i
+  the cross row [u, v] is Gamma's row i minus s [e_i, 0], with s = sigma_e^2
+  plus the jitter ``fit`` added to K_yy, so
+    mean = y - s [Gamma^{-1} (y; y*)]_top,   var = s - s^2 [Gamma^{-1}]_ii
+  (K_yy^{-1} in place of Gamma^{-1} for the strictly linear estimator).
+  At zero noise without jitter this is mean = y and var = 0 exactly;
+
 * confidence ellipsoids (``ellipsoid``): the disk |w - mean| <= eta * sigma
   around a posterior mean and variance from either predictor, which covers
   the true response with probability >= 1 - 1/eta^2 (Markov bound, no
@@ -47,7 +55,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from ._linalg import ConditioningError, chol_factor_with_jitter, chol_solve
+from ._linalg import ConditioningError, chol_factor_with_jitter, chol_solve, tri_inverse
 from .kernels import ComplexKernel, KernelFamily, _check_sites, gram
 
 __all__ = [
@@ -117,16 +125,20 @@ class _AugmentedFactor(NamedTuple):
     l21: np.ndarray  # B^H L11^{-H}
     s_mat: np.ndarray  # S = A* - L21 L21^H = conj(P), Hermitian
     impropriety: float  # lambda_max(S) / lambda_max(A)
-    l22: np.ndarray | None  # lower factor of S; None when S is numerically zero
+    l22: np.ndarray | None  # lower factor of S + jitter I; None when S is numerically zero
     coeffs: np.ndarray | None  # c = L^{-1} [y; y*]; None when l22 is
+    jitter: float  # added to S's diagonal before it factored; 0.0 when none was
 
 
 @dataclass(eq=False)
 class Posterior:
     """Fitted regression state: kernel, data, K_yy, its lower Cholesky factor and K_yy^{-1} y.
 
-    The widely linear state, ``_augmented``, is computed on first use by
-    ``schur_P`` or ``predict_wl`` and kept.
+    ``jitter`` is what ``fit`` added to K_yy's diagonal before it factored
+    (0.0 when nothing was): ``factorization`` and ``alpha_vec`` belong to
+    K_yy + jitter I, while ``gram_yy`` is K_yy itself.  The widely linear
+    state, ``_augmented``, is computed on first use by ``schur_P``,
+    ``predict_wl``, ``complementary_var`` or ``_at_sites`` and kept.
     """
 
     kernel: ComplexKernel
@@ -134,6 +146,7 @@ class Posterior:
     gram_yy: np.ndarray
     factorization: np.ndarray
     alpha_vec: np.ndarray
+    jitter: float
 
     @cached_property
     def _augmented(self) -> _AugmentedFactor:
@@ -144,7 +157,8 @@ class Posterior:
         the one jitter retry, or raises ``ConditioningError``.  Both largest
         eigenvalues come from ``_largest_eigenvalue`` (Lanczos, a few
         matrix-vector products at K_yy's decaying spectrum), which also gives
-        the impropriety lambda_max(S) / lambda_max(A).
+        the impropriety lambda_max(S) / lambda_max(A).  The state keeps the
+        jitter S took, which ``_at_sites`` reads.
         """
         comp = gram(self.kernel, self.dataset.sites, "complementary")
         l21_h = scipy.linalg.solve_triangular(self.factorization, comp, lower=True, check_finite=False)
@@ -153,11 +167,11 @@ class Posterior:
         s_mat = 0.5 * (s_mat + s_mat.conj().T)
         lam_a, lam_s = (_largest_eigenvalue(mat) for mat in (self.gram_yy, s_mat))
         if lam_s <= 1e-14 * lam_a:
-            return _AugmentedFactor(l21, s_mat, lam_s / lam_a, None, None)
-        l22 = chol_factor_with_jitter(s_mat)
+            return _AugmentedFactor(l21, s_mat, lam_s / lam_a, None, None, 0.0)
+        l22, jitter = chol_factor_with_jitter(s_mat)
         responses = self.dataset.responses
         coeffs = _forward_solve(self.factorization, l21, l22, responses, np.conj(responses))
-        return _AugmentedFactor(l21, s_mat, lam_s / lam_a, l22, coeffs)
+        return _AugmentedFactor(l21, s_mat, lam_s / lam_a, l22, coeffs, jitter)
 
 
 def _forward_solve(l11, l21, l22, top, bottom) -> np.ndarray:
@@ -242,14 +256,15 @@ def fit(kernel: ComplexKernel, data: FrequencyDataset) -> Posterior:
     """Factor K_yy = k(z_i, z_j) + sigma_e^2 I once and cache K_yy^{-1} y.
 
     If the factorization fails, a single jitter of 1e-10 times the mean
-    diagonal is added before giving up with a ConditioningError.
+    diagonal is added, and kept as ``Posterior.jitter``, before giving up
+    with a ConditioningError.
     """
     if len(data) == 0:
         raise ValueError("cannot fit an empty dataset")
     gram_yy = gram(kernel, data.sites, "hermitian", data.noise_var)
-    factorization = chol_factor_with_jitter(gram_yy)
+    factorization, jitter = chol_factor_with_jitter(gram_yy)
     alpha_vec = chol_solve(factorization, data.responses)
-    return Posterior(kernel, data, gram_yy, factorization, alpha_vec)
+    return Posterior(kernel, data, gram_yy, factorization, alpha_vec, jitter)
 
 
 def predict_sl(post: Posterior, z):
@@ -373,6 +388,45 @@ def _wl_block(post: Posterior, state: _AugmentedFactor, pts: np.ndarray):
     return mean, np.maximum(prior - np.sum(np.abs(x) ** 2, axis=0), 0.0)
 
 
+def _at_sites(post: Posterior, wide: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and Hermitian variance at the data sites, as
+    ``predict_wl`` (``wide``) or ``predict_sl`` give them there, from the
+    factors the posterior already holds.
+
+    With s = sigma_e^2 + ``post.jitter``, the mean is y - s b and the variance
+    max(s - s^2 d, 0), where b = Gamma^{-1} (y; y*)'s top half and d =
+    diag(Gamma^{-1})'s top half for the factored Gamma.  The strictly linear
+    estimator, and the widely linear fallback, take b = ``alpha_vec`` and d
+    the squared column norms of L11^{-1}.  The widely linear b is two
+    back-substitutions on c = ``_augmented.coeffs``.  Its d is the squared
+    column norms of L22^{-1} (diag P^{-1} = diag S^{-1}) when neither L11 nor
+    L22 took jitter; a jitter breaks Gamma's conjugate symmetry, so then d is
+    the exact top-left block, ||L11^{-1} e_i||^2 + ||L22^{-1} L21 L11^{-1} e_i||^2.
+    """
+    shift = post.dataset.noise_var + post.jitter
+    state = post._augmented if wide else None
+    if state is None or state.l22 is None:
+        solved = post.alpha_vec
+        diag = _squared_column_norms(tri_inverse(post.factorization))
+    else:
+        top, bottom = np.split(state.coeffs, 2)
+        lower = scipy.linalg.solve_triangular(state.l22, bottom, lower=True, trans="C", check_finite=False)
+        # L21^H b2 = conj(b2^H L21): no conjugate transpose of the n x n L21
+        top = top - np.conj(np.conj(lower) @ state.l21)
+        solved = scipy.linalg.solve_triangular(post.factorization, top, lower=True, trans="C", check_finite=False)
+        l22_inv = tri_inverse(state.l22)
+        if post.jitter == 0.0 and state.jitter == 0.0:
+            diag = _squared_column_norms(l22_inv)
+        else:
+            l11_inv = tri_inverse(post.factorization)
+            diag = _squared_column_norms(l11_inv) + _squared_column_norms(l22_inv @ (state.l21 @ l11_inv))
+    return post.dataset.responses - shift * solved, np.maximum(shift - shift**2 * diag, 0.0)
+
+
+def _squared_column_norms(mat: np.ndarray) -> np.ndarray:
+    return np.sum(mat.real**2 + mat.imag**2, axis=0)
+
+
 def ellipsoid(mean: complex, var: float, eta: float) -> EllipsoidBound:
     """Confidence disk of radius eta * sqrt(var) around a posterior mean.
 
@@ -442,7 +496,7 @@ def _likelihood(
         gram_yy, derivatives = gram_with_derivatives(values)
         gradient = np.zeros(len(derivatives))
         try:
-            factor = chol_factor_with_jitter(gram_yy)
+            factor, _ = chol_factor_with_jitter(gram_yy)
         except (ConditioningError, ValueError):
             return -math.inf, gradient
         solution = chol_solve(factor, data.responses)

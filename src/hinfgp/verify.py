@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from ._linalg import chol_factor_with_jitter
+from ._linalg import _finite, chol_factor_with_jitter
 from .kernels import ComplexKernel, _check_sites, _part_values, h2_kernel
 
 __all__ = [
@@ -125,13 +125,19 @@ def _h2_probe(n_max: int, points: Sequence[complex] | None) -> tuple[np.ndarray,
         raise ValueError("all points must lie strictly outside the unit circle")
     if np.unique(pts).size < n_max:
         raise ValueError("points must be distinct: duplicate points give a singular H2 Gram")
-    return pts, chol_factor_with_jitter(_real_gram(h2_kernel, pts), rel_jitter=1e-12)
+    factor, _ = chol_factor_with_jitter(_real_gram(h2_kernel, pts), rel_jitter=1e-12)
+    return pts, factor
 
 
 def _report(factor: np.ndarray, k_gram: np.ndarray) -> DriscollReport:
-    """Traces of L^{-1} K L^{-T} at n = 10, 20, ..., n_max and their classification."""
-    half = scipy.linalg.solve_triangular(factor, k_gram, lower=True)
-    congruent = scipy.linalg.solve_triangular(factor, half.T, lower=True)
+    """Traces of L^{-1} K L^{-T} at n = 10, 20, ..., n_max and their classification.
+
+    The H2 Gram was scanned for NaN and inf when it was factored, and the
+    candidate Gram is scanned here (``ValueError``), so the two solves skip
+    scipy's ``check_finite`` scans.
+    """
+    half = scipy.linalg.solve_triangular(factor, _finite(k_gram), lower=True, check_finite=False)
+    congruent = scipy.linalg.solve_triangular(factor, half.T, lower=True, check_finite=False)
     cumulative = np.cumsum(np.diag(congruent))
     n_values = list(range(10, k_gram.shape[0] + 1, 10))
     traces = [float(cumulative[n - 1]) for n in n_values]

@@ -1046,6 +1046,50 @@ class TestSharedWork:
         assert len(calls) == 1
         assert summary["noise_var"] > 0.0
 
+    @pytest.mark.parametrize("estimator", ["strict", "wide"])
+    def test_predictors_run_once_on_the_grid(self, tmp_path, monkeypatch, estimator):
+        """An identify run calls its estimator's predictor once, on the
+        512-point grid, and never on the data sites: ``sites_inside_ellipsoid``
+        reads the site posterior from the fitted factors (``_at_sites``), and
+        counts what the predictor's own site posterior gives."""
+        queries = {"predict_sl": [], "predict_wl": [], "sites": []}
+        fitted = []
+        real_fit, real_at_sites = cli.fit, cli._at_sites
+
+        def recording(name, predictor):
+            def wrapped(post, z):
+                queries[name].append(np.array(z, copy=True))
+                return predictor(post, z)
+
+            return wrapped
+
+        def capturing_fit(kernel, data):
+            fitted.append(real_fit(kernel, data))
+            return fitted[-1]
+
+        def recording_at_sites(post, wide):
+            queries["sites"].append(wide)
+            return real_at_sites(post, wide)
+
+        monkeypatch.setattr(cli, "predict_sl", recording("predict_sl", cli.predict_sl))
+        monkeypatch.setattr(cli, "predict_wl", recording("predict_wl", cli.predict_wl))
+        monkeypatch.setattr(cli, "fit", capturing_fit)
+        monkeypatch.setattr(cli, "_at_sites", recording_at_sites)
+        summary = self._run(tmp_path, estimator=estimator)
+        used, unused = ("predict_sl", "predict_wl") if estimator == "strict" else ("predict_wl", "predict_sl")
+        assert queries[unused] == [] and queries["sites"] == [estimator == "wide"]
+        (grid_z,) = queries[used]
+        size = cli.PREDICTION_GRID_SIZE
+        assert np.array_equal(grid_z, np.exp(1j * (math.pi * (np.arange(size) + 1.0) / (size + 1.0))))
+        post = fitted[0]
+        if estimator == "strict":
+            means, variances = regression.predict_sl(post, post.dataset.sites)
+        else:
+            means, variances, _ = regression.predict_wl(post, post.dataset.sites)
+        cfg = parse_identify_config(identify_config(tmp_path / "out", estimator=estimator))
+        errors = np.abs(cfg.system.response(post.dataset.sites) - means)
+        assert summary["sites_inside_ellipsoid"] == int(np.sum(errors <= cfg.eta * np.sqrt(variances)))
+
     def test_untuned_likelihood_from_fit_factor(self, tmp_path, monkeypatch):
         calls = {"hermitian": 0, "factor": 0}
         fitted = []

@@ -1,8 +1,9 @@
 """Property tests over random inputs for the paper's invariants: PSD Grams on
 the exterior disk, conjugate symmetry of the variance, the widely linear
 variance never exceeding the strictly linear one, batch predictions equal to
-scalar ones, the |z| >= 1 domain, exact interpolation at zero noise, and the
-Markov coverage bound of the confidence disks."""
+scalar ones, the |z| >= 1 domain, exact interpolation at zero noise, the
+posterior at the data sites read from the factors, and the Markov coverage
+bound of the confidence disks."""
 
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hinfgp.kernels import KernelFamily, exponential_kernel, from_config, geometric_kernel, gram
-from hinfgp.regression import FrequencyDataset, complementary_var, fit, predict_sl, predict_wl
+from hinfgp.regression import FrequencyDataset, _at_sites, complementary_var, fit, predict_sl, predict_wl
 from hinfgp.sampling import sample_cozine_batch, sample_stationary_batch
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
@@ -147,6 +148,50 @@ def test_zero_noise_posterior_interpolates(alpha, sites, data):
     means, variances = predict_sl(post, sites)
     assert np.max(np.abs(means - responses)) <= tol * max(1.0, np.max(np.abs(responses)))
     assert np.all(variances <= tol * np.real(kernel.hermitian_eval(sites, sites)))
+
+
+@PROPERTY_SETTINGS
+@given(alpha=st.floats(0.3, 0.95), sites=separated_points(), data=st.data())
+def test_site_posterior_interpolates_exactly_at_zero_noise(alpha, sites, data):
+    """At zero noise, where ``fit`` took no jitter, the posterior read at the
+    data sites has mean == y and variance == 0 exactly, on both estimators:
+    the shift s = sigma_e^2 + jitter is 0, so the formulas leave y untouched."""
+    parts = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * sites.size, max_size=2 * sites.size))
+    responses = np.asarray(parts[::2]) + 1j * np.asarray(parts[1::2])
+    post = fit(geometric_kernel(alpha), FrequencyDataset(sites, responses, 0.0))
+    assume(post.jitter == 0.0)
+    for wide in (False, True):
+        means, variances = _at_sites(post, wide)
+        assert np.array_equal(means, responses)
+        assert np.all(variances == 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(post=noisy_posteriors())
+def test_site_posterior_matches_the_predictors(post):
+    """The posterior read at the data sites from the factors equals
+    ``predict_sl``'s and ``predict_wl``'s there, within 100 cond eps:
+    relative to max(1, max |y|) for the means and to the largest prior
+    variance k(z_i, z_i) for the variances, with the condition number of the
+    matrix each estimator solves with (K_yy, or Gamma for the widely linear
+    one).  Both sides subtract nearly equal numbers (y - s b against x^H c,
+    s - s^2 d against k - ||x||^2), so the rounding they differ by grows with
+    it: a real site with y = j gives a widely linear mean of 0 from |y| = 1."""
+    sites, responses = post.dataset.sites, post.dataset.responses
+    comp = gram(post.kernel, sites, "complementary")
+    gamma = np.block([[post.gram_yy, comp], [comp.conj().T, post.gram_yy.conj()]])
+    mean_scale = max(1.0, float(np.max(np.abs(responses))))
+    var_scale = float(np.max(np.real(post.kernel.hermitian_eval(sites, sites))))
+    sl_means, sl_vars = predict_sl(post, sites)
+    wl = predict_wl(post, sites)
+    for wide, solved, means, variances in (
+        (False, post.gram_yy, sl_means, sl_vars),
+        (True, gamma, wl.mean, wl.hermitian_var),
+    ):
+        tol = 100.0 * np.linalg.cond(solved) * np.finfo(float).eps
+        got_means, got_vars = _at_sites(post, wide)
+        assert np.max(np.abs(got_means - means)) <= tol * mean_scale
+        assert np.max(np.abs(got_vars - variances)) <= tol * var_scale
 
 
 MARKOV_PATHS = 400

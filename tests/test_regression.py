@@ -141,8 +141,29 @@ class TestCholeskyJitter:
             chol_factor_with_jitter(mat, 1e-10)
 
     def test_spd_matrix_factors(self):
-        factor = chol_factor_with_jitter(np.eye(3) * 2.0, 1e-10)
+        factor, jitter = chol_factor_with_jitter(np.eye(3) * 2.0, 1e-10)
         np.testing.assert_allclose(np.tril(factor), math.sqrt(2.0) * np.eye(3))
+        assert jitter == 0.0
+
+    def test_retry_returns_its_jitter(self):
+        """A singular PSD matrix factors on the retry, and the jitter returned
+        is the one added: rel_jitter times the mean diagonal."""
+        mat = np.array([[1.0, 1.0], [1.0, 1.0]])
+        factor, jitter = chol_factor_with_jitter(mat, 1e-10)
+        assert jitter == 1e-10 * 1.0
+        lower = np.tril(factor)
+        np.testing.assert_allclose(lower @ lower.T, mat + jitter * np.eye(2), rtol=0.0, atol=1e-15)
+
+    def test_triangular_inverse_zeroes_the_upper_triangle(self):
+        """``tri_inverse`` of a factor whose upper triangle holds leftover
+        input is the inverse of its lower triangle, with zeros above."""
+        rng = np.random.default_rng(49)
+        root = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        factor, _ = chol_factor_with_jitter(root @ root.conj().T + np.eye(5))
+        assert np.any(np.triu(factor, 1) != 0.0)
+        inverse = _linalg.tri_inverse(factor)
+        assert np.all(np.triu(inverse, 1) == 0.0)
+        np.testing.assert_allclose(inverse @ np.tril(factor), np.eye(5), rtol=0.0, atol=1e-13)
 
 
 class TestStrictlyLinear:
@@ -472,6 +493,119 @@ class TestWidelyLinear:
             post = fit(kernel, FrequencyDataset(sites, y, 0.05))
             eigvals = np.linalg.eigvalsh(np.conj(post._augmented.s_mat))
             assert eigvals.min() >= -1e-8 * max(1.0, eigvals.max())
+
+
+def _site_reference(post, digits=60):
+    """The widely linear posterior at the data sites for the factored
+    Gamma_f = [[A + j1 I, B], [B^H, A* + j2 I]] (the jitters ``fit`` and
+    ``_augmented`` report), at ``digits`` decimal digits with the float Grams
+    taken as exact.  Through the Schur complement P_f = A_f - B D^{-1} B^H,
+    D = A* + j2 I: Gamma_f^{-1}'s top-left block is P_f^{-1} and the top half
+    of Gamma_f^{-1} (y; y*) is P_f^{-1} (y - B D^{-1} y*).  Returns the means
+    and variances as float arrays."""
+    import mpmath
+
+    data = post.dataset
+    n, shift = len(data), data.noise_var + post.jitter
+    a_mat = post.gram_yy
+    b_mat = gram(post.kernel, data.sites, "complementary")
+    with mpmath.workdps(digits):
+        a_f, b, d = (mpmath.matrix(n, n) for _ in range(3))
+        for i in range(n):
+            for j in range(n):
+                a_f[i, j] = mpmath.mpc(complex(a_mat[i, j]))
+                b[i, j] = mpmath.mpc(complex(b_mat[i, j]))
+                d[i, j] = mpmath.mpc(complex(np.conj(a_mat[i, j])))
+            a_f[i, i] += post.jitter
+            d[i, i] += post._augmented.jitter
+        d_inv = d**-1
+        p_inv = (a_f - b * d_inv * b.transpose_conj()) ** -1
+        y = mpmath.matrix([mpmath.mpc(complex(v)) for v in data.responses])
+        y_conj = mpmath.matrix([mpmath.mpc(complex(np.conj(v))) for v in data.responses])
+        top = p_inv * (y - b * d_inv * y_conj)
+        means = np.array([complex(y[i] - shift * top[i]) for i in range(n)])
+        variances = np.array([float(mpmath.re(shift - shift**2 * p_inv[i, i])) for i in range(n)])
+    return means, variances
+
+
+class TestSitePosterior:
+    """``_at_sites``: the posterior at the data sites from the factors the
+    posterior holds, against a high-precision reference and the predictors."""
+
+    def _jittered(self):
+        """Zero noise at 12 unit-circle sites and 12 copies 1e-6 rad away:
+        K_yy and S both need the jitter retry."""
+        angles = np.linspace(0.2, 2.9, 12)
+        sites = np.exp(1j * np.concatenate([angles, angles + 1e-6]))
+        kernel = geometric_kernel(0.5)
+        return fit(kernel, FrequencyDataset(sites, kernel.hermitian_eval(sites, 1.3 + 0.4j), 0.0))
+
+    def test_both_jitters_take_the_exact_block(self):
+        """With jitter j1 in L11 and j2 != j1 in L22, Gamma_f is not conjugate
+        symmetric, and the L22-only diagonal is the bottom-right block of
+        Gamma_f^{-1}: its variance misses by the whole variance (about 1e-10).
+        The exact top-left block agrees with the 60-digit reference to 1e-14
+        absolute, and the means to 1e-9 of max |y|."""
+        post = self._jittered()
+        state = post._augmented
+        assert post.jitter > 0.0 and state.jitter > 0.0 and state.jitter != post.jitter
+        ref_means, ref_vars = _site_reference(post)
+        means, variances = regression._at_sites(post, True)
+        assert np.max(np.abs(variances - ref_vars)) <= 1e-14
+        assert np.max(np.abs(means - ref_means)) <= 1e-9 * np.max(np.abs(post.dataset.responses))
+        shift = post.jitter
+        l22_only = shift - shift**2 * np.sum(np.abs(_linalg.tri_inverse(state.l22)) ** 2, axis=0)
+        assert np.max(np.abs(l22_only - ref_vars)) >= 0.5 * np.max(ref_vars)
+
+    def test_l22_inverse_alone_without_jitter(self, wide_shape, monkeypatch):
+        """Without jitter the widely linear variance takes one triangular
+        inverse, L22's, and still agrees with ``predict_wl`` at the 400 sites
+        of the identify-wide shape; a jittered posterior inverts L11 too."""
+        data, kernel = wide_shape
+        post = fit(kernel, data)
+        assert post.jitter == 0.0 and post._augmented.jitter == 0.0
+        inverted = []
+        real_inverse = regression.tri_inverse
+
+        def recording_inverse(factor):
+            inverted.append(factor is post._augmented.l22)
+            return real_inverse(factor)
+
+        monkeypatch.setattr(regression, "tri_inverse", recording_inverse)
+        means, variances = regression._at_sites(post, True)
+        assert inverted == [True]
+        pred = predict_wl(post, data.sites)
+        assert np.max(np.abs(means - pred.mean)) <= 1e-10 * np.max(np.abs(pred.mean))
+        assert np.max(np.abs(variances - pred.hermitian_var)) <= 1e-12
+        inverted.clear()
+        regression._at_sites(self._jittered(), True)
+        assert len(inverted) == 2
+
+    def test_real_site_fallback(self):
+        """Real sites with zero noise make S numerically zero: the widely
+        linear read falls back to the strictly linear one, as ``predict_wl``
+        does, and gives y with zero variance."""
+        data = FrequencyDataset(np.array([2.0, 3.0, 5.0]), np.array([1.0, 0.5, 0.2]) + 0j, 0.0)
+        post = fit(geometric_kernel(0.5), data)
+        assert post._augmented.l22 is None and post.jitter == 0.0
+        means, variances = regression._at_sites(post, True)
+        strict = regression._at_sites(post, False)
+        assert np.array_equal(means, strict[0]) and np.array_equal(variances, strict[1])
+        assert np.array_equal(means, data.responses) and np.all(variances == 0.0)
+        pred = predict_wl(post, data.sites)
+        assert pred.used_fallback
+        np.testing.assert_allclose(pred.mean, means, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(pred.hermitian_var, variances, rtol=0.0, atol=1e-12)
+
+    def test_strict_jitter_shifts_by_the_jitter(self):
+        """A jittered K_yy at zero noise: the strictly linear read uses the
+        shift s = j1 and agrees with ``predict_sl`` at the sites."""
+        post = self._jittered()
+        means, variances = regression._at_sites(post, False)
+        ref_means, ref_vars = predict_sl(post, post.dataset.sites)
+        assert np.all(variances > 0.0)
+        np.testing.assert_allclose(variances, ref_vars, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(means, ref_means, rtol=0.0, atol=1e-12)
 
 
 def _hermitian_with_spectrum(rng, eigenvalues):

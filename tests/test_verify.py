@@ -116,6 +116,30 @@ class TestDriscoll:
         # a repeat past n_max is never used
         assert driscoll_test(h2_kernel, n_max=30, points=pts).traces[-1] == pytest.approx(30.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_candidate_gram_raises(self, bad):
+        """One infinite or NaN value of the candidate covariance raises
+        ``ValueError``: the report's triangular solves skip scipy's finiteness
+        scan, so the candidate Gram is checked once before them, and NaN
+        traces are never classified."""
+        geo = geometric_kernel(0.5)
+
+        def k_real(z, w):
+            values = np.real(np.asarray(geo.hermitian_eval(z, w)))
+            values[3, 7] = bad
+            return values
+
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            driscoll_test(k_real, n_max=40)
+
+        def hermitian(z, w):
+            values = np.array(geo.hermitian_eval(z, w), dtype=complex)
+            values[3, 7] = bad
+            return values
+
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            driscoll_parts(ComplexKernel(hermitian, geo.complementary_eval), 40)
+
     def test_report_record_roundtrip(self):
         record = driscoll_test(h2_kernel, n_max=20).to_record()
         assert record["verdict"] == "diverging"
