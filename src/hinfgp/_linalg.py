@@ -1,5 +1,5 @@
-"""Shared dense linear-algebra helpers: the BLAS thread policy, jittered
-Cholesky factorization, its solve and the inverse of its factor.
+"""Shared dense linear-algebra helpers: the BLAS thread and heap policies,
+jittered Cholesky factorization, its solve and the inverse of its factor.
 
 Thread policy.  A pip-installed numpy and scipy each bundle their own
 OpenBLAS runtime with its own worker pool: numpy's
@@ -14,6 +14,21 @@ its ``scipy_openblas_set_num_threads64_`` entry point.  scipy's runtime keeps
 its default thread count: the Driscoll probe's order-400 factorizations and
 triangular solves run there and use every core.  Where numpy's bundled copy is
 absent (an MKL, conda or system OpenBLAS build) nothing is changed.
+
+Heap policy.  Order-400 Grams and their temporaries (2.5 MB each when
+complex) are built and freed a dozen times per Driscoll report.  glibc's
+malloc adjusts its mmap and trim thresholds as it goes, and with them a freed
+temporary at the top of the heap is handed back to the kernel, so the next
+one faults every page in afresh (about 5 300 minor faults, 21 MB of zeroed
+pages, per verify report).  Importing this module therefore calls glibc's
+``mallopt`` once, with ``M_MMAP_THRESHOLD`` = 32 MiB (glibc's cap on 64-bit)
+and ``M_TRIM_THRESHOLD`` = 64 MiB; setting both is needed, since setting
+either one switches off the dynamic adjustment of the other.  Up to 64 MiB
+of freed heap then stays with the process, and arrays above 32 MiB are still
+mapped and unmapped on their own.  Allocation moves no arithmetic: every
+result keeps its bytes.  Where ``mallopt`` is absent (macOS) or refuses the
+values (musl's stub) nothing is changed; a process that wants other values
+calls ``mallopt`` itself after the import.
 
 Both factorization helpers call LAPACK ``potrf``/``potrs`` directly: the
 routines that :func:`scipy.linalg.cho_factor` and
@@ -53,6 +68,29 @@ def _pin_numpy_openblas(libs_dir: Path) -> bool:
 
 
 _pin_numpy_openblas(Path(np.__file__).resolve().parent.parent / "numpy.libs")
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap(libc) -> bool:
+    """Fix glibc's malloc thresholds through ``libc.mallopt``; whether both were set.
+
+    The mmap threshold goes first: a ``libc`` without ``mallopt``, or one that
+    refuses that value (``mallopt`` returns 0), leaves both thresholds as they
+    were.  glibc accepts any trim threshold.
+    """
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(param, value) == 1 for param, value in (
+        (_M_MMAP_THRESHOLD, 32 << 20),
+        (_M_TRIM_THRESHOLD, 64 << 20),
+    ))
+
+
+_keep_freed_heap(ctypes.CDLL(None))
 
 
 class ConditioningError(RuntimeError):

@@ -123,6 +123,7 @@ def _h2_probe(n_max: int, points: Sequence[complex] | None) -> tuple[np.ndarray,
     pts = pts[:n_max]
     if np.any(np.abs(pts) <= 1.0):
         raise ValueError("all points must lie strictly outside the unit circle")
+    _check_sites(pts)
     if np.unique(pts).size < n_max:
         raise ValueError("points must be distinct: duplicate points give a singular H2 Gram")
     factor, _ = chol_factor_with_jitter(_real_gram(h2_kernel, pts), rel_jitter=1e-12)
@@ -177,7 +178,8 @@ def driscoll_test(
     ``rel_jitter=1e-12``.  If R_{n_max} needs its single retry, the jitter
     (1e-12 times the mean diagonal of R_{n_max}) enters every prefix,
     including those whose own factorization would succeed without it.
-    Repeated points raise ``ValueError``.  Near-duplicates are not caught:
+    A NaN or infinite point raises ``ValueError`` naming it and its index;
+    repeated points raise ``ValueError`` too.  Near-duplicates are not caught:
     the retry's jitter rescues R_{n_max}, and the pair silently counts as
     one point (with ``pts[30] = pts[5] * (1 + 1e-15)``, the H2 self-trace
     at n = 40 reads 39.0001, not 40).  ``ConditioningError`` is raised only

@@ -15,8 +15,9 @@ while tuning).  The test suite imports both itself, so these checks run in a
 fresh interpreter.
 
 Importing the package's linear-algebra users sets numpy's bundled OpenBLAS to
-one thread and leaves scipy's OpenBLAS alone (see ``hinfgp._linalg``); that is
-also checked in a fresh interpreter, since this one imported them already.
+one thread and leaves scipy's OpenBLAS alone, and fixes glibc's malloc
+thresholds so freed work arrays stay in the heap (see ``hinfgp._linalg``);
+both are checked in a fresh interpreter, since this one imported them already.
 """
 
 import ast
@@ -25,9 +26,11 @@ import importlib
 import importlib.util
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +175,52 @@ def test_pin_without_numpy_openblas_is_a_no_op(tmp_path, contents):
     for name in contents:
         (tmp_path / name).write_bytes(b"not an ELF file")
     assert _linalg._pin_numpy_openblas(tmp_path) is False
+
+
+needs_glibc = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt's thresholds are glibc's")
+
+HEAP_PROBE = """
+import resource{imports}
+import numpy as np
+p = np.full((400, 400), 2.0 + 1.0j)
+p / (p - 1.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    p / (p - 1.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@needs_glibc
+def test_import_keeps_freed_heap():
+    """After the import, 20 rounds of 2.5 MB complex temporaries reuse the
+    freed heap; without it, glibc hands the pages back and every round
+    faults them in again (about 1 200 minor faults a round)."""
+    kept = int(fresh_stdout(HEAP_PROBE.format(imports="\nimport hinfgp.verify")))
+    returned = int(fresh_stdout(HEAP_PROBE.format(imports="")))
+    assert kept < 100 and returned > 1000
+
+
+@needs_glibc
+def test_heap_policy_is_set_through_glibc():
+    assert _linalg._keep_freed_heap(ctypes.CDLL(None)) is True
+
+
+def test_heap_policy_without_mallopt_is_a_no_op():
+    assert _linalg._keep_freed_heap(types.SimpleNamespace()) is False
+
+
+def test_heap_policy_stops_at_a_refused_value():
+    """A ``mallopt`` that refuses the mmap threshold (musl's stub returns 0)
+    is not asked for the trim threshold, so neither is changed."""
+    calls = []
+
+    def refuse(param, value):
+        calls.append((param, value))
+        return 0
+
+    assert _linalg._keep_freed_heap(types.SimpleNamespace(mallopt=refuse)) is False
+    assert calls == [(-3, 32 << 20)]
 
 
 @needs_numpy_openblas

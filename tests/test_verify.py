@@ -116,6 +116,20 @@ class TestDriscoll:
         # a repeat past n_max is never used
         assert driscoll_test(h2_kernel, n_max=30, points=pts).traces[-1] == pytest.approx(30.0)
 
+    @pytest.mark.parametrize(
+        "bad, where",
+        [([math.nan], [3]), ([complex(math.inf, 0.0)], [3]), ([math.nan, math.nan], [3, 17])],
+        ids=["nan", "inf", "two_nans"],
+    )
+    def test_non_finite_points_named(self, bad, where):
+        """A NaN or infinite probe point is refused by the kernel-domain
+        check, which names the first one and its index, before any Gram is
+        built; two NaNs are not mistaken for a duplicate pair."""
+        pts = dense_spiral(40)
+        pts[where] = bad
+        with pytest.raises(ValueError, match=r"at index 3 is not finite"):
+            driscoll_test(h2_kernel, n_max=20, points=pts)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_candidate_gram_raises(self, bad):
         """One infinite or NaN value of the candidate covariance raises
