@@ -382,6 +382,10 @@ def run_identify(cfg: ExperimentConfig) -> dict:
         summary["wl_fallback"] = wl_fallback
     if cfg.impropriety_diag or cfg.estimator == "wide":
         summary["impropriety"] = schur_P(post)
+        # the widely linear state's route: its term count and their truncation
+        # bound in coefficient space, both null on the dense route
+        summary["wl_terms"] = post._augmented.terms
+        summary["wl_terms_tail"] = post._augmented.tail
 
     _publish(
         cfg.out_dir,

@@ -27,17 +27,28 @@ real/imaginary part decomposition used by the H-infinity membership checks,
 and ``KernelFamily``: a config record parsed once into a map from tunable
 hyperparameters to kernels, which binds to fixed sites for repeated Gram
 evaluation.
+
+Every family but ``h2`` and a circular one is also a sum of terms with real
+coefficients, f(z) = sum_j c_j psi_j(z) with c_j i.i.d. N(0, 1), so that
+k(z, w) = Psi(z) Psi(w)^H and kt(z, w) = Psi(z) Psi(w)^T.  A kernel from a
+family carries these terms (``ComplexKernel._terms``): a_n z^{-n} for the
+stationary families, with a_n from their law in ``hinfgp.sampling``, cut
+where the tail of sum_n a_n^2 falls to float eps of the sum (exact for a
+list); cozine's two rational terms, exactly; a mixture's members' terms
+scaled by sqrt(w).  ``hinfgp.regression`` reads them to build the widely
+linear posterior in coefficient space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ._config import _REQUIRED, _TOP, _is_real, _Section
+from .sampling import path_law
 
 __all__ = [
     "ComplexKernel",
@@ -53,6 +64,14 @@ __all__ = [
 
 KernelFn = Callable[..., np.ndarray]
 
+# A stationary series keeps its terms up to the first N whose tail
+# sum_{n > N} a_n^2 is at most _TAIL_EPS times the whole sum; one that needs
+# more than _MAX_TERMS terms has no expansion (a geometric alpha above about
+# 0.93).  The sums read a_n up to twice _MAX_TERMS: at geometric or faster
+# decay, what lies beyond is below _TAIL_EPS^2 of the sum.
+_TAIL_EPS = float(np.finfo(float).eps)
+_MAX_TERMS = 512
+
 
 @dataclass(frozen=True, eq=False)
 class ComplexKernel:
@@ -63,10 +82,31 @@ class ComplexKernel:
     callables accept scalars or broadcastable numpy arrays and are pure
     functions, safe to call concurrently.  Evaluation is valid for
     |z|, |w| >= 1 (every built-in family is finite on the unit circle itself).
+
+    ``_terms`` is the kernel's finite expansion in real-coefficient terms
+    (:class:`_Terms`), set by :class:`KernelFamily` for the families that
+    have one; ``None`` for ``h2``, a circular family and a kernel built by
+    hand.
     """
 
     hermitian_eval: KernelFn
     complementary_eval: KernelFn
+    _terms: _Terms | None = field(default=None, repr=False)
+
+
+class _Terms(NamedTuple):
+    """A kernel as a sum of r terms with real coefficients, f(z) = sum_j c_j
+    psi_j(z) for i.i.d. standard normal c_j, so that k(z, w) = Psi(z) Psi(w)^H
+    and kt(z, w) = Psi(z) Psi(w)^T.
+
+    ``psi`` maps q points to the q x r matrix Psi.  ``tail`` bounds
+    |k - Psi Psi^H| and |kt - Psi Psi^T| over |z|, |w| >= 1: the sum of the
+    a_n^2 a truncated series leaves out (|z^{-n}| <= 1 there), 0.0 for an
+    exact expansion.
+    """
+
+    psi: Callable[[np.ndarray], np.ndarray]
+    tail: float
 
 
 # Each family's covariance is written once, as a function of the site arrays
@@ -356,9 +396,9 @@ def _check_sites(pts: np.ndarray, noise_var: float = 0.0) -> None:
     bad = np.flatnonzero(~np.isfinite(pts))
     if bad.size:
         raise ValueError(f"point {pts[bad[0]]} at index {bad[0]} is not finite")
-    inside = np.abs(pts) < 1.0 - 1e-12
-    if np.any(inside):
-        raise ValueError(f"point {pts[inside][0]} lies inside the kernel domain (|z| >= 1)")
+    inside = np.flatnonzero(np.abs(pts) < 1.0 - 1e-12)
+    if inside.size:
+        raise ValueError(f"point {pts[inside[0]]} at index {inside[0]} lies outside the kernel domain (|z| >= 1)")
 
 
 def gram(
@@ -491,7 +531,53 @@ class KernelFamily:
         def comp(z, w):
             return herm(z, np.conj(w))
 
-        return ComplexKernel(herm, _zero_complementary if self.circular else comp)
+        if self.circular:
+            return ComplexKernel(herm, _zero_complementary)
+        return ComplexKernel(herm, comp, self._expansion(values))
+
+    def _expansion(self, values: Mapping[str, float]) -> _Terms | None:
+        """This node's terms at the hyperparameters ``values`` (:class:`_Terms`),
+        or ``None`` for ``h2`` and for a series longer than ``_MAX_TERMS``.
+
+        A stationary family's terms are a_n z^{-n}, with a_n from its law
+        (``sampling.path_law``) at ``values``, cut where the tail falls to
+        ``_TAIL_EPS`` of the sum; a finite list is exact.  Cozine is exact in
+        two terms, phi1 = (1 - a c x)/D(x) and phi2 = a sin(omega0) x/D(x)
+        with x = 1/z: phi1 phi1 + phi2 phi2 is ``_cozine``'s numerator, as
+        c^2 + sin^2 = 1.  A mixture joins its members' terms, each scaled by
+        sqrt(w), and adds their tails with weight w.
+        """
+        if self.name == "h2":
+            return None
+        if self.name == "cozine":
+            a, c = self._numbers(values)
+            sine = math.sin(self._value(values, "omega0"))
+
+            def psi(z):
+                x = 1.0 / z
+                den = _cozine_quad(a, c, x)
+                return np.stack([(1.0 - a * c * x) / den, a * sine * x / den], axis=1)
+
+            return _Terms(psi, 0.0)
+        if self.children:
+            parts = [child._expansion(values) for child in self.children]
+            if any(part is None for part in parts):
+                return None
+            weights = self._numbers(values)
+
+            def psi(z):
+                return np.hstack([math.sqrt(w) * part.psi(z) for w, part in zip(weights, parts)])
+
+            return _Terms(psi, sum(w * part.tail for w, part in zip(weights, parts)))
+        params = {name: self._value(values, name) for name in _CHECKS[self.name][0]}
+        count = max(2 * _MAX_TERMS, len(params.get("coefficients", ())))
+        amplitudes = path_law(self.name).amplitudes(params, count)
+        tails = np.append(np.cumsum(amplitudes[::-1] ** 2)[::-1], 0.0)  # tails[n] = sum_{m >= n} a_m^2
+        keep = int(np.argmax(tails[1:] <= _TAIL_EPS * tails[0])) + 1  # terms n < keep
+        if keep > _MAX_TERMS:
+            return None
+        kept = amplitudes[:keep]
+        return _Terms(lambda z: np.vander(1.0 / z, keep, increasing=True) * kept, float(tails[keep]))
 
     def bind(
         self, sites: Sequence[complex], noise_var: float = 0.0

@@ -13,23 +13,39 @@ noise of variance sigma_e^2, this module provides
 * the widely linear refinement (``predict_wl``): conditioning on y and y* is
   a Hermitian solve with the augmented covariance Gamma = [[A, B], [B^H, A*]],
   A = K_yy and B = Kt_yy the complementary Gram (Picinbono & Chevalier 1995).
-  Gamma's lower Cholesky factor L = [[L11, 0], [L21, L22]] is built blockwise
-  from ``fit``'s factor L11 of A, without forming Gamma:
+  ``Posterior._augmented`` builds it by one of two routes, behind the same
+  functions:
 
-    L21^H = L11^{-1} B,   L22 L22^H = S = A* - L21 L21^H = conj(P),
+  - in coefficient space, when the kernel is a sum of r < n terms with real
+    coefficients (``kernels._Terms``: k = Psi Psi^H, kt = Psi Psi^T) and the
+    loading s = sigma_e^2 + jitter is positive.  Then the posterior is
+    Bayesian linear regression on the r coefficients (Rasmussen & Williams,
+    *GPML* 2006, section 2.1): with X = [Re Psi; Im Psi], the precision
+    Lambda = I + (2/s) X^T X = L L^T is r x r and real, the mean at z is
+    psi(z) cbar, cbar = Lambda^{-1} (2/s) X^T [Re y; Im y], the Hermitian
+    variance ||L^{-1} psi(z)^T||^2 and the complementary variance
+    sum (L^{-1} psi(z)^T)^2;
 
-  with P = A - B (A*)^{-1} B* the Schur complement (``schur_P``).  For the
-  cross row r = [u, v], u_i = k(z, z_i), v_i = kt(z, z_i), x = L^{-1} r^H and
-  c = L^{-1} [y; y*], mean_wl(z) = x^H c and var_wl(z) = k(z, z) - ||x||^2.
-  The complementary error variance kt(z, z) - x^H w, w = L^{-1} [v, u]^T, is
-  its own function (``complementary_var``), so a prediction solves for x
-  alone.  Both take a scalar or a 1-D array of query points, evaluated in
-  blocks of 64 rows;
+  - otherwise from Gamma's dense lower Cholesky factor
+    L = [[L11, 0], [L21, L22]], built blockwise from ``fit``'s factor L11 of
+    A without forming Gamma:
 
-* the posterior at the data sites themselves (``_at_sites``), read from the
-  factors above without a cross-covariance or a per-query solve.  At site i
-  the cross row [u, v] is Gamma's row i minus s [e_i, 0], with s = sigma_e^2
-  plus the jitter ``fit`` added to K_yy, so
+      L21^H = L11^{-1} B,   L22 L22^H = S = A* - L21 L21^H = conj(P),
+
+    with P = A - B (A*)^{-1} B* the Schur complement (``schur_P``).  For the
+    cross row r = [u, v], u_i = k(z, z_i), v_i = kt(z, z_i), x = L^{-1} r^H
+    and c = L^{-1} [y; y*], mean_wl(z) = x^H c and var_wl(z) = k(z, z) -
+    ||x||^2, and the complementary variance is kt(z, z) - x^H w,
+    w = L^{-1} [v, u]^T.
+
+  The complementary variance is its own function (``complementary_var``),
+  so a prediction computes the mean and Hermitian variance alone.  Both take
+  a scalar or a 1-D array of query points, evaluated in blocks of 64 rows;
+
+* the posterior at the data sites themselves (``_at_sites``), read from what
+  the posterior holds, without a per-query solve.  In coefficient space it
+  is the formula above at the sites.  Otherwise, at site i the cross row
+  [u, v] is Gamma's row i minus s [e_i, 0], so
     mean = y - s [Gamma^{-1} (y; y*)]_top,   var = s - s^2 [Gamma^{-1}]_ii
   (K_yy^{-1} in place of Gamma^{-1} for the strictly linear estimator).
   At zero noise without jitter this is mean = y and var = 0 exactly;
@@ -50,13 +66,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from ._linalg import ConditioningError, chol_factor_with_jitter, chol_solve, tri_inverse
-from .kernels import ComplexKernel, KernelFamily, _check_sites, gram
+from .kernels import ComplexKernel, KernelFamily, _check_sites, _Terms, gram
 
 __all__ = [
     "FrequencyDataset",
@@ -118,18 +134,6 @@ class FrequencyDataset:
         return int(self.sites.size)
 
 
-class _AugmentedFactor(NamedTuple):
-    """The blockwise lower Cholesky factor of Gamma = [[A, B], [B^H, A*]]
-    beyond ``fit``'s L11, and what the widely linear update reads from it."""
-
-    l21: np.ndarray  # B^H L11^{-H}
-    s_mat: np.ndarray  # S = A* - L21 L21^H = conj(P), Hermitian
-    impropriety: float  # lambda_max(S) / lambda_max(A)
-    l22: np.ndarray | None  # lower factor of S + jitter I; None when S is numerically zero
-    coeffs: np.ndarray | None  # c = L^{-1} [y; y*]; None when l22 is
-    jitter: float  # added to S's diagonal before it factored; 0.0 when none was
-
-
 @dataclass(eq=False)
 class Posterior:
     """Fitted regression state: kernel, data, K_yy, its lower Cholesky factor and K_yy^{-1} y.
@@ -149,29 +153,182 @@ class Posterior:
     jitter: float
 
     @cached_property
-    def _augmented(self) -> _AugmentedFactor:
-        """Factor Gamma from L11: one triangular solve for L21, S, and S's factor.
+    def _augmented(self) -> _AugmentedFactor | _CoefficientFactor:
+        """The widely linear state, built on first use by one of two routes.
 
-        S is left unfactored (the widely linear fallback) when its largest
-        eigenvalue is at most 1e-14 times A's; otherwise it is factored with
-        the one jitter retry, or raises ``ConditioningError``.  Both largest
-        eigenvalues come from ``_largest_eigenvalue`` (Lanczos, a few
-        matrix-vector products at K_yy's decaying spectrum), which also gives
-        the impropriety lambda_max(S) / lambda_max(A).  The state keeps the
-        jitter S took, which ``_at_sites`` reads.
+        When the kernel has a term expansion (``kernels._Terms``) with fewer
+        terms r than there are sites and the loading s = sigma_e^2 +
+        ``jitter`` is positive, the posterior is Bayesian linear regression
+        on the r coefficients (``_coefficient_state``), r x r work; else it
+        is Gamma's dense blockwise factor (``_dense_state``).  Both states
+        have the same methods, ``predict``, ``complementary`` and ``sites``,
+        and fields ``impropriety``, ``fallback``, ``terms`` (r, or None on
+        the dense route) and ``tail``.
         """
-        comp = gram(self.kernel, self.dataset.sites, "complementary")
-        l21_h = scipy.linalg.solve_triangular(self.factorization, comp, lower=True, check_finite=False)
-        l21 = l21_h.conj().T
-        s_mat = np.conj(self.gram_yy) - l21 @ l21_h
-        s_mat = 0.5 * (s_mat + s_mat.conj().T)
-        lam_a, lam_s = (_largest_eigenvalue(mat) for mat in (self.gram_yy, s_mat))
-        if lam_s <= 1e-14 * lam_a:
-            return _AugmentedFactor(l21, s_mat, lam_s / lam_a, None, None, 0.0)
-        l22, jitter = chol_factor_with_jitter(s_mat)
-        responses = self.dataset.responses
-        coeffs = _forward_solve(self.factorization, l21, l22, responses, np.conj(responses))
-        return _AugmentedFactor(l21, s_mat, lam_s / lam_a, l22, coeffs, jitter)
+        shift = self.dataset.noise_var + self.jitter
+        terms = self.kernel._terms
+        psi = None if terms is None else terms.psi(self.dataset.sites)
+        if psi is not None and psi.shape[1] < len(self.dataset) and shift > 0.0:
+            return _coefficient_state(self, terms, psi, shift)
+        return _dense_state(self)
+
+
+class _AugmentedFactor(NamedTuple):
+    """The dense widely linear state: the blockwise lower Cholesky factor of
+    Gamma = [[A, B], [B^H, A*]] beyond ``fit``'s L11, and what the widely
+    linear update reads from it (built by ``_dense_state``)."""
+
+    l21: np.ndarray  # B^H L11^{-H}
+    s_mat: np.ndarray  # S = A* - L21 L21^H = conj(P), Hermitian
+    impropriety: float  # lambda_max(S) / lambda_max(A)
+    l22: np.ndarray | None  # lower factor of S + jitter I; None when S is numerically zero
+    coeffs: np.ndarray | None  # c = L^{-1} [y; y*]; None when l22 is
+    jitter: float  # added to S's diagonal before it factored; 0.0 when none was
+    terms = None  # this route reads no term expansion
+    tail = None
+
+    @property
+    def fallback(self) -> bool:
+        return self.l22 is None
+
+    def predict(self, post: Posterior, pts: np.ndarray):
+        """Mean and Hermitian variance at one block of query points.
+
+        One triangular solve with L11 and one with L22 give x = L^{-1} [u, v]^H,
+        one column per query point, so that the mean is x^H c and the
+        Hermitian variance k(z, z) - ||x||^2.
+        """
+        u, v = _cross_covariances(post, pts)
+        x = _forward_solve(post.factorization, self.l21, self.l22, u.conj().T, v.conj().T)
+        mean = x.conj().T @ self.coeffs
+        prior = np.real(np.asarray(post.kernel.hermitian_eval(pts, pts)))
+        return mean, np.maximum(prior - np.sum(np.abs(x) ** 2, axis=0), 0.0)
+
+    def complementary(self, post: Posterior, pts: np.ndarray) -> np.ndarray:
+        """kt(z, z) - x^H w at one block, with x and w = L^{-1} [v, u]^T
+        solved side by side."""
+        u, v = _cross_covariances(post, pts)
+        q = u.shape[0]
+        solved = _forward_solve(
+            post.factorization, self.l21, self.l22,
+            np.hstack([u.conj().T, v.T]), np.hstack([v.conj().T, u.T]),
+        )
+        x, w = solved[:, :q], solved[:, q:]
+        prior = np.asarray(post.kernel.complementary_eval(pts, pts), dtype=complex)
+        return prior - np.sum(x.conj() * w, axis=0)
+
+    def sites(self, post: Posterior) -> tuple[np.ndarray, np.ndarray]:
+        """Mean y - s b and variance max(s - s^2 d, 0) at the data sites.
+
+        b = Gamma^{-1} (y; y*)'s top half is two back-substitutions on c.  d
+        is the squared column norms of L22^{-1} (diag P^{-1} = diag S^{-1})
+        when neither L11 nor L22 took jitter; a jitter breaks Gamma's
+        conjugate symmetry, so then d is the exact top-left block,
+        ||L11^{-1} e_i||^2 + ||L22^{-1} L21 L11^{-1} e_i||^2.
+        """
+        shift = post.dataset.noise_var + post.jitter
+        top, bottom = np.split(self.coeffs, 2)
+        lower = scipy.linalg.solve_triangular(self.l22, bottom, lower=True, trans="C", check_finite=False)
+        # L21^H b2 = conj(b2^H L21): no conjugate transpose of the n x n L21
+        top = top - np.conj(np.conj(lower) @ self.l21)
+        solved = scipy.linalg.solve_triangular(post.factorization, top, lower=True, trans="C", check_finite=False)
+        l22_inv = tri_inverse(self.l22)
+        if post.jitter == 0.0 and self.jitter == 0.0:
+            diag = _squared_column_norms(l22_inv)
+        else:
+            l11_inv = tri_inverse(post.factorization)
+            diag = _squared_column_norms(l11_inv) + _squared_column_norms(l22_inv @ (self.l21 @ l11_inv))
+        return post.dataset.responses - shift * solved, np.maximum(shift - shift**2 * diag, 0.0)
+
+
+class _CoefficientFactor(NamedTuple):
+    """The widely linear state in coefficient space (built by
+    ``_coefficient_state``): the posterior of the r real coefficients c of
+    the kernel's terms, f(z) = psi(z) c with c ~ N(0, I), given y = Psi c + e.
+
+    With X = [Re Psi; Im Psi] and the loading s on both real parts (s/2
+    each), the precision is Lambda = I + (2/s) X^T X = L L^T and the mean
+    cbar = Lambda^{-1} (2/s) X^T [Re y; Im y].  For t = L^{-1} psi(z)^T the
+    mean at z is psi(z) cbar = t^T (L^T cbar), the Hermitian variance
+    ||t||^2 and the complementary variance sum t^2: at the sites as at any
+    query point.
+    """
+
+    chol: np.ndarray  # L, the real lower Cholesky factor of Lambda, r x r
+    weights: np.ndarray  # L^T cbar
+    psi: Callable[[np.ndarray], np.ndarray]  # the kernel's terms, z -> Psi
+    site_psi: np.ndarray  # Psi at the data sites, n x r
+    impropriety: float  # lambda_max(P) / lambda_max(A), as on the dense route
+    fallback: bool  # lambda_max(P) at most 1e-14 times lambda_max(A)
+    terms: int  # r
+    tail: float  # the terms' truncation bound (``kernels._Terms.tail``)
+
+    def predict(self, post: Posterior, pts: np.ndarray):
+        return self._moments(self.psi(pts))
+
+    def complementary(self, post: Posterior, pts: np.ndarray) -> np.ndarray:
+        t = self._whitened(self.psi(pts))
+        return np.sum(t * t, axis=0)
+
+    def sites(self, post: Posterior) -> tuple[np.ndarray, np.ndarray]:
+        return self._moments(self.site_psi)
+
+    def _whitened(self, psi: np.ndarray) -> np.ndarray:
+        return scipy.linalg.solve_triangular(self.chol, psi.T, lower=True, check_finite=False)
+
+    def _moments(self, psi: np.ndarray):
+        t = self._whitened(psi)
+        return t.T @ self.weights, _squared_column_norms(t)
+
+
+def _dense_state(post: Posterior) -> _AugmentedFactor:
+    """Factor Gamma from L11: one triangular solve for L21, S, and S's factor.
+
+    S is left unfactored (the widely linear fallback) when its largest
+    eigenvalue is at most 1e-14 times A's; otherwise it is factored with the
+    one jitter retry, or raises ``ConditioningError``.  Both largest
+    eigenvalues come from ``_largest_eigenvalue`` (Lanczos, a few
+    matrix-vector products at K_yy's decaying spectrum), which also gives the
+    impropriety lambda_max(S) / lambda_max(A).  The state keeps the jitter S
+    took, which its site posterior reads.
+    """
+    comp = gram(post.kernel, post.dataset.sites, "complementary")
+    l21_h = scipy.linalg.solve_triangular(post.factorization, comp, lower=True, check_finite=False)
+    l21 = l21_h.conj().T
+    s_mat = np.conj(post.gram_yy) - l21 @ l21_h
+    s_mat = 0.5 * (s_mat + s_mat.conj().T)
+    lam_a, lam_s = (_largest_eigenvalue(mat) for mat in (post.gram_yy, s_mat))
+    if lam_s <= 1e-14 * lam_a:
+        return _AugmentedFactor(l21, s_mat, lam_s / lam_a, None, None, 0.0)
+    l22, jitter = chol_factor_with_jitter(s_mat)
+    responses = post.dataset.responses
+    coeffs = _forward_solve(post.factorization, l21, l22, responses, np.conj(responses))
+    return _AugmentedFactor(l21, s_mat, lam_s / lam_a, l22, coeffs, jitter)
+
+
+def _coefficient_state(post: Posterior, terms: _Terms, site_psi: np.ndarray, shift: float) -> _CoefficientFactor:
+    """The posterior of the coefficients of ``terms`` from Psi at the sites and the loading s.
+
+    With G = Psi^H Psi, X^T X = Re G and X^T [Re y; Im y] = Re(Psi^H y), so
+    every factorization is r x r.  Gamma's Schur complement is
+    P = s I + s Psi (conj(G) + s I)^{-1} Psi^H, so lambda_max(P) = s + s mu,
+    with mu the largest eigenvalue of the pencil (G, conj(G) + s I), and
+    lambda_max(A) = s + lambda_max(G): the impropriety and the fallback test
+    read these two numbers as the dense route reads its Lanczos pair.
+    """
+    r = site_psi.shape[1]
+    psi_h = site_psi.conj().T
+    gram_c = psi_h @ site_psi  # the factorizations below read its lower triangle
+    chol = np.linalg.cholesky(np.eye(r) + (2.0 / shift) * gram_c.real)  # eigenvalues >= 1
+    weights = scipy.linalg.solve_triangular(
+        chol, (2.0 / shift) * (psi_h @ post.dataset.responses).real, lower=True, check_finite=False
+    )
+    lam_g = float(np.linalg.eigvalsh(gram_c)[-1])
+    mu = float(scipy.linalg.eigh(gram_c, np.conj(gram_c) + shift * np.eye(r), eigvals_only=True)[-1])
+    lam_s, lam_a = shift + shift * mu, shift + lam_g
+    return _CoefficientFactor(
+        chol, weights, terms.psi, site_psi, lam_s / lam_a, lam_s <= 1e-14 * lam_a, r, terms.tail
+    )
 
 
 def _forward_solve(l11, l21, l22, top, bottom) -> np.ndarray:
@@ -295,13 +452,15 @@ def schur_P(post: Posterior) -> float:
     """The impropriety ||P||_2 / ||K_yy||_2 of the augmented covariance.
 
     P = A - B (A*)^{-1} B* is the Schur complement of Gamma: Hermitian PSD,
-    with conj(P) = S the block that ``predict_wl`` factors.  Its spectral
-    norm relative to ||K_yy||_2 measures how much the widely linear estimator
-    can improve on the strictly linear one (P = 0 is the maximally improper
-    case: y* is perfectly predictable from y).  The norms are lambda_max(S)
-    and lambda_max(K_yy) by Lanczos, which agree with a dense eigensolver to
-    about 1e-15 relative; a spectrum on which Lanczos does not converge
-    within its step cap takes the dense answer.
+    with conj(P) = S.  Its spectral norm relative to ||K_yy||_2 measures how
+    much the widely linear estimator can improve on the strictly linear one
+    (P = 0 is the maximally improper case: y* is perfectly predictable from
+    y).  On the dense route the norms are lambda_max(S) and lambda_max(K_yy)
+    by Lanczos, which agree with a dense eigensolver to about 1e-15
+    relative (a spectrum on which Lanczos does not converge within its step
+    cap takes the dense answer); in coefficient space they are
+    s + s mu and s + lambda_max(Psi^H Psi) from r x r eigenproblems
+    (``_coefficient_state``).
     """
     return post._augmented.impropriety
 
@@ -309,51 +468,46 @@ def schur_P(post: Posterior) -> float:
 def predict_wl(post: Posterior, z) -> WidelyLinearPrediction:
     """Widely linear posterior at z: mean, Hermitian variance, fallback state.
 
-    ``z`` is a scalar or a 1-D array; an array gives a prediction of arrays.
-    S = conj(P) is factored with one jitter retry, then ``ConditioningError``.
-    When S is numerically zero (largest eigenvalue at most 1e-14 times
-    K_yy's), the strictly linear prediction is returned with
-    ``used_fallback=True``.  The complementary variance is
+    ``z`` is a scalar or a 1-D array; an array gives a prediction of arrays,
+    evaluated in blocks of 64 rows.  The posterior comes from
+    ``Posterior._augmented``: in coefficient space when the kernel has fewer
+    terms than there are sites and the noise is positive, else from Gamma's
+    dense factor, whose S = conj(P) is factored with one jitter retry, then
+    ``ConditioningError``.  When P is numerically zero (largest eigenvalue at
+    most 1e-14 times K_yy's), the strictly linear prediction is returned
+    with ``used_fallback=True``.  The complementary variance is
     ``complementary_var``'s.
     """
     pts, scalar = _query_points(z)
     state = post._augmented
-    fallback = state.l22 is None
-    if fallback:
+    if state.fallback:
         mean, herm_var = predict_sl(post, pts)
     else:
         mean, herm_var = np.empty(pts.size, complex), np.empty(pts.size)
         for start in range(0, pts.size, _WL_BLOCK):
             rows = slice(start, start + _WL_BLOCK)
-            mean[rows], herm_var[rows] = _wl_block(post, state, pts[rows])
+            mean[rows], herm_var[rows] = state.predict(post, pts[rows])
     if scalar:
         mean, herm_var = complex(mean[0]), float(herm_var[0])
-    return WidelyLinearPrediction(mean, herm_var, fallback)
+    return WidelyLinearPrediction(mean, herm_var, state.fallback)
 
 
 def complementary_var(post: Posterior, z):
     """Widely linear complementary error variance E[(g(z) - mean_wl(z))^2] at z.
 
-    It is kt(z, z) - x^H w with x = L^{-1} [u, v]^H and w = L^{-1} [v, u]^T,
-    from the factor of Gamma that ``predict_wl`` uses.  ``z`` is a scalar,
-    which gives a complex, or a 1-D array, which gives an array; it is NaN
-    where ``predict_wl`` falls back to the strictly linear prediction.
+    On the dense route it is kt(z, z) - x^H w with x = L^{-1} [u, v]^H and
+    w = L^{-1} [v, u]^T, from the factor of Gamma that ``predict_wl`` uses;
+    in coefficient space it is sum t^2, t = L^{-1} psi(z)^T.  ``z`` is a
+    scalar, which gives a complex, or a 1-D array, which gives an array; it
+    is NaN where ``predict_wl`` falls back to the strictly linear prediction.
     """
     pts, scalar = _query_points(z)
     state = post._augmented
     comp_var = np.full(pts.size, complex(math.nan, math.nan))
-    if state.l22 is not None:
+    if not state.fallback:
         for start in range(0, pts.size, _WL_BLOCK):
             rows = slice(start, start + _WL_BLOCK)
-            u, v = _cross_covariances(post, pts[rows])
-            q = u.shape[0]
-            solved = _forward_solve(
-                post.factorization, state.l21, state.l22,
-                np.hstack([u.conj().T, v.T]), np.hstack([v.conj().T, u.T]),
-            )
-            x, w = solved[:, :q], solved[:, q:]
-            prior = np.asarray(post.kernel.complementary_eval(pts[rows], pts[rows]), dtype=complex)
-            comp_var[rows] = prior - np.sum(x.conj() * w, axis=0)
+            comp_var[rows] = state.complementary(post, pts[rows])
     return complex(comp_var[0]) if scalar else comp_var
 
 
@@ -374,53 +528,24 @@ def _cross_covariances(post: Posterior, pts: np.ndarray) -> tuple[np.ndarray, np
     return u, v
 
 
-def _wl_block(post: Posterior, state: _AugmentedFactor, pts: np.ndarray):
-    """Widely linear mean and Hermitian variance at one block of query points.
-
-    One triangular solve with L11 and one with L22 give x = L^{-1} [u, v]^H,
-    one column per query point, so that the mean is x^H c and the Hermitian
-    variance k(z, z) - ||x||^2.
-    """
-    u, v = _cross_covariances(post, pts)
-    x = _forward_solve(post.factorization, state.l21, state.l22, u.conj().T, v.conj().T)
-    mean = x.conj().T @ state.coeffs
-    prior = np.real(np.asarray(post.kernel.hermitian_eval(pts, pts)))
-    return mean, np.maximum(prior - np.sum(np.abs(x) ** 2, axis=0), 0.0)
-
-
 def _at_sites(post: Posterior, wide: bool) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and Hermitian variance at the data sites, as
     ``predict_wl`` (``wide``) or ``predict_sl`` give them there, from the
     factors the posterior already holds.
 
-    With s = sigma_e^2 + ``post.jitter``, the mean is y - s b and the variance
-    max(s - s^2 d, 0), where b = Gamma^{-1} (y; y*)'s top half and d =
-    diag(Gamma^{-1})'s top half for the factored Gamma.  The strictly linear
-    estimator, and the widely linear fallback, take b = ``alpha_vec`` and d
-    the squared column norms of L11^{-1}.  The widely linear b is two
-    back-substitutions on c = ``_augmented.coeffs``.  Its d is the squared
-    column norms of L22^{-1} (diag P^{-1} = diag S^{-1}) when neither L11 nor
-    L22 took jitter; a jitter breaks Gamma's conjugate symmetry, so then d is
-    the exact top-left block, ||L11^{-1} e_i||^2 + ||L22^{-1} L21 L11^{-1} e_i||^2.
+    The strictly linear estimator, and the widely linear fallback, give
+    mean y - s b and variance max(s - s^2 d, 0) with s = sigma_e^2 +
+    ``post.jitter``, b = ``alpha_vec`` and d the squared column norms of
+    L11^{-1}.  The widely linear estimator reads its state's ``sites``: the
+    same formula with Gamma^{-1}'s top half on the dense route, and the
+    coefficient posterior at the sites in coefficient space.
     """
-    shift = post.dataset.noise_var + post.jitter
     state = post._augmented if wide else None
-    if state is None or state.l22 is None:
-        solved = post.alpha_vec
-        diag = _squared_column_norms(tri_inverse(post.factorization))
-    else:
-        top, bottom = np.split(state.coeffs, 2)
-        lower = scipy.linalg.solve_triangular(state.l22, bottom, lower=True, trans="C", check_finite=False)
-        # L21^H b2 = conj(b2^H L21): no conjugate transpose of the n x n L21
-        top = top - np.conj(np.conj(lower) @ state.l21)
-        solved = scipy.linalg.solve_triangular(post.factorization, top, lower=True, trans="C", check_finite=False)
-        l22_inv = tri_inverse(state.l22)
-        if post.jitter == 0.0 and state.jitter == 0.0:
-            diag = _squared_column_norms(l22_inv)
-        else:
-            l11_inv = tri_inverse(post.factorization)
-            diag = _squared_column_norms(l11_inv) + _squared_column_norms(l22_inv @ (state.l21 @ l11_inv))
-    return post.dataset.responses - shift * solved, np.maximum(shift - shift**2 * diag, 0.0)
+    if state is not None and not state.fallback:
+        return state.sites(post)
+    shift = post.dataset.noise_var + post.jitter
+    diag = _squared_column_norms(tri_inverse(post.factorization))
+    return post.dataset.responses - shift * post.alpha_vec, np.maximum(shift - shift**2 * diag, 0.0)
 
 
 def _squared_column_norms(mat: np.ndarray) -> np.ndarray:

@@ -965,6 +965,31 @@ class TestIdentifyPipeline:
         assert "wl_fallback" in summary
         assert "impropriety" in summary
         assert 0.0 <= summary["impropriety"]
+        # geometric(0.5) has 52 terms against 5 sites: the dense route
+        assert summary["wl_terms"] is None and summary["wl_terms_tail"] is None
+
+    def test_summary_names_the_widely_linear_route(self, tmp_path):
+        """Where ``impropriety`` is written, ``wl_terms`` and
+        ``wl_terms_tail`` say which route the widely linear state took: the
+        term count and their truncation bound in coefficient space (cozine's
+        two exact terms against 5 sites), null on the dense route; a strict
+        run without the diagnostic writes none of the three."""
+        cozine = {"name": "cozine", "params": {"a": 0.5, "omega0": 1.0}}
+        runs = {
+            "wide": ({"estimator": "wide"}, (2, 0.0)),
+            "diagnostic": ({"diagnostics": {"impropriety": True}}, (2, 0.0)),
+            "strict": ({}, None),
+        }
+        for name, (overrides, route) in runs.items():
+            out = tmp_path / name
+            cfg = identify_config(out, kernel=cozine, **overrides)
+            assert cli.main(["identify", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            if route is None:
+                assert not {"impropriety", "wl_terms", "wl_terms_tail"} & set(summary)
+            else:
+                assert (summary["wl_terms"], summary["wl_terms_tail"]) == route
+                assert 0.0 < summary["impropriety"] <= 1.0
 
     def test_wide_bounds_are_credible_disks(self, tmp_path, monkeypatch):
         """On the wide estimator, each row's bound columns are ``ellipsoid``

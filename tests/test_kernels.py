@@ -254,7 +254,7 @@ class TestGram:
             gram(geometric_kernel(0.5), spiral_points(4), "complementary", noise_var=0.1)
 
     def test_rejects_interior_points(self):
-        with pytest.raises(ValueError, match="inside"):
+        with pytest.raises(ValueError, match=r"at index 1 lies outside the kernel domain"):
             gram(geometric_kernel(0.5), np.array([2.0, 0.5 + 0.1j]))
 
     def test_rejects_unknown_part(self):

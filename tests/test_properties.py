@@ -13,7 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hinfgp.kernels import KernelFamily, exponential_kernel, from_config, geometric_kernel, gram
-from hinfgp.regression import FrequencyDataset, _at_sites, complementary_var, fit, predict_sl, predict_wl
+from hinfgp import regression
+from hinfgp.regression import (
+    FrequencyDataset, _at_sites, complementary_var, fit, predict_sl, predict_wl, schur_P,
+)
 from hinfgp.sampling import sample_cozine_batch, sample_stationary_batch
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
@@ -50,13 +53,26 @@ def conjugate_symmetric_kernels(draw):
 
 
 @st.composite
+def stationary_lists(draw):
+    """A ``stationary_list`` kernel of one to four coefficients a_n^2."""
+    coefficients = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    return from_config({"name": "stationary_list", "params": {"coefficients": coefficients}})
+
+
+# every family a run can identify with: the widely linear state of those with
+# fewer terms than sites (cozine, short lists) is built in coefficient space
+identify_kernels = st.one_of(conjugate_symmetric_kernels(), stationary_lists())
+
+
+@st.composite
 def noisy_posteriors(draw):
-    """A geometric-prior posterior on up to 8 exterior sites with proper noise."""
+    """A posterior on up to 8 exterior sites with proper noise, under any
+    prior ``identify`` accepts, so that both widely linear routes are drawn."""
     sites = draw(exterior_points(max_size=8))
     parts = draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * sites.size, max_size=2 * sites.size))
     responses = np.asarray(parts[::2]) + 1j * np.asarray(parts[1::2])
     noise_var = draw(st.floats(0.01, 0.5))
-    return fit(geometric_kernel(draw(alphas)), FrequencyDataset(sites, responses, noise_var))
+    return fit(draw(identify_kernels), FrequencyDataset(sites, responses, noise_var))
 
 
 @PROPERTY_SETTINGS
@@ -74,6 +90,55 @@ def test_variance_is_conjugate_symmetric(kernel, pts):
     direct = np.asarray(kernel.hermitian_eval(pts, pts))
     mirrored = np.asarray(kernel.hermitian_eval(np.conj(pts), np.conj(pts)))
     np.testing.assert_allclose(mirrored, direct, rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(kernel=identify_kernels, pts=exterior_points())
+def test_terms_reproduce_both_covariances(kernel, pts):
+    """A family's terms give k = Psi Psi^H and kt = Psi Psi^T at exterior
+    points, within their tail bound plus rounding (1e-12 of the largest
+    prior variance, which bounds |k| and |kt| there)."""
+    terms = kernel._terms
+    assume(terms is not None)  # a geometric alpha above about 0.93 keeps none
+    psi = terms.psi(pts)
+    z, w = pts[:, None], pts[None, :]
+    scale = max(1.0, float(np.max(np.real(kernel.hermitian_eval(pts, pts)))))
+    tol = terms.tail + 1e-12 * scale
+    assert np.max(np.abs(psi @ psi.conj().T - kernel.hermitian_eval(z, w))) <= tol
+    assert np.max(np.abs(psi @ psi.T - kernel.complementary_eval(z, w))) <= tol
+
+
+@PROPERTY_SETTINGS
+@given(post=noisy_posteriors(), queries=exterior_points(max_size=10))
+def test_coefficient_route_matches_the_dense_route(post, queries):
+    """Where the widely linear state is built in coefficient space, it
+    agrees with the dense factor of Gamma within the stated tolerances, at
+    the queries and at the data sites: means within 1e-10 of the largest
+    |mean|, Hermitian variances within 1e-8 relative, complementary
+    variances within 1e-8 of the largest, impropriety within 1e-11
+    relative.  Each adds a rounding floor of 1e-14 of the problem's scale
+    (max(1, |y|) for the means; the largest prior variance plus the noise
+    for the variances), which binds only where a figure is itself at
+    rounding level: a zero prior or zero data, where the coefficient route
+    gives an exact 0 and the dense one eps-sized residues."""
+    assume(isinstance(post._augmented, regression._CoefficientFactor))
+    dense = fit(post.kernel, post.dataset)
+    dense.__dict__["_augmented"] = regression._dense_state(dense)
+    data = post.dataset
+    points = np.concatenate([data.sites, queries])
+    mean_floor = 1e-14 * max(1.0, float(np.max(np.abs(data.responses))))
+    var_floor = 1e-14 * (float(np.max(np.real(post.kernel.hermitian_eval(points, points)))) + data.noise_var)
+    got, want = predict_wl(post, queries), predict_wl(dense, queries)
+    assert got.used_fallback == want.used_fallback is False
+    for (mean, var), (mean_d, var_d) in (
+        ((got.mean, got.hermitian_var), (want.mean, want.hermitian_var)),
+        (_at_sites(post, True), _at_sites(dense, True)),
+    ):
+        assert np.max(np.abs(mean - mean_d)) <= 1e-10 * np.max(np.abs(mean_d)) + mean_floor
+        assert np.all(np.abs(var - var_d) <= 1e-8 * var_d + var_floor)
+    comp, comp_d = complementary_var(post, queries), complementary_var(dense, queries)
+    assert np.max(np.abs(comp - comp_d)) <= 1e-8 * np.max(np.abs(comp_d)) + var_floor
+    assert abs(schur_P(post) - schur_P(dense)) <= 1e-11 * schur_P(dense)
 
 
 @PROPERTY_SETTINGS
@@ -117,11 +182,11 @@ def test_interior_points_raise(post, pts, inner, angle, slot):
     """One point with |z| < 1 among exterior ones is rejected by Gram assembly
     and by both predictors."""
     pts = np.insert(pts, min(slot, pts.size), inner * np.exp(1j * angle))
-    with pytest.raises(ValueError, match="inside the kernel domain"):
+    with pytest.raises(ValueError, match=f"at index {min(slot, pts.size - 1)} lies outside the kernel domain"):
         gram(post.kernel, pts)
-    with pytest.raises(ValueError, match="inside the kernel domain"):
+    with pytest.raises(ValueError, match=f"at index {min(slot, pts.size - 1)} lies outside the kernel domain"):
         predict_sl(post, pts)
-    with pytest.raises(ValueError, match="inside the kernel domain"):
+    with pytest.raises(ValueError, match=f"at index {min(slot, pts.size - 1)} lies outside the kernel domain"):
         predict_wl(post, pts)
 
 
@@ -171,17 +236,19 @@ def test_site_posterior_interpolates_exactly_at_zero_noise(alpha, sites, data):
 def test_site_posterior_matches_the_predictors(post):
     """The posterior read at the data sites from the factors equals
     ``predict_sl``'s and ``predict_wl``'s there, within 100 cond eps:
-    relative to max(1, max |y|) for the means and to the largest prior
-    variance k(z_i, z_i) for the variances, with the condition number of the
-    matrix each estimator solves with (K_yy, or Gamma for the widely linear
-    one).  Both sides subtract nearly equal numbers (y - s b against x^H c,
-    s - s^2 d against k - ||x||^2), so the rounding they differ by grows with
-    it: a real site with y = j gives a widely linear mean of 0 from |y| = 1."""
+    relative to max(1, max |y|) for the means and to the larger of the
+    largest prior variance k(z_i, z_i) and the noise s for the variances,
+    with the condition number of the matrix each estimator solves with
+    (K_yy, or Gamma for the widely linear one).  Both sides subtract nearly
+    equal numbers (y - s b against x^H c, s - s^2 d against k - ||x||^2), so
+    the rounding they differ by grows with it: a real site with y = j gives
+    a widely linear mean of 0 from |y| = 1, and a zero prior a variance of
+    eps s from s - s^2 d."""
     sites, responses = post.dataset.sites, post.dataset.responses
     comp = gram(post.kernel, sites, "complementary")
     gamma = np.block([[post.gram_yy, comp], [comp.conj().T, post.gram_yy.conj()]])
     mean_scale = max(1.0, float(np.max(np.abs(responses))))
-    var_scale = float(np.max(np.real(post.kernel.hermitian_eval(sites, sites))))
+    var_scale = max(float(np.max(np.real(post.kernel.hermitian_eval(sites, sites)))), post.dataset.noise_var)
     sl_means, sl_vars = predict_sl(post, sites)
     wl = predict_wl(post, sites)
     for wide, solved, means, variances in (

@@ -58,6 +58,14 @@ def augmented_solve(kernel, data, z):
     return mean, var, comp
 
 
+def dense_posterior(kernel, data):
+    """``fit``'s posterior with its widely linear state built on the dense
+    route (``regression._dense_state``), whatever terms the kernel has."""
+    post = fit(kernel, data)
+    post.__dict__["_augmented"] = regression._dense_state(post)
+    return post
+
+
 # The resonant mixture at the former Nelder-Mead optimum of
 # configs/resonant.json: the values perfbench's identify-wide fixes
 # (TUNED_RESONANT); today's tuned values are test_acceptance.GOLDEN_TUNED.
@@ -243,7 +251,7 @@ class TestStrictlyLinear:
 
     def test_query_inside_domain_rejected(self):
         post = fit(geometric_kernel(0.5), FrequencyDataset(np.array([2.0]), np.array([1.0 + 0j])))
-        with pytest.raises(ValueError, match="inside"):
+        with pytest.raises(ValueError, match="at index 0 lies outside the kernel domain"):
             predict_sl(post, 0.5)
         with pytest.raises(ValueError, match="domain"):
             predict_sl(post, np.array([2.0, 0.5]))
@@ -558,11 +566,12 @@ class TestSitePosterior:
         assert np.max(np.abs(l22_only - ref_vars)) >= 0.5 * np.max(ref_vars)
 
     def test_l22_inverse_alone_without_jitter(self, wide_shape, monkeypatch):
-        """Without jitter the widely linear variance takes one triangular
-        inverse, L22's, and still agrees with ``predict_wl`` at the 400 sites
-        of the identify-wide shape; a jittered posterior inverts L11 too."""
+        """Without jitter the dense route's widely linear variance takes one
+        triangular inverse, L22's, and still agrees with ``predict_wl`` at
+        the 400 sites of the identify-wide shape; a jittered posterior
+        inverts L11 too."""
         data, kernel = wide_shape
-        post = fit(kernel, data)
+        post = dense_posterior(kernel, data)
         assert post.jitter == 0.0 and post._augmented.jitter == 0.0
         inverted = []
         real_inverse = regression.tri_inverse
@@ -641,6 +650,99 @@ def wide_shape():
     noise = 0.02 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
     response = make_resonant_system(20.0 * math.pi, 0.1, 100.0).freq_response(freqs) + noise
     return FrequencyDataset(np.exp(1j * freqs), response, 0.0012), KernelFamily.from_config(TUNED_MIXTURE)({})
+
+
+WIDE_GRID = np.exp(1j * math.pi * (np.arange(512) + 1.0) / 513.0)  # run_identify's prediction grid
+
+
+class TestCoefficientRoute:
+    """The widely linear state in coefficient space (``_CoefficientFactor``),
+    taken when the kernel has fewer terms than there are sites and the
+    loading is positive, against the dense factor of Gamma."""
+
+    def test_wide_shape_takes_the_coefficient_route(self, wide_shape, monkeypatch):
+        """At the identify-wide shape (r = 10 terms, n = 400 sites) the
+        public path solves only with the r x r factor: on the grid, for the
+        complementary variance, the impropriety and the site posterior.  No
+        complementary Gram, Lanczos run or triangular inverse is formed."""
+        data, kernel = wide_shape
+        post = fit(kernel, data)
+        orders = []
+        real_solve = scipy.linalg.solve_triangular
+
+        def recording_solve(a, b, **kwargs):
+            orders.append(a.shape[0])
+            return real_solve(a, b, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense widely linear work")
+
+        monkeypatch.setattr(regression.scipy.linalg, "solve_triangular", recording_solve)
+        for name in ("gram", "tri_inverse", "_largest_eigenvalue"):
+            monkeypatch.setattr(regression, name, refuse)
+        assert not predict_wl(post, WIDE_GRID).used_fallback
+        complementary_var(post, WIDE_GRID)
+        schur_P(post)
+        regression._at_sites(post, True)
+        state = post._augmented
+        assert isinstance(state, regression._CoefficientFactor)
+        assert state.terms == 10 and 0.0 < state.tail < 1e-16
+        assert orders and set(orders) == {10}
+
+    def test_agrees_with_the_dense_route_at_the_wide_shape(self, wide_shape):
+        """The stated tolerances, on the 512-point grid and at the 400 sites:
+        means within 1e-10 of the largest |mean|, Hermitian variances within
+        1e-8 relative, complementary variances within 1e-8 of the largest,
+        and the impropriety within 1e-11 relative."""
+        data, kernel = wide_shape
+        post, dense = fit(kernel, data), dense_posterior(kernel, data)
+        assert isinstance(post._augmented, regression._CoefficientFactor)
+        got, want = predict_wl(post, WIDE_GRID), predict_wl(dense, WIDE_GRID)
+        assert not got.used_fallback and not want.used_fallback
+        pairs = [(got.mean, got.hermitian_var, want.mean, want.hermitian_var)]
+        pairs.append((*regression._at_sites(post, True), *regression._at_sites(dense, True)))
+        for mean, var, mean_d, var_d in pairs:
+            assert np.max(np.abs(mean - mean_d)) <= 1e-10 * np.max(np.abs(mean_d))
+            assert np.all(np.abs(var - var_d) <= 1e-8 * var_d)
+        comp, comp_d = complementary_var(post, WIDE_GRID), complementary_var(dense, WIDE_GRID)
+        assert np.max(np.abs(comp - comp_d)) <= 1e-8 * np.max(np.abs(comp_d))
+        assert abs(schur_P(post) - schur_P(dense)) <= 1e-11 * schur_P(dense)
+
+    def test_route_rule(self):
+        """Terms, r < n and a positive loading take the coefficient route;
+        a kernel built by hand, r >= n, a series too long to expand and a
+        zero loading take the dense factor."""
+        sites = np.exp(1j * np.linspace(0.3, 2.8, 6))
+        y = np.linspace(1.0, 2.0, 6) + 0.5j
+        noisy = FrequencyDataset(sites, y, 0.05)
+        cozine = cozine_kernel(0.6, 1.1)
+        assert isinstance(fit(cozine, noisy)._augmented, regression._CoefficientFactor)
+        raw = ComplexKernel(cozine.hermitian_eval, cozine.complementary_eval)
+        long_series = geometric_kernel(0.95)
+        assert long_series._terms is None
+        two_sites = FrequencyDataset(sites[:2], y[:2], 0.05)
+        for post in (fit(raw, noisy), fit(long_series, noisy), fit(cozine, two_sites)):
+            assert isinstance(post._augmented, regression._AugmentedFactor)
+        # a posterior with sigma^2 = 0 and no jitter: s = 0
+        unloaded = fit(cozine, noisy)
+        unloaded.dataset = FrequencyDataset(sites, y, 0.0)
+        assert unloaded.jitter == 0.0 and isinstance(unloaded._augmented, regression._AugmentedFactor)
+
+    def test_fallback_decided_as_on_the_dense_route(self):
+        """Real sites at a loading of 1e-14: lambda_max(P) is about 2s, below
+        1e-14 lambda_max(A), and both routes fall back to the strictly linear
+        prediction, with impropriety within 2 % of each other."""
+        data = FrequencyDataset(np.array([2.0, 3.0, 5.0, 1.5, 1.2]), np.array([1.0, 0.5, 0.2, 0.1, 0.3]) + 0j, 1e-14)
+        kernel = cozine_kernel(0.6, 1.1)
+        post, dense = fit(kernel, data), dense_posterior(kernel, data)
+        assert post.jitter == 0.0 and isinstance(post._augmented, regression._CoefficientFactor)
+        assert post._augmented.fallback and dense._augmented.fallback
+        assert schur_P(post) == pytest.approx(schur_P(dense), rel=0.02)
+        pred = predict_wl(post, 2.5)
+        assert pred.used_fallback and (pred.mean, pred.hermitian_var) == predict_sl(post, 2.5)
+        assert math.isnan(complementary_var(post, 2.5).real)
+        strict = regression._at_sites(post, False)
+        assert all(np.array_equal(a, b) for a, b in zip(regression._at_sites(post, True), strict))
 
 
 class TestNonFiniteQueries:
@@ -732,10 +834,11 @@ class TestLargestEigenvalue:
             assert (lam_s <= 1e-14 * lam_a) == (factor < 1.0)
 
     def test_wide_shape_takes_no_dense_eigensolve(self, wide_shape, monkeypatch):
-        """At the identify-wide shape both A and S converge, and the
-        impropriety stays within 1e-12 of the dense eigensolver's ratio."""
+        """On the dense route at the identify-wide shape both A and S
+        converge, and the impropriety stays within 1e-12 of the dense
+        eigensolver's ratio."""
         data, kernel = wide_shape
-        post = fit(kernel, data)
+        post = dense_posterior(kernel, data)
         state = post._augmented
         expected = _dense_largest(state.s_mat) / _dense_largest(post.gram_yy)
 
@@ -743,7 +846,7 @@ class TestLargestEigenvalue:
             raise AssertionError("dense eigensolve")
 
         monkeypatch.setattr(scipy.linalg, "eigvalsh", refuse)
-        impropriety = schur_P(fit(kernel, data))
+        impropriety = schur_P(dense_posterior(kernel, data))
         assert abs(impropriety - expected) <= 1e-12 * expected
 
 

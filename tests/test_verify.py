@@ -430,7 +430,7 @@ class TestSymmetry:
     )
     def test_grid_inside_unit_disk_rejected(self, grid):
         """Reports hold only on the kernel domain |z| >= 1, checked as for regression sites."""
-        with pytest.raises(ValueError, match="lies inside the kernel domain"):
+        with pytest.raises(ValueError, match="lies outside the kernel domain"):
             symmetry_test(geometric_kernel(0.5), grid)
 
     def test_record_reports_grid_size(self):
