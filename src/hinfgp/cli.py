@@ -294,17 +294,13 @@ def _verify_record(
     """
     grid = dense_spiral(grid_count, r_lo, r_hi)
     sym = symmetry_test(kernel, grid)
-    real_part, imag_part = driscoll_parts(kernel, n_max)
     return {
         "symmetry": {
             **sym.to_record(),
             "tol": tol,
             "passed": max(sym.max_err_diag, sym.max_err_cross) < tol * max(1.0, sym.scale),
         },
-        "driscoll": {
-            "real_part": real_part.to_record(),
-            "imag_part": imag_part.to_record(),
-        },
+        "driscoll": driscoll_parts(kernel, n_max).to_record(),
     }
 
 

@@ -28,15 +28,18 @@ and ``KernelFamily``: a config record parsed once into a map from tunable
 hyperparameters to kernels, which binds to fixed sites for repeated Gram
 evaluation.
 
-Every family but ``h2`` and a circular one is also a sum of terms with real
-coefficients, f(z) = sum_j c_j psi_j(z) with c_j i.i.d. N(0, 1), so that
+Every family but ``h2`` is also a sum of terms with real coefficients,
+f(z) = sum_j c_j psi_j(z) with c_j i.i.d. N(0, 1), so that
 k(z, w) = Psi(z) Psi(w)^H and kt(z, w) = Psi(z) Psi(w)^T.  A kernel from a
 family carries these terms (``ComplexKernel._terms``): a_n z^{-n} for the
 stationary families, with a_n from their law in ``hinfgp.sampling``, cut
 where the tail of sum_n a_n^2 falls to float eps of the sum (exact for a
 list); cozine's two rational terms, exactly; a mixture's members' terms
-scaled by sqrt(w).  ``hinfgp.regression`` reads them to build the widely
-linear posterior in coefficient space.
+scaled by sqrt(w).  A circular family keeps the terms of k and marks them
+``circular``, since its kt is zero.  ``hinfgp.verify`` reads the terms for
+the Driscoll traces, and ``hinfgp.regression`` reads those of a
+non-circular kernel to build the widely linear posterior in coefficient
+space.
 """
 
 from __future__ import annotations
@@ -85,8 +88,7 @@ class ComplexKernel:
 
     ``_terms`` is the kernel's finite expansion in real-coefficient terms
     (:class:`_Terms`), set by :class:`KernelFamily` for the families that
-    have one; ``None`` for ``h2``, a circular family and a kernel built by
-    hand.
+    have one; ``None`` for ``h2`` and a kernel built by hand.
     """
 
     hermitian_eval: KernelFn
@@ -102,11 +104,13 @@ class _Terms(NamedTuple):
     ``psi`` maps q points to the q x r matrix Psi.  ``tail`` bounds
     |k - Psi Psi^H| and |kt - Psi Psi^T| over |z|, |w| >= 1: the sum of the
     a_n^2 a truncated series leaves out (|z^{-n}| <= 1 there), 0.0 for an
-    exact expansion.
+    exact expansion.  ``circular`` marks the terms of a circular kernel:
+    they give k = Psi Psi^H alone, and its kt is zero.
     """
 
     psi: Callable[[np.ndarray], np.ndarray]
     tail: float
+    circular: bool = False
 
 
 # Each family's covariance is written once, as a function of the site arrays
@@ -531,9 +535,11 @@ class KernelFamily:
         def comp(z, w):
             return herm(z, np.conj(w))
 
+        terms = self._expansion(values)
         if self.circular:
-            return ComplexKernel(herm, _zero_complementary)
-        return ComplexKernel(herm, comp, self._expansion(values))
+            circular = None if terms is None else terms._replace(circular=True)
+            return ComplexKernel(herm, _zero_complementary, circular)
+        return ComplexKernel(herm, comp, terms)
 
     def _expansion(self, values: Mapping[str, float]) -> _Terms | None:
         """This node's terms at the hyperparameters ``values`` (:class:`_Terms`),

@@ -156,8 +156,8 @@ class Posterior:
     def _augmented(self) -> _AugmentedFactor | _CoefficientFactor:
         """The widely linear state, built on first use by one of two routes.
 
-        When the kernel has a term expansion (``kernels._Terms``) with fewer
-        terms r than there are sites and the loading s = sigma_e^2 +
+        When the kernel has a non-circular term expansion (``kernels._Terms``)
+        with fewer terms r than there are sites and the loading s = sigma_e^2 +
         ``jitter`` is positive, the posterior is Bayesian linear regression
         on the r coefficients (``_coefficient_state``), r x r work; else it
         is Gamma's dense blockwise factor (``_dense_state``).  Both states
@@ -167,7 +167,7 @@ class Posterior:
         """
         shift = self.dataset.noise_var + self.jitter
         terms = self.kernel._terms
-        psi = None if terms is None else terms.psi(self.dataset.sites)
+        psi = None if terms is None or terms.circular else terms.psi(self.dataset.sites)
         if psi is not None and psi.shape[1] < len(self.dataset) and shift > 0.0:
             return _coefficient_state(self, terms, psi, shift)
         return _dense_state(self)
@@ -652,6 +652,23 @@ class _BudgetSpent(Exception):
     """Raised by the tuner's objective to end a start whose share is spent."""
 
 
+def _peak_start(names, domains, start: np.ndarray, data: FrequencyDataset) -> np.ndarray | None:
+    """``start`` with every tunable ``omega0`` at the angle of the site with
+    the largest |response|, in unconstrained coordinates; None when no path
+    is an omega0 or the angle lies on the domain's boundary."""
+    slots = [i for i, name in enumerate(names) if name.rsplit(".", 1)[-1] == "omega0"]
+    if not slots:
+        return None
+    angle = float(np.angle(data.sites[np.argmax(np.abs(data.responses))]))
+    peak = start.copy()
+    try:
+        for i in slots:
+            peak[i] = domains[i].to_unconstrained(angle)
+    except ValueError:
+        return None
+    return peak
+
+
 def optimize_hyperparameters(
     family: KernelFamily,
     data: FrequencyDataset,
@@ -665,10 +682,14 @@ def optimize_hyperparameters(
     (``family.unconstrained_start()``, whose ``ValueError`` names a path
     that starts on its range's boundary).  The search runs in unconstrained
     coordinates, with the gradient chained through the domains' maps (whose
-    slope is 0 beyond their clamps).  It runs from the starting point plus 4
-    jittered restarts (Philox stream keyed by ``seed``, unit-scale jitter in
-    unconstrained coordinates), splitting a total ``budget`` of likelihood
-    evaluations across the starts; each evaluation gives the likelihood and
+    slope is 0 beyond their clamps).  It runs from five starts, splitting a
+    total ``budget`` of likelihood evaluations across them: the starting
+    point, then 4 jittered restarts (Philox stream keyed by ``seed``,
+    unit-scale jitter in unconstrained coordinates).  When a tunable path
+    ends in ``omega0``, the last start is instead the starting point with
+    every such omega0 at the angle of the data site with the largest
+    |response| (the ETFE's resonance peak), unless that angle is 0 or pi,
+    which its domain cannot map.  Each evaluation gives the likelihood and
     its gradient, and a -inf one counts too.  ``budget=1`` evaluates and
     returns the starting values.  Returns the best {path: value} map and its
     likelihood; raises if every evaluation is -inf.  The family is bound to
@@ -708,6 +729,9 @@ def optimize_hyperparameters(
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     starts = [start] + [start + rng.standard_normal(start.size) for _ in range(4)]
+    peak = _peak_start(names, domains, start, data)
+    if peak is not None:
+        starts[-1] = peak
     share = max(1, (budget - 1) // len(starts))
     for point in starts:
         if evals >= budget:

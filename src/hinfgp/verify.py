@@ -19,7 +19,10 @@ real or imaginary part of the process (see
 :func:`hinfgp.kernels.real_imag_kernels`); ``driscoll_parts`` probes both parts
 of a complex kernel with one H2 factorization.  Gram matrices are assembled from the
 real part of the kernel values, matching the realified-space construction in
-which both K_n and R_n are real symmetric matrices.
+which both K_n and R_n are real symmetric matrices.  A kernel with a term
+expansion (``hinfgp.kernels._Terms``, k = Psi Psi^H, kt = Psi Psi^T) needs no
+candidate Gram: each part's is A A^T for a real matrix A of 2r or fewer
+columns, and one triangular solve with A gives every trace.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from ._linalg import _finite, chol_factor_with_jitter
 from .kernels import ComplexKernel, _check_sites, _part_values, h2_kernel
 
 __all__ = [
+    "DriscollParts",
     "DriscollReport",
     "SymmetryReport",
     "dense_spiral",
@@ -110,8 +114,9 @@ def _real_gram(k_real: Callable, points: np.ndarray) -> np.ndarray:
     return np.real(np.asarray(k_real(z, w)))
 
 
-def _h2_probe(n_max: int, points: Sequence[complex] | None) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``n_max`` probe points and the lower factor of their H2 Gram R_{n_max}."""
+def _h2_probe(n_max: int, points: Sequence[complex] | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The first ``n_max`` probe points, the lower factor of their H2 Gram
+    R_{n_max} and the jitter its factorization added (0.0 when none)."""
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max must be >= {MIN_N_MAX}, got {n_max}")
     if points is None:
@@ -126,8 +131,8 @@ def _h2_probe(n_max: int, points: Sequence[complex] | None) -> tuple[np.ndarray,
     _check_sites(pts)
     if np.unique(pts).size < n_max:
         raise ValueError("points must be distinct: duplicate points give a singular H2 Gram")
-    factor, _ = chol_factor_with_jitter(_real_gram(h2_kernel, pts), rel_jitter=1e-12)
-    return pts, factor
+    factor, jitter = chol_factor_with_jitter(_real_gram(h2_kernel, pts), rel_jitter=1e-12)
+    return pts, factor, jitter
 
 
 def _report(factor: np.ndarray, k_gram: np.ndarray) -> DriscollReport:
@@ -139,8 +144,13 @@ def _report(factor: np.ndarray, k_gram: np.ndarray) -> DriscollReport:
     """
     half = scipy.linalg.solve_triangular(factor, _finite(k_gram), lower=True, check_finite=False)
     congruent = scipy.linalg.solve_triangular(factor, half.T, lower=True, check_finite=False)
-    cumulative = np.cumsum(np.diag(congruent))
-    n_values = list(range(10, k_gram.shape[0] + 1, 10))
+    return _classify(np.cumsum(np.diag(congruent)))
+
+
+def _classify(cumulative: np.ndarray) -> DriscollReport:
+    """The report of the cumulative traces ``cumulative[n - 1]`` at n = 10, 20,
+    ..., read by the tail rule of ``driscoll_test``."""
+    n_values = list(range(10, cumulative.size + 1, 10))
     traces = [float(cumulative[n - 1]) for n in n_values]
 
     tail = max(2, math.ceil(len(n_values) / 3))
@@ -193,26 +203,75 @@ def driscoll_test(
     ``converging`` when the spread of that tail is at most 1e-3 of
     max(1, |last trace|), else ``inconclusive``.
     """
-    pts, factor = _h2_probe(n_max, points)
+    pts, factor, _ = _h2_probe(n_max, points)
     return _report(factor, _real_gram(k_real, pts))
 
 
-def driscoll_parts(kernel: ComplexKernel, n_max: int) -> tuple[DriscollReport, DriscollReport]:
+@dataclass(frozen=True)
+class DriscollParts:
+    """The Driscoll reports of both real parts of a complex kernel and the
+    route that computed them: ``terms`` is the number r of the kernel's terms
+    (None on the dense route), ``terms_tail`` their truncation bound (0.0 for
+    an exact expansion, None on the dense route) and ``h2_jitter`` what the
+    factorization of R_{n_max} added to its diagonal (0.0 when nothing)."""
+
+    real_part: DriscollReport
+    imag_part: DriscollReport
+    terms: int | None
+    terms_tail: float | None
+    h2_jitter: float
+
+    def to_record(self) -> dict:
+        return {
+            "real_part": self.real_part.to_record(),
+            "imag_part": self.imag_part.to_record(),
+            "terms": self.terms,
+            "terms_tail": self.terms_tail,
+            "h2_jitter": self.h2_jitter,
+        }
+
+
+def driscoll_parts(kernel: ComplexKernel, n_max: int) -> DriscollParts:
     """``driscoll_test`` of both real parts of a complex kernel, sharing their work.
 
-    Returns the reports of k_r = Re{k + kt}/2 and k_i = Re{k - kt}/2 (see
-    :func:`hinfgp.kernels.real_imag_kernels`), equal to two ``driscoll_test``
-    calls with their default points.  Both parts are measured against the
-    same R_{n_max} on the same points, so it is built and factored once, and
-    k and kt are evaluated once.
+    Gives the reports of k_r = Re{k + kt}/2 and k_i = Re{k - kt}/2 (see
+    :func:`hinfgp.kernels.real_imag_kernels`) on ``driscoll_test``'s default
+    points.  Both parts are measured against the same R_{n_max} = L L^T, so
+    it is built and factored once.
+
+    A kernel without terms (``h2``, one built by hand) takes the dense route:
+    k and kt are evaluated once, and the reports equal two ``driscoll_test``
+    calls bit for bit.  A kernel with terms (``kernel._terms``, Psi = P + jQ
+    at the points) takes the terms route: k_r's Gram is P P^T and k_i's is
+    Q Q^T, or (P P^T + Q Q^T)/2 for both parts of a circular kernel, whose kt
+    is zero.  The trace at n is the sum over rows m < n of the squared row
+    norms of L^{-1} P (or Q), as L_n is L's leading block, so one triangular
+    solve with the n_max x 2r matrix [P, Q] gives every trace of both parts.
+    It differs from the dense route by rounding (within 1e-8 relative at
+    ``n_max`` 230), and it keeps its accuracy where cond(R) nears 1e16: at
+    ``n_max`` 400 it meets the limits sum a_n^2 to about 1e-11, where the
+    dense route misses them by up to 3e-3.  A truncated series moves each
+    trace by at most its tail (``_Terms.tail``).
     """
-    pts, factor = _h2_probe(n_max, None)
-    z, w = pts[:, None], pts[None, :]
-    herm, comp = kernel.hermitian_eval(z, w), kernel.complementary_eval(z, w)
-    return (
-        _report(factor, _part_values(herm, comp, imag=False)),
-        _report(factor, _part_values(herm, comp, imag=True)),
+    pts, factor, jitter = _h2_probe(n_max, None)
+    terms = kernel._terms
+    if terms is None:
+        z, w = pts[:, None], pts[None, :]
+        herm, comp = kernel.hermitian_eval(z, w), kernel.complementary_eval(z, w)
+        real_part = _report(factor, _part_values(herm, comp, imag=False))
+        imag_part = _report(factor, _part_values(herm, comp, imag=True))
+        return DriscollParts(real_part, imag_part, None, None, jitter)
+    psi = terms.psi(pts)
+    r = psi.shape[1]
+    # the H2 Gram was scanned when it was factored and the terms are here
+    solved = scipy.linalg.solve_triangular(
+        factor, _finite(np.hstack([psi.real, psi.imag])), lower=True, check_finite=False
     )
+    squares = solved * solved
+    real_rows, imag_rows = squares[:, :r].sum(axis=1), squares[:, r:].sum(axis=1)
+    if terms.circular:
+        real_rows = imag_rows = 0.5 * (real_rows + imag_rows)
+    return DriscollParts(_classify(np.cumsum(real_rows)), _classify(np.cumsum(imag_rows)), r, terms.tail, jitter)
 
 
 def symmetry_test(kernel: ComplexKernel, grid: Sequence[complex]) -> SymmetryReport:

@@ -492,6 +492,31 @@ def test_drawn_resonant_plant_meets_the_error_bound(tmp_path, seed, omega0, xi):
     assert summary["median_rel_error"] < 0.1
 
 
+@pytest.mark.parametrize(
+    "seed, omega0, xi",
+    [
+        (1646073651, 122.28808630312551, 0.19263615734675882),
+        (795354691, 148.74102942921618, 0.2755324157987285),
+        (227287083, 148.29657095427737, 0.20667513944523874),
+        (1111959145, 137.2044668876674, 0.28802046963634254),
+    ],
+    ids=["seed-1-input-161", "seed-7205-input-9", "seed-4-input-83", "seed-7101-input-52"],
+)
+def test_peak_start_reaches_the_error_bound(tmp_path, seed, omega0, xi):
+    """configs/resonant.json on four drawn plants (the benchmark's
+    identify-tune inputs named by the ids).  From the record's start and
+    four jittered ones, every search ended in a local optimum far from the
+    resonance (LML -61.4, -41.2, -69.2 and -29.7) and predicted at 0.163,
+    0.120, 0.236 and 0.094.  The fifth start, with omega0 at the ETFE's
+    peak, reaches LMLs of -4.4 to 13.7 and errors of 0.009 to 0.035."""
+    raw = json.loads((CONFIG_DIR / "resonant.json").read_text(encoding="utf-8"))
+    raw["seed"] = seed
+    raw["system"]["omega0"] = omega0
+    raw["system"]["xi"] = xi
+    summary = cli.run_identify(cli.parse_identify_config(cli.resolve_config(raw, None, str(tmp_path / "out"))))
+    assert summary["median_rel_error"] < 0.1
+
+
 # Tuned results of the shipped configs, pinned exactly: the L-BFGS-B path
 # depends on every likelihood and gradient bit, so any change to kernel
 # evaluation, Gram assembly or factorization shows here.  The former
@@ -500,13 +525,13 @@ def test_drawn_resonant_plant_meets_the_error_bound(tmp_path, seed, omega0, xi):
 # test_regression.TUNED_MIXTURE.
 GOLDEN_TUNED = {
     "resonant.json": (
-        47.834692848535354,
+        47.83468968672514,
         {
-            "weight1": 0.03847149858756503,
-            "weight2": 0.21008594030987923,
-            "component1.alpha": 1.0408379734450964e-10,
-            "component2.a": 0.9390047981297156,
-            "component2.omega0": 0.6255141069896635,
+            "weight1": 0.038464516146534226,
+            "weight2": 0.21008465491997566,
+            "component1.alpha": 6.332101191247943e-08,
+            "component2.a": 0.939004891007746,
+            "component2.omega0": 0.6255142276309648,
         },
     ),
     "allpass.json": (12.703579562079835, {"alpha": 0.39423195070565803}),

@@ -696,12 +696,15 @@ class TestVerifyPipeline:
         assert report["symmetry"]["max_err_diag"] < 1e-10
         assert report["driscoll"]["real_part"]["verdict"] == "converging"
         assert report["driscoll"]["imag_part"]["verdict"] == "converging"
+        assert (report["driscoll"]["terms"], report["driscoll"]["terms_tail"]) == (52, 0.5**52 / 0.5)
+        assert report["driscoll"]["h2_jitter"] == 0.0
 
     def test_h2_diverges(self, tmp_path):
         code, report = self._run(tmp_path, {"name": "h2"})
         assert code == 0
         assert report["driscoll"]["real_part"]["verdict"] == "diverging"
         assert report["driscoll"]["imag_part"]["verdict"] == "diverging"
+        assert (report["driscoll"]["terms"], report["driscoll"]["terms_tail"]) == (None, None)
 
     def test_circular_fails_symmetry_but_exits_zero(self, tmp_path):
         code, report = self._run(
@@ -990,6 +993,19 @@ class TestIdentifyPipeline:
             else:
                 assert (summary["wl_terms"], summary["wl_terms_tail"]) == route
                 assert 0.0 < summary["impropriety"] <= 1.0
+
+    def test_verify_sections_name_the_driscoll_route(self, tmp_path):
+        """``summary.json`` and ``verify_report.json`` carry the same
+        ``driscoll`` section, whose ``terms`` and ``terms_tail`` name the
+        terms route (cozine's two exact terms)."""
+        out = tmp_path / "out"
+        cfg = identify_config(out, kernel={"name": "cozine", "params": {"a": 0.5, "omega0": 1.0}})
+        assert cli.main(["identify", "--config", write_config(tmp_path, cfg)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        report = json.loads((out / "verify_report.json").read_text())
+        assert summary["verify"]["driscoll"] == report["driscoll"]
+        assert (report["driscoll"]["terms"], report["driscoll"]["terms_tail"]) == (2, 0.0)
+        assert report["driscoll"]["h2_jitter"] >= 0.0
 
     def test_wide_bounds_are_credible_disks(self, tmp_path, monkeypatch):
         """On the wide estimator, each row's bound columns are ``ellipsoid``

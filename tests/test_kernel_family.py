@@ -245,20 +245,23 @@ def test_verify_members_match_their_definitions():
 
 
 def test_terms_only_where_the_law_is_a_finite_sum():
-    """``h2`` (every a_n = 1), a circular family and a kernel built by hand
-    carry no terms.  A geometric series keeps the first N + 1 terms with
-    alpha^{N+1} <= eps at the values it is called with (52 at 0.5, 26 at
-    0.25) and reports its tail alpha^{N+1}/(1 - alpha); cozine has two exact
-    terms, and a mixture its members' together."""
+    """``h2`` (every a_n = 1) and a kernel built by hand carry no terms.  A
+    geometric series keeps the first N + 1 terms with alpha^{N+1} <= eps at
+    the values it is called with (52 at 0.5, 26 at 0.25) and reports its tail
+    alpha^{N+1}/(1 - alpha); cozine has two exact terms, and a mixture its
+    members' together.  A circular family keeps its record's terms of k,
+    marked ``circular``."""
     pts = 1.3 * np.exp(1j * np.linspace(-3.0, 3.0, 9))
     h2 = KernelFamily.from_config({"name": "h2"}, verify=True)({})
     record = {"name": "geometric", "params": {"alpha": 0.5}}
     circular = KernelFamily.from_config({**record, "circular": True}, verify=True)({})
     raw = kernels.ComplexKernel(h2_kernel, h2_kernel)
-    assert h2._terms is None and circular._terms is None and raw._terms is None
+    assert h2._terms is None and raw._terms is None
     geometric = KernelFamily.from_config(record, ["alpha"])
     terms = geometric({})._terms
     assert terms.psi(pts).shape == (9, 52) and terms.tail == 0.5**52 / 0.5
+    assert not terms.circular and circular._terms.circular and circular._terms.tail == terms.tail
+    np.testing.assert_array_equal(circular._terms.psi(pts), terms.psi(pts))
     assert geometric({"alpha": 0.25})._terms.psi(pts).shape == (9, 26)
     cozine = {"name": "cozine", "params": {"a": 0.9, "omega0": 1.0}}
     assert from_config(cozine)._terms.psi(pts).shape == (9, 2) and from_config(cozine)._terms.tail == 0.0

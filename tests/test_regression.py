@@ -1137,6 +1137,45 @@ class TestOptimizer:
             post = fit(family(values), data)
             assert score == regression._log_likelihood(post.factorization, post.alpha_vec, data.responses)
 
+    @pytest.mark.parametrize("peak_angle", [None, 0.0, math.pi], ids=["inside", "at-0", "at-pi"])
+    def test_last_start_at_the_response_peak(self, monkeypatch, peak_angle):
+        """With a tunable omega0, the fifth start is the record's start with
+        omega0 at the angle of the largest |response|; the others keep their
+        draws.  A peak at angle 0 or pi, which omega0's domain cannot map,
+        and a family without omega0 keep the fourth jittered start."""
+        import scipy.optimize
+
+        starts = []
+        minimize = scipy.optimize.minimize
+
+        def recording(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        drawn = geometric_data()
+        sites, responses = drawn.sites.copy(), drawn.responses.copy()
+        if peak_angle is not None:
+            sites[0] = np.exp(1j * peak_angle)
+            responses[0] = 10.0 * np.max(np.abs(responses))
+        data = FrequencyDataset(sites, responses, drawn.noise_var)
+        peak = int(np.argmax(np.abs(responses)))
+        for tunable in (("weight1", "component2.omega0"), ("weight1", "component2.a")):
+            starts.clear()
+            family = KernelFamily.from_config(MIXTURE, tunable)
+            optimize_hyperparameters(family, data, budget=5 * 40 + 1, seed=3)
+            start = family.unconstrained_start()
+            rng = np.random.Generator(np.random.Philox(key=3))
+            jittered = [start + rng.standard_normal(start.size) for _ in range(4)]
+            assert len(starts) == 5
+            for got, want in zip(starts[:4], [start] + jittered[:3]):
+                np.testing.assert_array_equal(got, want)
+            if tunable[-1].endswith("omega0") and peak_angle is None:
+                omega0 = family.domains["component2.omega0"].to_unconstrained(float(np.angle(sites[peak])))
+                np.testing.assert_array_equal(starts[4], [start[0], omega0])
+            else:
+                np.testing.assert_array_equal(starts[4], jittered[3])
+
     def test_deterministic_given_seed(self):
         out1 = optimize_hyperparameters(self._family(0.25), geometric_data(), budget=120, seed=9)
         out2 = optimize_hyperparameters(self._family(0.25), geometric_data(), budget=120, seed=9)

@@ -252,19 +252,54 @@ class TestDriscollGramViews:
         assert 1e-12 < 10.0 - report.traces[0] < 1e-9
 
 
-PART_KERNELS = {"h2": cli.parse_kernel({"name": "h2"}, verify=True)({}), **_candidate_kernels()}
+GEOMETRIC_RECORD = {"name": "geometric", "params": {"alpha": 0.5}}
+PART_KERNELS = {
+    "h2": cli.parse_kernel({"name": "h2"}, verify=True)({}),
+    **_candidate_kernels(),
+    "hand-built-geometric": ComplexKernel(geometric_kernel(0.5).hermitian_eval, geometric_kernel(0.5).complementary_eval),
+    "circular-family": cli.parse_kernel({**GEOMETRIC_RECORD, "circular": True}, verify=True)({}),
+}
+
+
+def counting(calls, part, fn, n_max):
+    """``fn`` that counts its calls on the n_max x n_max probe grid under ``part``."""
+
+    def wrapped(z, w):
+        if np.shape(z) == (n_max, 1) and np.shape(w) == (1, n_max):
+            calls[part] += 1
+        return fn(z, w)
+
+    return wrapped
 
 
 class TestDriscollParts:
-    """One probe for both parts: the reports of two ``driscoll_test`` calls,
-    from one H2 factorization and one evaluation of k and kt."""
+    """One probe for both parts, from one H2 factorization.  A kernel without
+    terms gives the reports of two ``driscoll_test`` calls bit for bit, from
+    one evaluation of k and kt; a kernel with terms gives them within 1e-8
+    relative (the worst seen is 4.4e-9, geometric at n_max 230) and growth
+    slopes within 1e-10 of max(1, |last trace|) (6.1e-11 seen), from one
+    triangular solve with its terms and no candidate Gram."""
 
     @pytest.mark.parametrize("n_max", [120, 230])
     @pytest.mark.parametrize("name", sorted(PART_KERNELS))
     def test_equals_one_test_per_part(self, name, n_max):
         kernel = PART_KERNELS[name]
         expected = tuple(driscoll_test(part, n_max) for part in real_imag_kernels(kernel))
-        assert driscoll_parts(kernel, n_max) == expected
+        parts = driscoll_parts(kernel, n_max)
+        if kernel._terms is None:
+            assert (parts.real_part, parts.imag_part) == expected
+            assert parts.terms is None and parts.terms_tail is None
+            return
+        assert parts.terms == kernel._terms.psi(dense_spiral(1)).shape[1]
+        assert parts.terms_tail == kernel._terms.tail
+        for got, want in zip((parts.real_part, parts.imag_part), expected):
+            assert got.n_values == want.n_values and got.verdict == want.verdict
+            assert_traces_close(got.traces, want.traces, rel=1e-8)
+            assert got.growth_slope == pytest.approx(want.growth_slope, abs=1e-10 * max(1.0, want.traces[-1]))
+
+    def test_circular_parts_are_equal(self):
+        parts = driscoll_parts(PART_KERNELS["circular-family"], 60)
+        assert parts.real_part == parts.imag_part
 
     def test_n_max_validation(self):
         with pytest.raises(ValueError, match="n_max"):
@@ -275,27 +310,115 @@ class TestDriscollParts:
         probe_calls = {"hermitian": 0, "complementary": 0}
         factor_calls = []
 
-        def counting(part, fn):
-            def wrapped(z, w):
-                if np.shape(z) == (n_max, 1) and np.shape(w) == (1, n_max):
-                    probe_calls[part] += 1
-                return fn(z, w)
-
-            return wrapped
-
         def counting_factor(mat, rel_jitter):
             factor_calls.append(mat.shape)
             return chol_factor_with_jitter(mat, rel_jitter=rel_jitter)
 
         geo = geometric_kernel(0.5)
         kernel = ComplexKernel(
-            counting("hermitian", geo.hermitian_eval), counting("complementary", geo.complementary_eval)
+            counting(probe_calls, "hermitian", geo.hermitian_eval, n_max),
+            counting(probe_calls, "complementary", geo.complementary_eval, n_max),
         )
         monkeypatch.setattr(verify, "chol_factor_with_jitter", counting_factor)
         record = cli._verify_record(kernel, n_max, 30)
         assert factor_calls == [(n_max, n_max)]
         assert probe_calls == {"hermitian": 1, "complementary": 1}
         assert record["driscoll"]["real_part"]["verdict"] == "converging"
+
+    def test_terms_route_builds_no_candidate_gram(self):
+        n_max = 60
+        probe_calls = {"hermitian": 0, "complementary": 0}
+        geo = geometric_kernel(0.5)
+        kernel = ComplexKernel(
+            counting(probe_calls, "hermitian", geo.hermitian_eval, n_max),
+            counting(probe_calls, "complementary", geo.complementary_eval, n_max),
+            geo._terms,
+        )
+        assert driscoll_parts(kernel, n_max) == driscoll_parts(geo, n_max)
+        assert probe_calls == {"hermitian": 0, "complementary": 0}
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_terms_raise(self, bad):
+        geo = geometric_kernel(0.5)
+
+        def psi(z):
+            values = geo._terms.psi(z)
+            values[3, 7] = bad
+            return values
+
+        kernel = ComplexKernel(geo.hermitian_eval, geo.complementary_eval, geo._terms._replace(psi=psi))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            driscoll_parts(kernel, 40)
+
+    def test_record_names_the_route(self, monkeypatch):
+        """The ``driscoll`` section says which route computed it (``terms``,
+        ``terms_tail``) and what jitter R's factorization took."""
+        geometric = cli._verify_record(PART_KERNELS["geometric"], 60, 30)["driscoll"]
+        assert (geometric["terms"], geometric["terms_tail"], geometric["h2_jitter"]) == (52, 0.5**52 / 0.5, 0.0)
+        cozine = cli._verify_record(PART_KERNELS["cozine"], 60, 30)["driscoll"]
+        assert (cozine["terms"], cozine["terms_tail"]) == (2, 0.0)
+        h2 = cli._verify_record(PART_KERNELS["h2"], 60, 30)["driscoll"]
+        assert (h2["terms"], h2["terms_tail"], h2["h2_jitter"]) == (None, None, 0.0)
+
+        def jittered(mat, rel_jitter):
+            factor, _ = chol_factor_with_jitter(mat, rel_jitter=rel_jitter)
+            return factor, 2.5e-13
+
+        monkeypatch.setattr(verify, "chol_factor_with_jitter", jittered)
+        assert cli._verify_record(PART_KERNELS["h2"], 60, 30)["driscoll"]["h2_jitter"] == 2.5e-13
+
+    def test_terms_traces_against_80_digits(self):
+        """geometric(0.5)'s real part on the terms route, against the same
+        traces tr(R_n^{-1} P_n P_n^T) evaluated with 80 digits from the same
+        float points and amplitudes: within 1e-14 relative (3.3e-16 seen)."""
+        import mpmath
+
+        n_max = 120
+        kernel = geometric_kernel(0.5)
+        amplitudes = kernel._terms.psi(np.ones(1, dtype=complex))[0].real.tolist()
+        with mpmath.workdps(80):
+            zs = [mpmath.mpc(complex(z)) for z in dense_spiral(n_max)]
+            low, solved, row_norms = [], [], []
+            for i, z in enumerate(zs):
+                h2 = [mpmath.re(z * mpmath.conj(w) / (z * mpmath.conj(w) - 1)) for w in zs[: i + 1]]
+                row = []  # row i of R's lower Cholesky factor
+                for j in range(i):
+                    row.append((h2[j] - mpmath.fdot(row, low[j][:j])) / low[j][j])
+                row.append(mpmath.sqrt(h2[i] - mpmath.fdot(row, row)))
+                low.append(row)
+                terms = [mpmath.re(mpmath.mpf(a) * z ** (-m)) for m, a in enumerate(amplitudes)]
+                x_row = [(p - mpmath.fdot(row[:i], [x[c] for x in solved])) / row[i] for c, p in enumerate(terms)]
+                solved.append(x_row)
+                row_norms.append(mpmath.fsum(v * v for v in x_row))
+            exact = [float(mpmath.fsum(row_norms[:n])) for n in range(10, n_max + 1, 10)]
+        traces = driscoll_parts(kernel, n_max).real_part.traces
+        assert max(abs(t - e) / e for t, e in zip(traces, exact)) <= 1e-14
+
+
+VERIFY_DEEP_RECORDS = {
+    "h2": {"name": "h2"},
+    "geometric": GEOMETRIC_RECORD,
+    "cozine": {"name": "cozine", "params": {"a": 0.9, "omega0": 0.2 * math.pi}},
+    "mixture": {
+        "name": "mixture",
+        "params": {"weight1": 1.0, "weight2": 1.0},
+        "component1": GEOMETRIC_RECORD,
+        "component2": {"name": "cozine", "params": {"a": 0.9, "omega0": 0.2 * math.pi}},
+    },
+    "circular": {**GEOMETRIC_RECORD, "circular": True},
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DEEP_RECORDS))
+def test_known_classes_at_n_max_400(name):
+    """At n_max 400, where cond(R) nears 1e16, each record gets its known
+    class: h2 diverges in both parts, and every kernel with terms converges
+    in both (the dense route left geometric's imaginary part and both
+    circular parts inconclusive)."""
+    record = cli._verify_record(cli.parse_kernel(VERIFY_DEEP_RECORDS[name], verify=True)({}), 400, 200)
+    expected = "diverging" if name == "h2" else "converging"
+    assert [record["driscoll"][part]["verdict"] for part in ("real_part", "imag_part")] == [expected] * 2
+    assert record["symmetry"]["passed"] == (name != "circular")
 
 
 def prior_energy(record):
@@ -360,8 +483,23 @@ def oracle_errors(record, n_max):
     ]
 
 
+def terms_oracle_errors(record, n_max):
+    """``oracle_errors`` of both parts from ``driscoll_parts``, which takes
+    the terms route for every record here."""
+    parts = driscoll_parts(from_config(record), n_max)
+    return [
+        (abs(report.traces[-1] - limit), limit)
+        for report, limit in zip((parts.real_part, parts.imag_part), prior_energy(record))
+    ]
+
+
 class TestDriscollOracle:
-    """The traces tend to the prior's closed-form energies (sum of a_n^2)."""
+    """The traces tend to the prior's closed-form energies (sum of a_n^2).
+
+    On the dense route, ill conditioning at n_max 400 caps the accuracy, so
+    the limits are checked at 200, where the probe itself has not yet quite
+    converged (1e-6).  The terms route stays accurate at 400, where the
+    probe has converged: within 1e-10 of max(1, limit) (2.2e-12 seen)."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_RECORDS))
     def test_final_trace_meets_prior_energy(self, name):
@@ -436,3 +574,21 @@ class TestSymmetry:
     def test_record_reports_grid_size(self):
         record = symmetry_test(geometric_kernel(0.5), dense_spiral(30)).to_record()
         assert record["grid_size"] == 30
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_RECORDS))
+    def test_terms_route_meets_prior_energy_at_400(self, name):
+        for error, limit in terms_oracle_errors(ORACLE_RECORDS[name], 400):
+            assert error <= 1e-10 * max(1.0, limit)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(alpha=st.floats(0.05, 0.8))
+    def test_terms_route_geometric_limits(self, alpha):
+        for error, limit in terms_oracle_errors(_geometric(alpha), 400):
+            assert error <= 1e-10 * max(1.0, limit)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(coeffs=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8))
+    def test_terms_route_explicit_limits(self, coeffs):
+        assume(sum(coeffs) > 0.0)
+        for error, limit in terms_oracle_errors(_explicit(coeffs), 400):
+            assert error <= 1e-10 * max(1.0, limit)
