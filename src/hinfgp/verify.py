@@ -231,6 +231,15 @@ class DriscollParts:
         }
 
 
+def _stacked(psi: np.ndarray) -> np.ndarray:
+    """[Re Psi, Im Psi], checked finite, in Fortran order so that a triangular
+    solve overwrites it in place."""
+    r = psi.shape[1]
+    stacked = np.empty((psi.shape[0], 2 * r), order="F")
+    stacked[:, :r], stacked[:, r:] = psi.real, psi.imag
+    return _finite(stacked)
+
+
 def driscoll_parts(kernel: ComplexKernel, n_max: int) -> DriscollParts:
     """``driscoll_test`` of both real parts of a complex kernel, sharing their work.
 
@@ -261,14 +270,13 @@ def driscoll_parts(kernel: ComplexKernel, n_max: int) -> DriscollParts:
         real_part = _report(factor, _part_values(herm, comp, imag=False))
         imag_part = _report(factor, _part_values(herm, comp, imag=True))
         return DriscollParts(real_part, imag_part, None, None, jitter)
-    psi = terms.psi(pts)
-    r = psi.shape[1]
-    # the H2 Gram was scanned when it was factored and the terms are here
+    # the H2 Gram was scanned when it was factored and the terms are in _stacked
     solved = scipy.linalg.solve_triangular(
-        factor, _finite(np.hstack([psi.real, psi.imag])), lower=True, check_finite=False
+        factor, _stacked(terms.psi(pts)), lower=True, overwrite_b=True, check_finite=False
     )
-    squares = solved * solved
-    real_rows, imag_rows = squares[:, :r].sum(axis=1), squares[:, r:].sum(axis=1)
+    r = solved.shape[1] // 2
+    real_rows = np.einsum("ij,ij->i", solved[:, :r], solved[:, :r])
+    imag_rows = np.einsum("ij,ij->i", solved[:, r:], solved[:, r:])
     if terms.circular:
         real_rows = imag_rows = 0.5 * (real_rows + imag_rows)
     return DriscollParts(_classify(np.cumsum(real_rows)), _classify(np.cumsum(imag_rows)), r, terms.tail, jitter)

@@ -527,6 +527,24 @@ class TestDriscollOracle:
         for error, limit, _ in oracle_errors(_explicit(coeffs), 200):
             assert error <= 1e-6 * max(1.0, limit)
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_RECORDS))
+    def test_terms_route_meets_prior_energy_at_400(self, name):
+        for error, limit in terms_oracle_errors(ORACLE_RECORDS[name], 400):
+            assert error <= 1e-10 * max(1.0, limit)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(alpha=st.floats(0.05, 0.8))
+    def test_terms_route_geometric_limits(self, alpha):
+        for error, limit in terms_oracle_errors(_geometric(alpha), 400):
+            assert error <= 1e-10 * max(1.0, limit)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(coeffs=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8))
+    def test_terms_route_explicit_limits(self, coeffs):
+        assume(sum(coeffs) > 0.0)
+        for error, limit in terms_oracle_errors(_explicit(coeffs), 400):
+            assert error <= 1e-10 * max(1.0, limit)
+
 
 class TestSymmetry:
     @pytest.mark.parametrize(
@@ -574,21 +592,3 @@ class TestSymmetry:
     def test_record_reports_grid_size(self):
         record = symmetry_test(geometric_kernel(0.5), dense_spiral(30)).to_record()
         assert record["grid_size"] == 30
-
-    @pytest.mark.parametrize("name", sorted(ORACLE_RECORDS))
-    def test_terms_route_meets_prior_energy_at_400(self, name):
-        for error, limit in terms_oracle_errors(ORACLE_RECORDS[name], 400):
-            assert error <= 1e-10 * max(1.0, limit)
-
-    @settings(derandomize=True, deadline=None, max_examples=25)
-    @given(alpha=st.floats(0.05, 0.8))
-    def test_terms_route_geometric_limits(self, alpha):
-        for error, limit in terms_oracle_errors(_geometric(alpha), 400):
-            assert error <= 1e-10 * max(1.0, limit)
-
-    @settings(derandomize=True, deadline=None, max_examples=25)
-    @given(coeffs=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8))
-    def test_terms_route_explicit_limits(self, coeffs):
-        assume(sum(coeffs) > 0.0)
-        for error, limit in terms_oracle_errors(_explicit(coeffs), 400):
-            assert error <= 1e-10 * max(1.0, limit)
