@@ -324,9 +324,11 @@ def run_identify(cfg: ExperimentConfig) -> dict:
         fs,
     )
 
-    # the filter bank lives only inside etfe, so it is freed before regression
     data = etfe(u_obs, y_trace, cfg.bank, cfg.noise_var)
     site_freqs = np.angle(data.sites)
+    # etfe's sites are exp(j w) of the kept centres, bit for bit
+    centres = cfg.bank.freqs
+    dropped = centres[~np.isin(np.exp(1j * centres), data.sites)]
 
     values = {}
     if cfg.kernel.tunable:
@@ -366,6 +368,7 @@ def run_identify(cfg: ExperimentConfig) -> dict:
         "estimator": cfg.estimator,
         "eta": cfg.eta,
         "n_data": len(data),
+        "etfe_dropped": dropped.tolist(),
         "noise_var": data.noise_var,
         "hyperparameters": values,
         "log_marginal_likelihood": likelihood,

@@ -32,7 +32,9 @@ noise of variance sigma_e^2, this module provides
 
       L21^H = L11^{-1} B,   L22 L22^H = S = A* - L21 L21^H = conj(P),
 
-    with P = A - B (A*)^{-1} B* the Schur complement (``schur_P``).  For the
+    with P = A - B (A*)^{-1} B* the Schur complement (``schur_P``).  When
+    ``fit`` factored A + j I, S is formed from conj(A + j I), the matrix L11
+    factors, so the factored Gamma stays conjugate symmetric.  For the
     cross row r = [u, v], u_i = k(z, z_i), v_i = kt(z, z_i), x = L^{-1} r^H
     and c = L^{-1} [y; y*], mean_wl(z) = x^H c and var_wl(z) = k(z, z) -
     ||x||^2, and the complementary variance is kt(z, z) - x^H w,
@@ -222,8 +224,9 @@ class _AugmentedFactor(NamedTuple):
 
         b = Gamma^{-1} (y; y*)'s top half is two back-substitutions on c.  d
         is the squared column norms of L22^{-1} (diag P^{-1} = diag S^{-1})
-        when neither L11 nor L22 took jitter; a jitter breaks Gamma's
-        conjugate symmetry, so then d is the exact top-left block,
+        when neither L11 nor L22 took jitter.  S's own jitter breaks Gamma's
+        conjugate symmetry (L11's alone does not, since S is formed from the
+        jittered K_yy), so with any jitter d is the exact top-left block,
         ||L11^{-1} e_i||^2 + ||L22^{-1} L21 L11^{-1} e_i||^2.
         """
         shift = post.dataset.noise_var + post.jitter
@@ -284,6 +287,9 @@ class _CoefficientFactor(NamedTuple):
 def _dense_state(post: Posterior) -> _AugmentedFactor:
     """Factor Gamma from L11: one triangular solve for L21, S, and S's factor.
 
+    S = conj(K_yy + j I) - L21 L21^H, with j the jitter ``fit`` added: the
+    Schur complement of the matrix L11 factors.
+
     S is left unfactored (the widely linear fallback) when its largest
     eigenvalue is at most 1e-14 times A's; otherwise it is factored with the
     one jitter retry, or raises ``ConditioningError``.  Both largest
@@ -295,7 +301,9 @@ def _dense_state(post: Posterior) -> _AugmentedFactor:
     comp = gram(post.kernel, post.dataset.sites, "complementary")
     l21_h = scipy.linalg.solve_triangular(post.factorization, comp, lower=True, check_finite=False)
     l21 = l21_h.conj().T
-    s_mat = np.conj(post.gram_yy) - l21 @ l21_h
+    a_conj = np.conj(post.gram_yy)
+    a_conj[np.diag_indices_from(a_conj)] += post.jitter
+    s_mat = a_conj - l21 @ l21_h
     s_mat = 0.5 * (s_mat + s_mat.conj().T)
     lam_a, lam_s = (_largest_eigenvalue(mat) for mat in (post.gram_yy, s_mat))
     if lam_s <= 1e-14 * lam_a:

@@ -7,6 +7,16 @@ bank of windowed narrowband filters h_i(n) = e^{j w_i n} w(n): the ratio of the
 filtered output to the filtered input, read off at the first tap-complete
 sample, estimates g(e^{j w_i}).  The resulting complex observations at sites
 z_i = e^{j w_i} feed the regression module.
+
+The filter outputs have two routes, chosen by one rule,
+``spec.center_freqs is None``.  The default uniform centres
+w_i = 2 pi i / P, P = 2 (num_filters + 1), take one folded inverse FFT of
+every block the run needs (frequency sampling aliases a sequence in time,
+so each block is summed modulo P first); no filter bank is built.  Explicit
+``center_freqs`` take the direct bank e^{j w_i n} w(n).  The two agree within
+1e-12 of max |output| (tested), and the FFT is the closer to exact: within
+1e-15 of max |output| of a 40-digit evaluation (tested), where the bank's
+phases fl(w_i) n carry up to about 3e3 eps.
 """
 
 from __future__ import annotations
@@ -249,11 +259,52 @@ def _filter_bank(spec: FilterBankSpec) -> np.ndarray:
     return np.exp(1j * np.outer(spec.freqs, n)) * spec.window()
 
 
-def _segment_outputs(samples: np.ndarray, bank: np.ndarray, taps: int, segment: int) -> np.ndarray:
-    """Filter outputs at the tap-complete sample N = taps - 1 + segment * taps."""
-    end = taps - 1 + segment * taps
-    window = samples[end - taps + 1 : end + 1][::-1]
-    return bank @ window
+def _filter_outputs(
+    u: TimeTrace, y: TimeTrace, spec: FilterBankSpec, segments: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Filter outputs of u and y at the tap-complete samples of their first
+    ``segments`` blocks, N = taps - 1 + s taps: two (segments, num_filters)
+    arrays.
+
+    At the default centres w_i = 2 pi i / P, P = 2 (num_filters + 1), the
+    output sum_n e^{j w_i n} w(n) x(N - n) is entry i of the unscaled inverse
+    DFT of the windowed, reversed block folded modulo P (sampling a DTFT at P
+    points aliases the sequence in time).  Every block of both records is
+    zero-padded to a multiple of P, folded by one reshape-and-sum, and goes
+    through one ``ifft`` call.  Explicit ``center_freqs`` take the direct
+    bank, ``_filter_bank(spec) @ block`` per block.
+    """
+    taps = spec.taps
+    records = (u.samples, y.samples)
+    if spec.center_freqs is not None:
+        bank = _filter_bank(spec)
+        return tuple(
+            np.array([bank @ x[s * taps : (s + 1) * taps][::-1] for s in range(segments)]) for x in records
+        )
+    period = 2 * (spec.num_filters + 1)
+    padded = np.zeros((2, segments, -(-taps // period) * period))
+    for x, rows in zip(records, padded):
+        rows[:, :taps] = x[: segments * taps].reshape(segments, taps)[:, ::-1]
+    padded[..., :taps] *= spec.window()
+    folded = padded.reshape(2, segments, -1, period).sum(axis=2)
+    outputs = np.fft.ifft(folded, axis=-1, norm="forward")[..., 1 : spec.num_filters + 1]
+    return outputs[0], outputs[1]
+
+
+def _noise_segments(u: TimeTrace, y: TimeTrace, spec: FilterBankSpec) -> int:
+    """Full non-overlapping blocks of ``taps`` samples in both records (at least 2)."""
+    segments = min(len(u), len(y)) // spec.taps
+    if segments < 2:
+        raise ValueError(
+            f"need at least 2 full segments of {spec.taps} samples to estimate the "
+            f"noise variance, got {segments}"
+        )
+    return segments
+
+
+def _input_floor(u: TimeTrace) -> float:
+    """The drop rule's threshold: a filtered input below 1e-9 ||u||."""
+    return 1e-9 * float(np.linalg.norm(u.samples))
 
 
 def etfe(
@@ -263,12 +314,16 @@ def etfe(
 
     Both records are convolved with each filter h_i(n) = e^{j w_i n} w(n) and
     the ratio (filtered y)/(filtered u) at the first tap-complete sample
-    N = taps - 1 estimates g(e^{j w_i}).  Frequencies whose filtered input
+    N = taps - 1 estimates g(e^{j w_i}).  The filter outputs come from
+    :func:`_filter_outputs`: one folded inverse FFT when ``center_freqs`` is
+    None (the default uniform centres), the direct bank otherwise; the two
+    agree within 1e-12 of max |output|, and the FFT is the closer to exact
+    (tested against 40 digits at 1e-15).  Frequencies whose filtered input
     magnitude falls below 1e-9 ||u|| are dropped with a warning (the ratio
     would blow up).  ``noise_var`` is recorded for the regression stage;
     ``"auto"`` records :func:`estimate_noise_var`'s pooled estimate, equal to
-    it bit for bit, from the filter bank built here once (the estimate's
-    first segment is this estimate's).
+    it bit for bit: both read the same outputs of every segment, and the
+    first segment's are this estimate's.
     """
     if len(u) < spec.taps or len(y) < spec.taps:
         raise ValueError(
@@ -276,13 +331,12 @@ def etfe(
         )
     if isinstance(noise_var, str) and noise_var != "auto":
         raise ValueError(f'noise_var must be a number or "auto", got {noise_var!r}')
-    bank = _filter_bank(spec)
-    u_f = _segment_outputs(u.samples, bank, spec.taps, 0)
-    y_f = _segment_outputs(y.samples, bank, spec.taps, 0)
-    if noise_var == "auto":
-        noise_var = _pooled_noise_var(u, y, spec, bank, (u_f, y_f))
-    floor = 1e-9 * float(np.linalg.norm(u.samples))
-    keep = np.abs(u_f) >= floor
+    auto = noise_var == "auto"
+    u_f, y_f = _filter_outputs(u, y, spec, _noise_segments(u, y, spec) if auto else 1)
+    if auto:
+        noise_var = _pooled_noise_var(u, u_f, y_f)
+    floor = _input_floor(u)
+    keep = np.abs(u_f[0]) >= floor
     if not np.all(keep):
         dropped = spec.freqs[~keep]
         warnings.warn(
@@ -292,7 +346,7 @@ def etfe(
             stacklevel=2,
         )
     freqs = spec.freqs[keep]
-    return FrequencyDataset(np.exp(1j * freqs), y_f[keep] / u_f[keep], noise_var)
+    return FrequencyDataset(np.exp(1j * freqs), y_f[0, keep] / u_f[0, keep], noise_var)
 
 
 def estimate_noise_var(u: TimeTrace, y: TimeTrace, spec: FilterBankSpec) -> float:
@@ -303,41 +357,19 @@ def estimate_noise_var(u: TimeTrace, y: TimeTrace, spec: FilterBankSpec) -> floa
     its own tap-complete sample.  The per-frequency sample variance (complex,
     ddof=1) over blocks is pooled by the median across frequencies, a robust
     single noise figure for the regression stage.  ``etfe(u, y, spec,
-    "auto")`` records the same value from its own filter bank.
+    "auto")`` records the same value from the same filter outputs.
     """
-    return _pooled_noise_var(u, y, spec, _filter_bank(spec))
+    return _pooled_noise_var(u, *_filter_outputs(u, y, spec, _noise_segments(u, y, spec)))
 
 
-def _pooled_noise_var(
-    u: TimeTrace,
-    y: TimeTrace,
-    spec: FilterBankSpec,
-    bank: np.ndarray,
-    first: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """:func:`estimate_noise_var` with the filter bank built, and segment 0's
-    filtered (u, y) when ``first`` gives them."""
-    segments = min(len(u), len(y)) // spec.taps
-    if segments < 2:
-        raise ValueError(
-            f"need at least 2 full segments of {spec.taps} samples to estimate the "
-            f"noise variance, got {segments}"
-        )
-    floor = 1e-9 * float(np.linalg.norm(u.samples))
-    estimates = np.empty((segments, spec.num_filters), dtype=complex)
-    valid = np.ones(spec.num_filters, dtype=bool)
-    for s in range(segments):
-        if s == 0 and first is not None:
-            u_f, y_f = first
-        else:
-            u_f = _segment_outputs(u.samples, bank, spec.taps, s)
-            y_f = _segment_outputs(y.samples, bank, spec.taps, s)
-        valid &= np.abs(u_f) >= floor
-        with np.errstate(divide="ignore", invalid="ignore"):
-            estimates[s] = y_f / u_f
+def _pooled_noise_var(u: TimeTrace, u_f: np.ndarray, y_f: np.ndarray) -> float:
+    """:func:`estimate_noise_var` from the (segments, num_filters) filter outputs."""
+    valid = np.all(np.abs(u_f) >= _input_floor(u), axis=0)
     if not np.any(valid):
         raise ValueError("no frequency produced a usable transfer estimate in every segment")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        estimates = y_f / u_f
     est = estimates[:, valid]
     centered = est - est.mean(axis=0)
-    per_freq = np.sum(np.abs(centered) ** 2, axis=0) / (segments - 1)
+    per_freq = np.sum(np.abs(centered) ** 2, axis=0) / (u_f.shape[0] - 1)
     return float(np.median(per_freq))

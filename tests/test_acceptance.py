@@ -525,16 +525,16 @@ def test_peak_start_reaches_the_error_bound(tmp_path, seed, omega0, xi):
 # test_regression.TUNED_MIXTURE.
 GOLDEN_TUNED = {
     "resonant.json": (
-        47.83468968672514,
+        47.834692810562345,
         {
-            "weight1": 0.038464516146534226,
-            "weight2": 0.21008465491997566,
-            "component1.alpha": 6.332101191247943e-08,
-            "component2.a": 0.939004891007746,
-            "component2.omega0": 0.6255142276309648,
+            "weight1": 0.03846850193112265,
+            "weight2": 0.21008073077821374,
+            "component1.alpha": 8.184178360426072e-10,
+            "component2.a": 0.9390048271861803,
+            "component2.omega0": 0.6255141003949337,
         },
     ),
-    "allpass.json": (12.703579562079835, {"alpha": 0.39423195070565803}),
+    "allpass.json": (12.703579562080396, {"alpha": 0.39423194864897637}),
 }
 
 

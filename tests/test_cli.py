@@ -919,6 +919,7 @@ class TestIdentifyPipeline:
         assert summary["seed"] == 9
         assert summary["system"] == "external"
         assert summary["n_data"] == 5
+        assert summary["etfe_dropped"] == []
         hyper = json.loads((out / "hyperparameters.json").read_text())
         assert hyper["config_sha256"] == summary["config_sha256"]
         # constant-gain plant: the flat-response estimate should be close
@@ -970,6 +971,32 @@ class TestIdentifyPipeline:
         assert 0.0 <= summary["impropriety"]
         # geometric(0.5) has 52 terms against 5 sites: the dense route
         assert summary["wl_terms"] is None and summary["wl_terms_tail"] is None
+
+    def test_summary_lists_the_dropped_frequencies(self, tmp_path, monkeypatch):
+        """An input whose first block the third filter cannot see starves
+        that centre frequency: etfe drops it with its warning, and
+        ``summary.json`` lists it under ``etfe_dropped``."""
+        cfg = identify_config(tmp_path / "out")
+        spec = parse_identify_config(cfg).bank
+        row = sysid._filter_bank(spec)[2]
+        basis = np.stack([row.real, row.imag], axis=1)
+        v = np.random.default_rng(5).standard_normal(spec.taps)
+        v -= basis @ np.linalg.lstsq(basis, v, rcond=None)[0]
+        real_etfe = cli.etfe
+
+        def starved(u, y, bank, noise_var):
+            samples = u.samples.copy()
+            samples[: spec.taps] = v[::-1]
+            u = sysid.TimeTrace(samples, u.sample_rate)
+            return real_etfe(u, sysid.TimeTrace(2.0 * samples, u.sample_rate), bank, noise_var)
+
+        monkeypatch.setattr(cli, "etfe", starved)
+        with pytest.warns(RuntimeWarning, match="dropping 1 ETFE"):
+            summary = cli.run_identify(parse_identify_config(cfg))
+        assert summary["n_data"] == 4
+        assert summary["etfe_dropped"] == [spec.freqs[2]]
+        written = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert written["etfe_dropped"] == [spec.freqs[2]]
 
     def test_summary_names_the_widely_linear_route(self, tmp_path):
         """Where ``impropriety`` is written, ``wl_terms`` and
@@ -1067,25 +1094,37 @@ class TestIdentifyPipeline:
 
 
 class TestSharedWork:
-    """One identify run builds one filter bank, and an untuned run assembles
-    and factors K_yy once."""
+    """One identify run computes its filter outputs once, and an untuned run
+    assembles and factors K_yy once."""
 
     def _run(self, tmp_path, **overrides):
         cfg = identify_config(tmp_path / "out", **overrides)
         return cli.run_identify(parse_identify_config(cfg))
 
     def test_one_filter_bank_per_run(self, tmp_path, monkeypatch):
-        calls = []
-        build = sysid._filter_bank
+        """With the noise variance estimated or fixed, a run calls
+        ``_filter_outputs`` once (every segment it needs in one call), and the
+        default uniform centres build no filter bank."""
+        calls, banks = [], []
+        outputs, build = sysid._filter_outputs, sysid._filter_bank
 
-        def counting(spec):
-            calls.append(spec)
+        def counting(u, y, spec, segments):
+            calls.append(segments)
+            return outputs(u, y, spec, segments)
+
+        def counting_bank(spec):
+            banks.append(spec)
             return build(spec)
 
-        monkeypatch.setattr(sysid, "_filter_bank", counting)
+        monkeypatch.setattr(sysid, "_filter_outputs", counting)
+        monkeypatch.setattr(sysid, "_filter_bank", counting_bank)
         summary = self._run(tmp_path, noise_var="auto")
-        assert len(calls) == 1
+        assert calls == [4] and banks == []
         assert summary["noise_var"] > 0.0
+        calls.clear()
+        summary = self._run(tmp_path, noise_var=1e-4)
+        assert calls == [1] and banks == []
+        assert summary["noise_var"] == 1e-4
 
     @pytest.mark.parametrize("estimator", ["strict", "wide"])
     def test_predictors_run_once_on_the_grid(self, tmp_path, monkeypatch, estimator):

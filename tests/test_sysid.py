@@ -19,7 +19,7 @@ from hinfgp.sysid import (
     make_resonant_system,
     simulate,
 )
-from hinfgp.sysid import _filter_bank
+from hinfgp.sysid import _filter_bank, _filter_outputs
 
 
 def orthogonal_block(rng, bank_row, taps):
@@ -301,6 +301,69 @@ class TestFilterBankSpec:
         base.update(kwargs)
         with pytest.raises(ValueError, match=match):
             FilterBankSpec(**base)
+
+
+def _direct_outputs(samples, spec, segments):
+    """The direct bank's outputs, ``_filter_bank(spec) @ block`` per block."""
+    bank, taps = _filter_bank(spec), spec.taps
+    return np.array([bank @ samples[s * taps : (s + 1) * taps][::-1] for s in range(segments)])
+
+
+class TestFilterOutputs:
+    """The default uniform centres take one folded inverse FFT; explicit
+    ``center_freqs`` take the direct bank, the reference."""
+
+    def _traces(self, taps, segments, seed=3):
+        rng = np.random.default_rng(seed)
+        length = segments * taps + 7  # a partial block past the last one is ignored
+        return TimeTrace(rng.standard_normal(length), 1.0), TimeTrace(rng.standard_normal(length), 1.0)
+
+    @pytest.mark.parametrize("convention", ["printed", "scaled"])
+    @pytest.mark.parametrize(
+        "num_filters, taps",
+        [(400, 300), (400, 1000), (4, 1000), (49, 1000), (5, 1), (1, 1000), (1, 999), (25, 1000)],
+        ids=["taps<P", "taps>P", "taps=100P", "taps=10P", "taps=1", "one-filter-taps=250P", "one-filter", "shipped"],
+    )
+    def test_fft_matches_the_direct_bank(self, num_filters, taps, convention):
+        """Within 1e-12 of max |output|, segments 0-3 of both records."""
+        spec = FilterBankSpec(num_filters=num_filters, taps=taps, window_convention=convention)
+        u, y = self._traces(taps, 4)
+        got = _filter_outputs(u, y, spec, 4)
+        for trace, out in zip((u, y), got):
+            want = _direct_outputs(trace.samples, spec, 4)
+            assert out.shape == (4, num_filters)
+            assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_fft_against_forty_digits(self):
+        """At M = 400, taps = 1000, filters 1, 50, 200 and 399 of the first
+        block agree with a 40-digit evaluation of sum_n e^{j w_i n} w(n) x(N - n)
+        (the float window and samples taken as exact) within 1e-15 of
+        max |output|."""
+        import mpmath
+
+        spec = FilterBankSpec(num_filters=400, taps=1000)
+        u, y = self._traces(spec.taps, 1)
+        got = _filter_outputs(u, y, spec, 1)[0][0]
+        window, block = spec.window(), u.samples[: spec.taps][::-1]
+        scale = np.max(np.abs(got))
+        with mpmath.workdps(40):
+            for i in (1, 50, 200, 399):
+                exact = mpmath.fsum(
+                    mpmath.expjpi(mpmath.mpf(i * n) / (spec.num_filters + 1)) * mpmath.mpf(window[n]) * mpmath.mpf(block[n])
+                    for n in range(spec.taps)
+                )
+                assert abs(complex(got[i - 1]) - complex(exact)) <= 1e-15 * scale, i
+
+    def test_explicit_centres_keep_the_direct_bank(self):
+        """A spec whose ``center_freqs`` equal the default centres takes the
+        direct bank and gives its bytes, not the FFT's."""
+        default = FilterBankSpec(num_filters=25, taps=1000)
+        explicit = FilterBankSpec(num_filters=25, taps=1000, center_freqs=tuple(default.freqs))
+        u, y = self._traces(1000, 4)
+        direct = _filter_outputs(u, y, explicit, 4)
+        for trace, out in zip((u, y), direct):
+            assert np.array_equal(out, _direct_outputs(trace.samples, explicit, 4))
+        assert not np.array_equal(direct[0], _filter_outputs(u, y, default, 4)[0])
 
 
 class TestEtfe:

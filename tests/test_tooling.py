@@ -11,8 +11,8 @@ any program test.  The file is only read here.
 
 Import cost is most of a short CLI run, so ``import hinfgp.cli`` loads neither
 ``scipy.signal`` (never used by the package) nor ``scipy.optimize`` (used only
-while tuning).  The test suite imports both itself, so these checks run in a
-fresh interpreter.
+while tuning) nor ``scipy.fft`` (the ETFE's FFT is numpy's).  The test suite
+imports them itself, so these checks run in a fresh interpreter.
 
 Importing the package's linear-algebra users sets numpy's bundled OpenBLAS to
 one thread and leaves scipy's OpenBLAS alone, and fixes glibc's malloc
@@ -117,6 +117,21 @@ def test_cli_import_loads_neither_scipy_signal_nor_optimize():
     assert "hinfgp.cli" in loaded
     assert "scipy.signal" not in loaded
     assert "scipy.optimize" not in loaded
+
+
+def test_cli_import_and_the_etfe_leave_scipy_fft_unloaded(tmp_path):
+    """The ETFE's folded FFT is ``numpy.fft``, which numpy loads anyway:
+    neither the import nor an untuned identify run, which takes the FFT,
+    adds ``scipy.fft`` to a cold start."""
+    assert "scipy.fft" not in loaded_modules_after("import hinfgp.cli")
+    raw = json.loads((ROOT / "configs" / "resonant.json").read_text(encoding="utf-8"))
+    del raw["kernel"]["tunable"]
+    config = tmp_path / "untuned.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    argv = ["identify", "--config", str(config), "--out", str(tmp_path / "out")]
+    loaded = loaded_modules_after(f"import hinfgp.cli\nassert hinfgp.cli.main({argv!r}) == 0")
+    assert "numpy.fft" in loaded and "scipy.fft" not in loaded
+    assert (tmp_path / "out" / "etfe_data.csv").is_file()
 
 
 @pytest.mark.parametrize("command, config", [("verify", "verify_h2.json"), ("sample", "sample_geometric.json")])
